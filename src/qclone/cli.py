@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -97,12 +98,16 @@ class RunConfig:
         for t in self.t_values:
             if not 0.0 <= t <= 1.0:
                 raise ConfigError(f"t value {t} outside [0, 1]")
-        if self.counts <= 0:
-            raise ConfigError(f"counts must be positive, got {self.counts}")
+        if not 0 < self.counts < math.inf:  # also rejects nan
+            raise ConfigError(f"counts must be positive and finite, got {self.counts}")
         if self.objective not in OBJECTIVES:
             raise ConfigError(f"objective must be one of {OBJECTIVES}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
+        if self.eps_points < 1:
+            raise ConfigError(f"eps_points must be at least 1, got {self.eps_points}")
+        if not 0.0 <= self.eps_max < 1.0:
+            raise ConfigError(f"eps_max must lie in [0, 1), got {self.eps_max}")
 
     @property
     def eta(self) -> EfficiencyPair:

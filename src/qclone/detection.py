@@ -9,6 +9,7 @@ for both input roles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -60,9 +61,14 @@ class MeasurementRecord:
             raise ValueError(
                 f"state {self.state_label} has role {expected_role}, got {self.role}"
             )
+        # the chained comparisons are false for nan as well
+        if not 0.0 <= self.t <= 1.0:
+            raise ValueError(f"t = {self.t} outside [0, 1]")
         object.__setattr__(self, "counts", np.asarray(self.counts, dtype=float))
-        if self.counts.shape != (4,) or np.min(self.counts) < 0:
-            raise ValueError("counts must be four nonnegative numbers")
+        if self.counts.shape != (4,) or not all(
+            0.0 <= c < math.inf for c in self.counts.tolist()
+        ):
+            raise ValueError("counts must be four finite nonnegative numbers")
 
 
 def ideal_probabilities(psi_in: np.ndarray, basis: BasisPair, t: float) -> np.ndarray:
@@ -184,7 +190,9 @@ def read_records(path) -> list[MeasurementRecord]:
             parts = line.split(",")
             if len(parts) != 8:
                 raise ValueError(f"{path}:{lineno}: expected 8 fields, got {len(parts)}")
-            t, state, basis, role = float(parts[0]), parts[1], parts[2], parts[3]
-            counts = np.array([float(x) for x in parts[4:]])
-            records.append(MeasurementRecord(t, state, basis, role, counts))
+            try:
+                counts = np.array([float(x) for x in parts[4:]])
+                records.append(MeasurementRecord(float(parts[0]), *parts[1:4], counts))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return records

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +131,8 @@ def test_config_parse_error(tmp_path, capsys):
 def test_config_validation_error():
     assert main(["analytic", "--t", "2.0"]) == EXIT_CONFIG
     assert main(["simulate", "--counts", "-5"]) == EXIT_CONFIG
+    assert main(["simulate", "--counts", "nan"]) == EXIT_CONFIG
+    assert main(["simulate", "--counts", "inf"]) == EXIT_CONFIG
 
 
 def test_calibrate_missing_file(tmp_path):
@@ -166,3 +172,54 @@ def test_schema_command(capsys):
     out = capsys.readouterr().out
     for name in SCHEMAS:
         assert name in out
+
+
+def test_calibrate_rejects_nonfinite_counts(tmp_path, capsys):
+    recs = tmp_path / "records.csv"
+    assert main(["simulate", "--t", "0.5", "--out", str(tmp_path / "sim.csv"),
+                 "--records", str(recs)]) == EXIT_OK
+    lines = recs.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",nan"
+    recs.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["calibrate", "--records", str(recs), "--out", str(tmp_path / "cal.csv")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "records.csv:3: counts must be four finite nonnegative numbers" in err
+    assert not (tmp_path / "cal.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--eps-points", "-3", "eps_points must be at least 1"),
+    ("--eps-points", "0", "eps_points must be at least 1"),
+    ("--eps-max", "1.5", "eps_max must lie in [0, 1)"),
+    ("--eps-max", "-0.1", "eps_max must lie in [0, 1)"),
+])
+def test_robustness_rejects_bad_sweep_range(tmp_path, capsys, flag, value, message):
+    rc = main(["robustness", "--t", "0", flag, value, "--out", str(tmp_path / "rob.csv")])
+    assert rc == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_default_calibration_stays_inside_the_box(tmp_path):
+    # at t = 1 the data do not determine eta_b; that must not push the fit
+    # to the edge of the search box
+    recs = tmp_path / "records.csv"
+    assert main(["simulate", "--out", str(tmp_path / "sim.csv"), "--records", str(recs)]) == EXIT_OK
+    out = tmp_path / "cal.csv"
+    assert main(["calibrate", "--strict", "--records", str(recs), "--out", str(out)]) == EXIT_OK
+    _, rows = read_csv(out)
+    assert [r[5] for r in rows] == ["false"] * 6
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import qclone.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -179,3 +179,25 @@ def test_read_records_bad_line(tmp_path):
     path.write_text("0.5,H,HV,psi,1,2,3\n")
     with pytest.raises(ValueError):
         read_records(path)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -0.1, 1.5])
+def test_record_rejects_bad_t(t):
+    with pytest.raises(ValueError, match="outside"):
+        MeasurementRecord(t, "H", "HV", ROLE_PSI, np.ones(4))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_record_rejects_nonfinite_or_negative_counts(bad):
+    with pytest.raises(ValueError, match="finite nonnegative"):
+        MeasurementRecord(0.5, "H", "HV", ROLE_PSI, [1.0, bad, 1.0, 1.0])
+
+
+def test_read_records_names_the_bad_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    write_records(run_experiment(0.5, UNIT, 1e4, seed=1), path)
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:4: counts must be four finite"):
+        read_records(path)

@@ -11,9 +11,13 @@ from qclone.detection import (
 )
 from qclone.estimation import (
     NoDataError,
+    _objective_terms,
+    _ratio_seed,
+    _stacked_counts,
     calibrate,
     calibrate_pooled,
     fidelities_from_counts,
+    minimize,
     report,
 )
 from qclone.robustness import error_bound, taylor_form, taylor_form_b
@@ -188,3 +192,117 @@ def test_mean_shift_within_quadratic_bound():
         bound_b = error_bound(taylor_form_b(m), *eps)
         assert abs(before.mean_a - res.report.mean_a) <= 1.5 * bound_a + 1e-6
         assert abs(before.mean_b - res.report.mean_b) <= 1.5 * bound_b + 1e-6
+
+
+def test_calibrate_rejects_empty_record():
+    recs = run_experiment(T_MID, ETA_PAPER, 1e4, seed=2)
+    recs[3] = MeasurementRecord(T_MID, "A", "DA", ROLE_PERP, np.zeros(4))
+    with pytest.raises(NoDataError):
+        calibrate(recs)
+
+
+def test_calibrate_rejects_unknown_objective():
+    recs = run_experiment(T_MID, ETA_PAPER, 1e4, noiseless=True)
+    with pytest.raises(ValueError, match="unknown objective"):
+        calibrate(recs, objective="c")
+
+
+@pytest.mark.parametrize("objective", ["a", "b", "sum"])
+def test_objective_derivatives_match_finite_differences(objective):
+    rng = np.random.default_rng(17)
+    groups = [run_experiment(t, ETA_PAPER, 1e4, seed=i) for i, t in enumerate((0.2, 0.7))]
+    h = 1e-5
+    for pooled in (False, True):
+        counts = _stacked_counts(groups if pooled else groups[:1])
+        for _ in range(5):
+            z = rng.uniform(-1.2, 1.2, size=2)
+            _, grad, hess = _objective_terms(counts, z, objective)
+            steps = [_objective_terms(counts, z + s * h * e, objective) for e in np.eye(2) for s in (1, -1)]
+            fd_grad = [(steps[2 * i][0] - steps[2 * i + 1][0]) / (2 * h) for i in range(2)]
+            fd_hess = [(steps[2 * i][1] - steps[2 * i + 1][1]) / (2 * h) for i in range(2)]
+            np.testing.assert_allclose(grad, fd_grad, rtol=1e-6, atol=1e-7 * np.abs(grad).max())
+            np.testing.assert_allclose(hess, fd_hess, rtol=1e-6, atol=1e-7 * np.abs(hess).max())
+
+
+@pytest.mark.parametrize("t", [n / 10 for n in range(10)] + [0.95])
+def test_ratio_seed_exact_on_noiseless_data(t):
+    counts = _stacked_counts([run_experiment(t, ETA_PAPER, 1e5, noiseless=True)])
+    np.testing.assert_allclose(np.exp(_ratio_seed(counts)), ETA_PAPER, rtol=0, atol=1e-12)
+
+
+def test_ratio_seed_skips_zero_counts():
+    # at t = 1 the psi-role C+- vanish: no ratio constrains eta_b
+    counts = _stacked_counts([run_experiment(1.0, ETA_PAPER, 1e5, noiseless=True)])
+    seed = np.exp(_ratio_seed(counts))
+    assert abs(seed[0] - ETA_PAPER.eta_a) < 1e-12
+    assert seed[1] == 1.0
+
+
+def test_minimize_holds_coordinates_on_their_bounds():
+    def fun(x):
+        d = x - np.array([2.0, -1.0])
+        return float(d @ d), 2.0 * d, 2.0 * np.eye(2)
+
+    res = minimize(fun, np.array([0.5, 0.5]), 0.0, 1.0)
+    assert res.success and res.nfev >= 2 and res.nit >= 1
+    np.testing.assert_array_equal(res.x, [1.0, 0.0])
+    assert res.fun == 2.0
+
+
+def test_minimize_leaves_a_flat_direction_alone():
+    def fun(x):  # the value does not depend on x[1]
+        return (x[0] - 0.3) ** 2, np.array([2.0 * (x[0] - 0.3), 0.0]), np.diag([2.0, 0.0])
+
+    res = minimize(fun, np.array([0.9, 0.7]), -1.0, 1.0)
+    assert res.success
+    assert abs(res.x[0] - 0.3) < 1e-12 and res.x[1] == 0.7
+
+
+def test_calibrate_unidentified_eta_b_stays_at_its_seed():
+    # at t = 1 the objective does not depend on eta_b; the grid-seeded
+    # descent ties the ratio-seeded one, which keeps eta_b = 1
+    for seed in range(5):
+        res = calibrate(run_experiment(1.0, ETA_PAPER, 1e5, seed=seed))
+        assert not res.boundary_hit
+        assert abs(res.eta.eta_a - ETA_PAPER.eta_a) < 0.02
+        assert abs(res.eta.eta_b - 1.0) < 1e-9
+
+
+def _nelder_mead_calibration(counts, objective):
+    """The calibrator this package used before the Newton refinement: a 50x50
+    grid pre-scan over [0.5, 2]^2, then scipy's Nelder-Mead in [0.2, 5]^2."""
+    optimize = pytest.importorskip("scipy.optimize")
+    psi = np.arange(6) % 2 == 0
+
+    def values(eta):  # eta (P, 2) -> (P,)
+        ea, eb = eta[:, :1], eta[:, 1:]
+        r = counts * np.stack([ea * eb, ea, eb, np.ones_like(ea)], axis=-1)
+        total = r.sum(axis=-1)
+        fa = np.where(psi, r[..., 0] + r[..., 1], r[..., 3] + r[..., 2]) / total
+        fb = np.where(psi, r[..., 0] + r[..., 2], r[..., 3] + r[..., 1]) / total
+        return {"a": fa.var(-1), "b": fb.var(-1), "sum": fa.var(-1) + fb.var(-1)}[objective]
+
+    axis = np.linspace(0.5, 2.0, 50)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    scan = values(grid)
+    x0 = grid[np.argmin(scan)] if scan.min() < values(np.ones((1, 2)))[0] else np.ones(2)
+    return optimize.minimize(
+        lambda eta: values(eta[None])[0], x0, method="Nelder-Mead",
+        bounds=[(0.2, 5.0)] * 2,
+        options={"xatol": 1e-10, "fatol": 1e-16, "maxiter": 10000, "maxfev": 10000},
+    )
+
+
+def test_calibrate_never_worse_than_nelder_mead():
+    rng = np.random.default_rng(2024)
+    for k in range(30):
+        t = rng.uniform(0.0, 0.95)
+        eta = EfficiencyPair(*rng.uniform(0.8, 1.25, size=2))
+        recs = run_experiment(t, eta, (1e3, 1e4, 1e5)[k % 3], seed=100 + k)
+        counts = np.array([r.counts for r in recs])
+        for objective in ("a", "b", "sum"):
+            new = calibrate(recs, objective=objective)
+            old = _nelder_mead_calibration(counts, objective)
+            assert new.objective_value <= old.fun * (1 + 1e-9), (k, objective)
+            if objective == "sum":
+                np.testing.assert_allclose(new.eta, old.x, rtol=0, atol=1e-6)
