@@ -20,6 +20,8 @@ from .states import BASIS_LABELS, CATALOG_LABELS, BasisPair, catalog_states, mub
 
 ROLE_PSI = "psi"
 ROLE_PERP = "perp"
+# role of each catalog state: the even ones are the basis states psi
+CATALOG_ROLES = tuple(ROLE_PSI if i % 2 == 0 else ROLE_PERP for i in range(len(CATALOG_LABELS)))
 
 ETA_MIN = 0.2
 ETA_MAX = 5.0
@@ -56,7 +58,7 @@ class MeasurementRecord:
     def __post_init__(self):
         if self.role not in (ROLE_PSI, ROLE_PERP):
             raise ValueError(f"unknown role {self.role!r}")
-        expected_role = ROLE_PSI if CATALOG_LABELS.index(self.state_label) % 2 == 0 else ROLE_PERP
+        expected_role = CATALOG_ROLES[CATALOG_LABELS.index(self.state_label)]
         if self.role != expected_role:
             raise ValueError(
                 f"state {self.state_label} has role {expected_role}, got {self.role}"

@@ -9,6 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .detection import (
+    CATALOG_ROLES,
     ETA_MAX,
     ETA_MIN,
     ROLE_PERP,
@@ -121,9 +122,9 @@ def report(
 #   s_A = f_A (1 - f_A),  s_B = f_B (1 - f_B),  c = (rescaled C++) / total - f_A f_B,
 # with d s_A = (1 - 2 f_A) d f_A,  d s_B = (1 - 2 f_B) d f_B  and
 # d c = c (1 - 2 f_A, 1 - 2 f_B).  A perp-role fidelity is one minus the same
-# expression.  Catalog order alternates the roles: H, D, R psi; V, A, L perp.
+# expression.  The psi-role rows are H, D, R; the perp-role rows V, A, L.
 
-_PSI_ROWS = np.arange(len(CATALOG_LABELS)) % 2 == 0
+_PSI_ROWS = np.array(CATALOG_ROLES) == ROLE_PSI
 _ROLE_SIGN = np.where(_PSI_ROWS, 1.0, -1.0)
 _CLONES = {"a": [0], "b": [1], "sum": [0, 1]}
 _LOG_BOUNDS = (np.log(ETA_MIN), np.log(ETA_MAX))
@@ -237,9 +238,12 @@ class NewtonResult(NamedTuple):
 # flat: damping lifts it there, so a direction the data leave undetermined
 # takes no long step on rounding noise.
 _FLAT_RCOND = 1e-9
+# The descent stops on a step shorter than this, or after this many steps.
+_XTOL = 1e-10
+_MAXITER = 200
 
 
-def minimize(fun, x0, lower, upper, xtol=1e-10, maxiter=200) -> NewtonResult:
+def minimize(fun, x0, lower, upper) -> NewtonResult:
     """Bound-constrained damped Newton descent.
 
     ``fun(x)`` returns (value, gradient, Hessian).  A coordinate on its bound
@@ -247,7 +251,7 @@ def minimize(fun, x0, lower, upper, xtol=1e-10, maxiter=200) -> NewtonResult:
     free coordinates gets Levenberg damping, at least enough to make it
     positive definite, adapted to how well the quadratic model predicted the
     last step (Nielsen's rule).  Only steps that do not raise the value are
-    taken.  Stops when the step is below ``xtol`` or a step lowers the value
+    taken.  Stops when the step is below ``_XTOL`` or a step lowers the value
     by no more than ``_rounding`` of it.
     """
     lower = np.broadcast_to(np.asarray(lower, dtype=float), np.shape(x0))
@@ -255,7 +259,7 @@ def minimize(fun, x0, lower, upper, xtol=1e-10, maxiter=200) -> NewtonResult:
     x = np.clip(np.asarray(x0, dtype=float), lower, upper)
     f, g, h = fun(x)
     nfev, nit, damping, growth, success = 1, 0, 0.0, 2.0, False
-    while nit < maxiter:
+    while nit < _MAXITER:
         nit += 1
         free = ~(((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0)))
         w, v = np.linalg.eigh(h[np.ix_(free, free)])
@@ -268,7 +272,7 @@ def minimize(fun, x0, lower, upper, xtol=1e-10, maxiter=200) -> NewtonResult:
         step[free] = -v @ ((v.T @ g[free]) / (w + shift))
         trial = np.clip(x + step, lower, upper)
         dx = trial - x
-        if np.abs(dx).max() < xtol:
+        if np.abs(dx).max() < _XTOL:
             success = True
             break
         f_t, g_t, h_t = fun(trial)
