@@ -214,29 +214,39 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_table(columns, rows, path: str, fmt: str, config: dict | None = None) -> None:
-    """Atomically write a table; path '-' means stdout."""
+def _dump_table(columns, rows, fh, fmt: str, config: dict | None) -> None:
     if fmt == "json":
-        payload = {"columns": list(columns), "rows": [list(r) for r in rows]}
+        payload = {"columns": list(columns), "rows": list(rows)}
         if config is not None:
             payload["config"] = config
-        text = json.dumps(payload, indent=2, default=_fmt) + "\n"
+        json.dump(payload, fh, indent=2, default=_fmt)
+        fh.write("\n")
     else:
-        lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+
+
+def write_table(columns, rows, path: str, fmt: str, config: dict | None = None) -> None:
+    """Atomically write a table; path '-' means stdout.
+
+    The table is streamed into the file (or stdout) row by row, never built
+    as one string.  A file is written under a temporary name in the target
+    directory and renamed over `path` only once complete; on any error the
+    temporary file is removed and an existing `path` is left unchanged.
+    """
     if path == "-":
-        sys.stdout.write(text)
+        _dump_table(columns, rows, sys.stdout, fmt, config)
         return
-    dirname = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".qclone-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except OSError as exc:
-        if os.path.exists(tmp):
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".qclone-")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                _dump_table(columns, rows, fh, fmt, config)
+            os.replace(tmp, path)
+        except BaseException:
             os.unlink(tmp)
+            raise
+    except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}")
 
 
@@ -376,34 +386,27 @@ def cmd_robustness(cfg: RunConfig) -> int:
     m = _machine_from_config(cfg)
     form_a = taylor_form(m)
     form_b = taylor_form_b(m)
-    print(
-        f"# clone A quadratic coefficients: "
-        f"{form_a.coeff_aa:.12g}, {form_a.coeff_ab:.12g}, {form_a.coeff_bb:.12g}; "
-        f"bound factor {form_a.max_eigenvalue():.12g}",
-        file=sys.stderr,
-    )
-    print(
-        f"# clone B quadratic coefficients: "
-        f"{form_b.coeff_aa:.12g}, {form_b.coeff_ab:.12g}, {form_b.coeff_bb:.12g}; "
-        f"bound factor {form_b.max_eigenvalue():.12g}",
-        file=sys.stderr,
-    )
+    for clone, form in (("A", form_a), ("B", form_b)):
+        print(
+            f"# clone {clone} quadratic coefficients: "
+            f"{form.coeff_aa:.12g}, {form.coeff_ab:.12g}, {form.coeff_bb:.12g}; "
+            f"bound factor {form.max_eigenvalue():.12g}",
+            file=sys.stderr,
+        )
     eps = np.linspace(-cfg.eps_max, cfg.eps_max, cfg.eps_points)
-    rows = []
-    for ea in eps:
-        for eb in eps:
-            eta = eta_from_mismatch(float(ea), float(eb))
-            rows.append(
-                (
-                    float(ea), float(eb),
-                    biased_mean(m, eta) - m.fid_a,
-                    form_a.evaluate(float(ea), float(eb)),
-                    error_bound(form_a, float(ea), float(eb)),
-                    biased_mean_b(m, eta) - m.fid_b,
-                    form_b.evaluate(float(ea), float(eb)),
-                    error_bound(form_b, float(ea), float(eb)),
-                )
-            )
+    # eps_a outer, eps_b inner: the row order of the table
+    ea, eb = (g.ravel() for g in np.meshgrid(eps, eps, indexing="ij"))
+    eta = eta_from_mismatch(ea, eb)
+    columns = (
+        ea, eb,
+        biased_mean(m, eta) - m.fid_a,
+        form_a.evaluate(ea, eb),
+        error_bound(form_a, ea, eb),
+        biased_mean_b(m, eta) - m.fid_b,
+        form_b.evaluate(ea, eb),
+        error_bound(form_b, ea, eb),
+    )
+    rows = list(zip(*(c.tolist() for c in columns)))
     write_table(SCHEMAS["robustness"], rows, cfg.out, cfg.format, cfg.resolved())
     return EXIT_OK
 

@@ -10,7 +10,7 @@ for both input roles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -53,15 +53,24 @@ class MeasurementRecord:
     basis_label: str
     role: str  # ROLE_PSI or ROLE_PERP
     counts: np.ndarray
-    eta_true: EfficiencyPair | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.role not in (ROLE_PSI, ROLE_PERP):
             raise ValueError(f"unknown role {self.role!r}")
-        expected_role = CATALOG_ROLES[CATALOG_LABELS.index(self.state_label)]
+        if self.state_label not in CATALOG_LABELS:
+            raise ValueError(f"unknown state {self.state_label!r}")
+        index = CATALOG_LABELS.index(self.state_label)
+        expected_role = CATALOG_ROLES[index]
         if self.role != expected_role:
             raise ValueError(
                 f"state {self.state_label} has role {expected_role}, got {self.role}"
+            )
+        # the catalog pairs each basis's two states: H,V in HV, D,A in DA, R,L in RL
+        expected_basis = BASIS_LABELS[index // 2]
+        if self.basis_label != expected_basis:
+            raise ValueError(
+                f"state {self.state_label} belongs to basis {expected_basis}, "
+                f"got {self.basis_label}"
             )
         # the chained comparisons are false for nan as well
         if not 0.0 <= self.t <= 1.0:
@@ -158,7 +167,6 @@ def run_experiment(
                     basis_label=BASIS_LABELS[i],
                     role=role,
                     counts=counts,
-                    eta_true=eta,
                 )
             )
     return records

@@ -3,6 +3,13 @@
 All formulas are exact for any covariant machine (fid_a, fid_b, p); the
 quadratic expansion and eigenvalue bound quantify how weakly the basis-mean
 fidelity depends on the efficiency mismatch.
+
+The formulas broadcast: the mismatches (and the efficiencies built from
+them) may be floats or numpy arrays of any common shape, and an array call
+gives, element by element, exactly the floats of the scalar calls.  Squares
+are written as products because ``x**2`` on a Python float calls the C
+``pow``, which is not always correctly rounded, while numpy squares arrays
+by multiplication.
 """
 
 from __future__ import annotations
@@ -25,11 +32,11 @@ class QuadraticErrorForm(NamedTuple):
     coeff_ab: float
     coeff_bb: float
 
-    def evaluate(self, eps_a: float, eps_b: float) -> float:
+    def evaluate(self, eps_a, eps_b):
         return (
-            self.coeff_aa * eps_a**2
+            self.coeff_aa * (eps_a * eps_a)
             + self.coeff_ab * eps_a * eps_b
-            + self.coeff_bb * eps_b**2
+            + self.coeff_bb * (eps_b * eps_b)
         )
 
     def max_eigenvalue(self) -> float:
@@ -40,8 +47,8 @@ class QuadraticErrorForm(NamedTuple):
         return float(np.max(np.abs(np.linalg.eigvalsh(m))))
 
 
-def eta_from_mismatch(eps_a: float, eps_b: float) -> EfficiencyPair:
-    if eps_a <= -1.0 or eps_b <= -1.0:
+def eta_from_mismatch(eps_a, eps_b) -> EfficiencyPair:
+    if np.any(np.asarray(eps_a) <= -1.0) or np.any(np.asarray(eps_b) <= -1.0):
         raise ValueError("mismatch must be > -1")
     return EfficiencyPair(1.0 + eps_a, 1.0 + eps_b)
 
@@ -81,26 +88,14 @@ def taylor_form(machine: MachineTriple) -> QuadraticErrorForm:
     )
 
 
-def error_bound(form: QuadraticErrorForm, eps_a: float, eps_b: float) -> float:
+def error_bound(form: QuadraticErrorForm, eps_a, eps_b):
     """Rigorous bound |quadratic error| <= lambda_max * (eps_a^2 + eps_b^2)."""
-    return form.max_eigenvalue() * (eps_a**2 + eps_b**2)
-
-
-def _swap_eta(eta: EfficiencyPair) -> EfficiencyPair:
-    return EfficiencyPair(eta.eta_b, eta.eta_a)
-
-
-def biased_fidelity_psi_b(machine: MachineTriple, eta: EfficiencyPair) -> float:
-    """Clone-B analogue of biased_fidelity_psi (labels interchanged)."""
-    return biased_fidelity_psi(machine.swapped(), _swap_eta(eta))
-
-
-def biased_fidelity_psi_perp_b(machine: MachineTriple, eta: EfficiencyPair) -> float:
-    return biased_fidelity_psi_perp(machine.swapped(), _swap_eta(eta))
+    return form.max_eigenvalue() * (eps_a * eps_a + eps_b * eps_b)
 
 
 def biased_mean_b(machine: MachineTriple, eta: EfficiencyPair) -> float:
-    return biased_mean(machine.swapped(), _swap_eta(eta))
+    """Clone-B analogue of biased_mean (clone and detector labels interchanged)."""
+    return biased_mean(machine.swapped(), EfficiencyPair(eta.eta_b, eta.eta_a))
 
 
 def taylor_form_b(machine: MachineTriple) -> QuadraticErrorForm:

@@ -61,15 +61,6 @@ def orthogonal_state(psi: np.ndarray) -> np.ndarray:
     return np.array([-psi[1].conj(), psi[0].conj()])
 
 
-def check_pure(psi: np.ndarray, atol: float = ATOL) -> None:
-    psi = np.asarray(psi)
-    if psi.shape != (2,):
-        raise ValueError(f"pure state must have shape (2,), got {psi.shape}")
-    norm = float(np.vdot(psi, psi).real)
-    if abs(norm - 1.0) > atol:
-        raise ValueError(f"pure state not normalized: |psi|^2 = {norm}")
-
-
 def check_density(rho: np.ndarray, normalized: bool = True) -> None:
     """Validate Hermiticity, positivity and (optionally) unit trace.
 

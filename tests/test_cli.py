@@ -13,8 +13,12 @@ from qclone.cli import (
     EXIT_DATA,
     EXIT_OK,
     SCHEMAS,
+    DataError,
     main,
+    write_table,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def read_csv(path):
@@ -187,6 +191,77 @@ def test_calibrate_rejects_nonfinite_counts(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "records.csv:3: counts must be four finite nonnegative numbers" in err
     assert not (tmp_path / "cal.csv").exists()
+
+
+@pytest.mark.parametrize("fields, message", [
+    ("H,RL", "state H belongs to basis HV, got RL"),
+    ("X,HV", "unknown state 'X'"),
+])
+def test_calibrate_rejects_bad_state(tmp_path, capsys, fields, message):
+    recs = tmp_path / "records.csv"
+    assert main(["simulate", "--t", "0.5", "--out", str(tmp_path / "sim.csv"),
+                 "--records", str(recs)]) == EXIT_OK
+    lines = recs.read_text().splitlines()
+    assert lines[1].startswith("0.5,H,HV,psi,")
+    lines[1] = lines[1].replace(",H,HV,", f",{fields},")
+    recs.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["calibrate", "--records", str(recs), "--out", str(tmp_path / "cal.csv")])
+    assert rc == EXIT_DATA
+    assert f"records.csv:2: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "cal.csv").exists()
+
+
+# Tables written by the commit before the sweep was vectorised; the embedded
+# config is stable because they were written to stdout (--out -).
+ROBUSTNESS_GOLDEN = [
+    ("robustness_t0_11.csv", ["--t", "0", "--eps-points", "11"]),
+    ("robustness_t0.632_11.json",
+     ["--t", "0.6324555320336759", "--eps-points", "11", "--format", "json"]),
+    ("robustness_triple_37.csv",
+     ["--triple", "0.9,0.7,0.6", "--eps-max", "0.9", "--eps-points", "37"]),
+    ("robustness_triple_37.json",
+     ["--triple", "0.9,0.7,0.6", "--eps-max", "0.9", "--eps-points", "37", "--format", "json"]),
+]
+
+
+@pytest.mark.parametrize("name, args", ROBUSTNESS_GOLDEN)
+def test_robustness_table_bytes_unchanged(capfd, name, args):
+    assert main(["robustness", *args, "--out", "-"]) == EXIT_OK
+    assert capfd.readouterr().out.encode() == (DATA / name).read_bytes()
+
+
+TABLE = (("x", "flag", "label"), [(0.1, True, "a"), (1 / 3, False, "b")])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_table_stdout_matches_file(tmp_path, capfd, fmt):
+    out = tmp_path / f"table.{fmt}"
+    write_table(*TABLE, str(out), fmt, config={"seed": 1})
+    write_table(*TABLE, "-", fmt, config={"seed": 1})
+    assert capfd.readouterr().out.encode() == out.read_bytes()
+
+
+class Unformattable:
+    def __str__(self):
+        raise RuntimeError("cannot format")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_table_failure_keeps_target(tmp_path, fmt):
+    out = tmp_path / f"table.{fmt}"
+    out.write_text("old table\n")
+    # the second row fails to format after its first value
+    rows = [(0.1, 0.2), (0.3, Unformattable())]
+    with pytest.raises(RuntimeError, match="cannot format"):
+        write_table(("a", "b"), rows, str(out), fmt)
+    assert out.read_text() == "old table\n"
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+
+def test_write_table_unwritable_directory_is_a_data_error(tmp_path):
+    with pytest.raises(DataError, match="cannot write"):
+        write_table(*TABLE, str(tmp_path / "missing" / "table.csv"), "csv")
 
 
 @pytest.mark.parametrize("flag, value, message", [

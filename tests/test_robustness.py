@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qclone.cloner import MachineTriple, machine_triple
 from qclone.detection import EfficiencyPair, bias_counts, ideal_probabilities
@@ -7,9 +9,7 @@ from qclone.estimation import fidelities_from_counts
 from qclone.robustness import (
     QuadraticErrorForm,
     biased_fidelity_psi,
-    biased_fidelity_psi_b,
     biased_fidelity_psi_perp,
-    biased_fidelity_psi_perp_b,
     biased_mean,
     biased_mean_b,
     error_bound,
@@ -92,8 +92,10 @@ def test_exact_formulas_match_simulation_path():
         sim = _simulated_biased_fidelities(t, eta)
         assert abs(sim["psi"][0] - biased_fidelity_psi(m, eta)) < 1e-12
         assert abs(sim["perp"][0] - biased_fidelity_psi_perp(m, eta)) < 1e-12
-        assert abs(sim["psi"][1] - biased_fidelity_psi_b(m, eta)) < 1e-12
-        assert abs(sim["perp"][1] - biased_fidelity_psi_perp_b(m, eta)) < 1e-12
+        # clone B: the clone-A formulas with both label pairs interchanged
+        swapped = EfficiencyPair(eta.eta_b, eta.eta_a)
+        assert abs(sim["psi"][1] - biased_fidelity_psi(m.swapped(), swapped)) < 1e-12
+        assert abs(sim["perp"][1] - biased_fidelity_psi_perp(m.swapped(), swapped)) < 1e-12
 
 
 def test_biased_mean_worked_example():
@@ -214,3 +216,45 @@ def test_quadratic_form_evaluates_zero_at_origin():
 def test_mismatch_validation():
     with pytest.raises(ValueError):
         eta_from_mismatch(-1.0, 0.0)
+    with pytest.raises(ValueError):
+        eta_from_mismatch(np.array([0.0, 0.5]), np.array([0.1, -1.2]))
+
+
+@st.composite
+def machines(draw):
+    # a valid covariant triple: all four diagonal entries nonnegative
+    p = draw(st.floats(0.0, 1.0))
+    fa = draw(st.floats(p, 1.0))
+    fb = draw(st.floats(p, max(p, 1.0 + p - fa)))
+    return MachineTriple(fa, fb, p)
+
+
+MISMATCHES = arrays(
+    np.float64, st.integers(1, 30),
+    elements=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+)
+
+
+# 0.343805606955381**2 through the C pow() of glibc is one unit in the last
+# place off the correctly rounded product that numpy's array square gives
+@example(SYMMETRIC, np.array([0.343805606955381, 0.0]), np.array([0.0, 0.343805606955381]))
+@given(machines(), MISMATCHES, MISMATCHES)
+def test_array_calls_equal_scalar_calls(m, eps_a, eps_b):
+    # the sweep's one call per column must give the per-point floats exactly
+    n = min(len(eps_a), len(eps_b))
+    eps_a, eps_b = eps_a[:n], eps_b[:n]
+    form_a, form_b = taylor_form(m), taylor_form_b(m)
+    eta = eta_from_mismatch(eps_a, eps_b)
+    columns = [
+        biased_mean(m, eta), biased_mean_b(m, eta),
+        form_a.evaluate(eps_a, eps_b), error_bound(form_a, eps_a, eps_b),
+        form_b.evaluate(eps_a, eps_b), error_bound(form_b, eps_a, eps_b),
+    ]
+    for i, (ea, eb) in enumerate(zip(eps_a.tolist(), eps_b.tolist())):
+        eta_i = eta_from_mismatch(ea, eb)
+        scalars = [
+            biased_mean(m, eta_i), biased_mean_b(m, eta_i),
+            form_a.evaluate(ea, eb), error_bound(form_a, ea, eb),
+            form_b.evaluate(ea, eb), error_bound(form_b, ea, eb),
+        ]
+        assert [c[i] for c in columns] == scalars
