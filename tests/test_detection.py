@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from channel_oracle import channel_probabilities
 
 from qclone.cloner import machine_triple
 from qclone.detection import (
+    CATALOG_ROLES,
     ROLE_PERP,
     ROLE_PSI,
     EfficiencyPair,
@@ -18,54 +20,81 @@ from qclone.detection import (
 from qclone.estimation import fidelities_from_counts
 from qclone.states import catalog_states, mub_bases
 
-T_GRID = [np.sqrt(n / 5) for n in range(6)]
+T_ORACLE = [0.0, *np.linspace(0.05, 0.95, 19), *(np.sqrt(n / 5) for n in range(1, 5)), 1.0]
 UNIT = EfficiencyPair(1.0, 1.0)
 
 
 def test_ideal_probabilities_symmetric():
-    basis = mub_bases()[0]
-    probs = ideal_probabilities(basis.psi, basis, 0.0)
-    np.testing.assert_allclose(probs, [2 / 3, 1 / 6, 1 / 6, 0], atol=1e-12)
+    probs = ideal_probabilities(0.0, ROLE_PSI)
+    np.testing.assert_allclose(probs, [2 / 3, 1 / 6, 1 / 6, 0], atol=1e-15)
+    assert probs[3] == 0.0
+    assert ideal_probabilities(0.0, ROLE_PERP)[0] == 0.0
 
 
 def test_ideal_probabilities_identity_channel():
-    basis = mub_bases()[1]
-    probs = ideal_probabilities(basis.psi, basis, 1.0)
-    np.testing.assert_allclose(probs, [0.5, 0, 0.5, 0], atol=1e-12)
+    probs = ideal_probabilities(1.0, ROLE_PSI)
+    np.testing.assert_array_equal(probs, [0.5, 0, 0.5, 0])
+    np.testing.assert_array_equal(ideal_probabilities(1.0, ROLE_PERP), probs[::-1])
 
 
 def test_ideal_probabilities_normalized():
-    states = catalog_states()
-    bases = mub_bases()
-    for t in T_GRID:
-        for i, psi in enumerate(states):
-            probs = ideal_probabilities(psi, bases[i // 2], t)
-            assert abs(probs.sum() - 1.0) < 1e-12
+    for t in T_ORACLE:
+        for role in (ROLE_PSI, ROLE_PERP):
+            probs = ideal_probabilities(t, role)
+            assert abs(probs.sum() - 1.0) < 1e-15
             assert probs.min() >= 0
 
 
 def test_ideal_probabilities_match_machine_diagonal():
-    # covariance: for input psi the probabilities are the machine diagonal
-    for t in np.linspace(0, 1, 7):
-        diag = machine_triple(t).diagonal()
-        for basis in mub_bases():
+    for t in T_ORACLE:
+        np.testing.assert_allclose(
+            ideal_probabilities(t, ROLE_PSI), machine_triple(t).diagonal(), atol=1e-15
+        )
+
+
+def test_ideal_probabilities_match_channel_oracle():
+    # every catalog state through the 4x4 matrix channel and basis rotation
+    for t in T_ORACLE:
+        for i, psi in enumerate(catalog_states()):
             np.testing.assert_allclose(
-                ideal_probabilities(basis.psi, basis, t), diag, atol=1e-12
+                ideal_probabilities(t, CATALOG_ROLES[i]),
+                channel_probabilities(psi, mub_bases()[i // 2], t),
+                rtol=0, atol=1e-12,
             )
 
 
 def test_ideal_probabilities_perp_input_flips_indices():
-    for t in (0.0, 0.45, 1.0):
+    # the oracle's psi_perp input in each basis: + and - swapped in both blocks
+    for t in T_ORACLE:
         for basis in mub_bases():
-            p_psi = ideal_probabilities(basis.psi, basis, t)
-            p_perp = ideal_probabilities(basis.psi_perp, basis, t)
-            # flipping + and - in both blocks reverses the 4-outcome order
-            np.testing.assert_allclose(p_perp, p_psi[::-1], atol=1e-12)
+            np.testing.assert_allclose(
+                ideal_probabilities(t, ROLE_PERP),
+                channel_probabilities(basis.psi, basis, t)[::-1],
+                rtol=0, atol=1e-12,
+            )
 
 
-def test_ideal_probabilities_rejects_foreign_input():
-    with pytest.raises(ValueError):
-        ideal_probabilities(catalog_states()[2], mub_bases()[0], 0.5)
+def test_model_zero_outcomes_are_exact_zeros():
+    # an outcome the channel forbids is an exact 0.0, not rounding residue:
+    # a positive residue would shift the seeded Poisson draws of the record
+    for t in T_ORACLE:
+        noiseless = run_experiment(t, EfficiencyPair(1.046, 0.840), 1e4, noiseless=True)
+        for i, psi in enumerate(catalog_states()):
+            forbidden = channel_probabilities(psi, mub_bases()[i // 2], t) < 1e-12
+            assert forbidden.any()
+            assert np.all(ideal_probabilities(t, CATALOG_ROLES[i])[forbidden] == 0.0), (t, i)
+            assert np.all(noiseless[i].counts[forbidden] == 0.0), (t, i)
+
+
+def test_ideal_probabilities_rejects_unknown_role():
+    with pytest.raises(ValueError, match="unknown role 'phi'"):
+        ideal_probabilities(0.5, "phi")
+
+
+@pytest.mark.parametrize("t", [-0.1, 1.5, float("nan")])
+def test_ideal_probabilities_rejects_t_out_of_range(t):
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        ideal_probabilities(t, ROLE_PSI)
 
 
 def test_bias_counts_examples():
@@ -172,6 +201,21 @@ def test_record_file_round_trip(tmp_path):
         assert rec.role == orig.role
         assert abs(rec.t - orig.t) < 1e-11
         np.testing.assert_allclose(rec.counts, orig.counts, rtol=1e-11)
+
+
+def test_write_records_failure_keeps_target(tmp_path):
+    out = tmp_path / "records.csv"
+    out.write_text("old records\n")
+    recs = run_experiment(0.5, UNIT, 1e4, seed=1)
+
+    def failing():  # the second record fails after the first is written
+        yield recs[0]
+        raise RuntimeError("cannot format")
+
+    with pytest.raises(RuntimeError, match="cannot format"):
+        write_records(failing(), out)
+    assert out.read_text() == "old records\n"
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
 
 def test_read_records_bad_line(tmp_path):

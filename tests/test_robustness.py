@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from channel_oracle import channel_probabilities
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qclone.cloner import MachineTriple, machine_triple
-from qclone.detection import EfficiencyPair, bias_counts, ideal_probabilities
+from qclone.detection import EfficiencyPair, bias_counts
 from qclone.estimation import fidelities_from_counts
 from qclone.robustness import (
     QuadraticErrorForm,
@@ -71,12 +72,12 @@ def test_perp_formula_is_inverse_substitution():
 
 
 def _simulated_biased_fidelities(t, eta):
-    # end-to-end simulation path: ideal probabilities -> biased counts ->
-    # count-ratio estimators, for both input roles in one basis
+    # matrix channel -> biased counts -> count-ratio estimators, for both
+    # input roles in one basis
     basis = mub_bases()[1]
     out = {}
     for role, psi_in in (("psi", basis.psi), ("perp", basis.psi_perp)):
-        probs = ideal_probabilities(psi_in, basis, t)
+        probs = channel_probabilities(psi_in, basis, t)
         counts = bias_counts(probs, eta, 1e6)
         out[role] = fidelities_from_counts(counts, role)
     return out
