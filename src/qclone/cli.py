@@ -220,20 +220,52 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_FLOAT = {float}
+
+
 def _dump_table(columns, rows, fh, fmt: str, config: dict | None) -> None:
+    # A row of exact Python floats, the bulk of a robustness sweep, is
+    # formatted by one %-template; any other row goes value by value.
+    width = len(columns)
     if fmt == "json":
-        payload = {"columns": list(columns), "rows": list(rows)}
+        payload = {"columns": list(columns), "rows": []}
         if config is not None:
             payload["config"] = config
-        json.dump(payload, fh, indent=2, default=_fmt)
-        fh.write("\n")
+        # json escapes every quote inside a string, so the first match is the key
+        head, _, tail = json.dumps(payload, indent=2, default=_fmt).partition('"rows": []')
+        template = "[\n      " + ",\n      ".join(["%r"] * width) + "\n    ]"
+        fh.write(head + '"rows": [')
+        sep, close = "\n    ", "]"
+        for row in rows:
+            text = None
+            if set(map(type, row)) == _FLOAT and len(row) == width:
+                text = template % tuple(row)
+                if "n" in text:  # nan or inf, which json writes NaN or Infinity
+                    text = None
+            if text is None:
+                text = json.dumps(row, indent=2, default=_fmt).replace("\n", "\n    ")
+            fh.write(sep + text)
+            sep, close = ",\n    ", "\n  ]"
+        fh.write(close + tail + "\n")
     else:
+        template = ",".join(["%.12g"] * width) + "\n"
         fh.write(",".join(columns) + "\n")
-        fh.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+        for row in rows:
+            if set(map(type, row)) == _FLOAT and len(row) == width:
+                fh.write(template % tuple(row))
+            else:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def write_table(columns, rows, path: str, fmt: str, config: dict | None = None) -> None:
     """Atomically write a table; path '-' means stdout.
+
+    CSV writes a float as ``%.12g``, a bool as ``true``/``false`` and any
+    other value as ``str``. JSON is what ``json.dump(..., indent=2)`` writes:
+    a float as its shortest ``repr`` (``NaN``, ``Infinity``), a bool as
+    ``true``/``false``, a string with json's ASCII escapes. A row of Python
+    floats costs one formatting operation; other rows are formatted value by
+    value.
 
     The table is streamed into the file (or stdout) row by row, never built
     as one string; a file is written by `write_atomic`, so on any error an
@@ -278,6 +310,8 @@ def cmd_analytic(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     records_path = cfg.records or _sibling_path(cfg.out, "records")
+    if records_path == "-":
+        raise ConfigError("simulate cannot write the record file to stdout; give --records <path>")
     all_records = []
     rows = []
     for i, t in enumerate(cfg.t_values):
@@ -404,7 +438,7 @@ def cmd_robustness(cfg: RunConfig) -> int:
         form_b.evaluate(ea, eb),
         error_bound(form_b, ea, eb),
     )
-    rows = list(zip(*(c.tolist() for c in columns)))
+    rows = zip(*(c.tolist() for c in columns))
     write_table(SCHEMAS["robustness"], rows, cfg.out, cfg.format, cfg.resolved())
     return EXIT_OK
 

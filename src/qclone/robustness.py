@@ -68,6 +68,11 @@ def biased_fidelity_psi_perp(machine: MachineTriple, eta: EfficiencyPair) -> flo
     ea, eb = eta
     num = p * ea * eb + (fa - p) * ea
     den = num + (fb - p) * eb + 1.0 + p - fa - fb
+    # den is a sum of nonnegative terms, but 1.0 is added before p - fa - fb
+    # cancels it, so terms below 1e-16 (an efficiency near 0) can round den
+    # to 0; only there is the constant term grouped first, which leaves
+    # every other value bit for bit as it was
+    den = np.where(den == 0.0, num + (fb - p) * eb + (1.0 + p - fa - fb), den)
     return num / den
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from table_oracle import dump_table
 
 from qclone.cli import (
     EXIT_BOUNDARY,
@@ -171,6 +174,16 @@ def test_robustness_explicit_triple(tmp_path):
     assert rc == EXIT_CONFIG  # violates diagonal positivity
 
 
+@pytest.mark.parametrize("triple", ["1,0,0", "1,1,1"])
+def test_robustness_table_is_finite_at_the_efficiency_edge(tmp_path, triple):
+    out = tmp_path / "rob.csv"
+    rc = main(["robustness", "--triple", triple, "--eps-max", "0.9999999999999999",
+               "--eps-points", "3", "--out", str(out)])
+    assert rc == EXIT_OK
+    _, rows = read_csv(out)
+    assert np.isfinite(np.array(rows, dtype=float)).all()
+
+
 def test_schema_command(capsys):
     assert main(["schema"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -231,6 +244,41 @@ def test_robustness_table_bytes_unchanged(capfd, name, args):
     assert capfd.readouterr().out.encode() == (DATA / name).read_bytes()
 
 
+# Tables whose rows mix strings, bools and numpy floats, written by the
+# commit before rows of floats were formatted by one template. Relative
+# --records paths keep the embedded config the same in any directory.
+SIMULATE = ["simulate", "--t", "0,0.6324555320336759,1", "--seed", "7", "--records", "records.csv"]
+CALIBRATE = ["calibrate", "--records", "records.csv"]
+MIXED_GOLDEN = [
+    ("analytic.csv", ["analytic"]),
+    ("analytic.json", ["analytic", "--format", "json"]),
+    ("simulate.csv", SIMULATE),
+    ("simulate.json", [*SIMULATE, "--format", "json"]),
+    ("calibrate.csv", CALIBRATE),
+    ("calibrate.json", [*CALIBRATE, "--format", "json"]),
+    ("calibrate_pooled.csv", [*CALIBRATE, "--pooled"]),
+    ("calibrate_pooled.json", [*CALIBRATE, "--pooled", "--format", "json"]),
+]
+
+
+@pytest.mark.parametrize("name, argv", MIXED_GOLDEN)
+def test_mixed_tables_bytes_unchanged(tmp_path, monkeypatch, capfd, name, argv):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "calibrate":
+        assert main([*SIMULATE, "--out", "-"]) == EXIT_OK
+        capfd.readouterr()
+    assert main([*argv, "--out", "-"]) == EXIT_OK
+    assert capfd.readouterr().out.encode() == (DATA / name).read_bytes()
+
+
+@pytest.mark.parametrize("args", [[], ["--out", "report.csv", "--records", "-"]])
+def test_simulate_records_need_a_path(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--t", "0.5", *args]) == EXIT_CONFIG
+    assert "give --records <path>" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 TABLE = (("x", "flag", "label"), [(0.1, True, "a"), (1 / 3, False, "b")])
 
 
@@ -275,6 +323,44 @@ def test_written_files_get_the_mode_of_open(tmp_path):
 def test_write_table_unwritable_directory_is_a_data_error(tmp_path):
     with pytest.raises(DataError, match="cannot write"):
         write_table(*TABLE, str(tmp_path / "missing" / "table.csv"), "csv")
+
+
+# floats the two formats write in their own ways: signed zero, subnormals,
+# exponent notation at both ends, nan and the infinities
+SPECIAL_FLOATS = [-0.0, 5e-324, 1e-310, 1e16, 1e-5, 0.1, math.nan, math.inf, -math.inf]
+PY_FLOATS = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+NUMBERS = st.one_of(PY_FLOATS, PY_FLOATS.map(np.float64), st.booleans(), st.integers())
+VALUES = st.one_of(NUMBERS, st.text())
+
+
+@st.composite
+def tables(draw):
+    width = draw(st.integers(0, 4))
+    rows = st.one_of(*(st.tuples(*[values] * width) for values in (PY_FLOATS, NUMBERS, VALUES)))
+    return (
+        draw(st.lists(st.text(), min_size=width, max_size=width)),
+        draw(st.lists(rows | rows.map(list), max_size=4)),
+        draw(st.sampled_from(["csv", "json"])),
+        draw(st.none() | st.dictionaries(st.text(), VALUES | st.lists(PY_FLOATS), max_size=3)),
+    )
+
+
+@settings(deadline=None)
+@given(tables())
+@example((("a", "b"), [], "json", None))
+@example((("a", "b"), [], "csv", {"seed": 1}))
+@example((("x",), [(math.nan,), (-math.inf,)], "json", None))
+@example((("x", "y"), [(np.float64(0.5), 0.25), (True, 1.0)], "json", None))
+@example((("x", "y"), [("é\"\\", 1.0)], "json", {"out": "ü"}))
+@example((("x", "y"), [(1.0, 2.0, 3.0), (1.0,)], "csv", None))
+def test_write_table_matches_oracle(tmp_path_factory, table):
+    columns, rows, fmt, config = table
+    folder = tmp_path_factory.mktemp("tables")
+    out, expected = folder / "table", folder / "expected"
+    write_table(columns, iter(rows), str(out), fmt, config)
+    with open(expected, "w") as fh:
+        dump_table(columns, rows, fh, fmt, config)
+    assert out.read_bytes() == expected.read_bytes()
 
 
 @pytest.mark.parametrize("flag, value, message", [

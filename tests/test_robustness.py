@@ -239,6 +239,10 @@ MISMATCHES = arrays(
 # 0.343805606955381**2 through the C pow() of glibc is one unit in the last
 # place off the correctly rounded product that numpy's array square gives
 @example(SYMMETRIC, np.array([0.343805606955381, 0.0]), np.array([0.0, 0.343805606955381]))
+# an efficiency of 1.1e-16 on a machine with zero diagonal entries: the
+# perp-role denominator rounds to 0 unless its constant term is grouped
+@example(MachineTriple(1.0, 0.0, 0.0), np.array([-0.9999999999999999]), np.array([0.0]))
+@example(MachineTriple(1.0, 1.0, 1.0), np.array([0.0]), np.array([-0.9999999999999999]))
 @given(machines(), MISMATCHES, MISMATCHES)
 def test_array_calls_equal_scalar_calls(m, eps_a, eps_b):
     # the sweep's one call per column must give the per-point floats exactly
