@@ -1,54 +1,11 @@
 """Optimal universal asymmetric 1->2 qubit cloning by partial symmetrization:
 exact model, coincidence-counting simulation, detector calibration and
-miscalibration robustness analysis."""
+miscalibration robustness analysis.
 
-from .cloner import (
-    MachineTriple,
-    apply_cloner,
-    clone_fidelities,
-    clone_states,
-    machine_triple,
-    success_probability,
-    symmetrizer,
-    tradeoff_residual,
-)
-from .detection import (
-    EfficiencyPair,
-    MeasurementRecord,
-    bias_counts,
-    ideal_probabilities,
-    read_records,
-    rescale_counts,
-    run_experiment,
-    sample_counts,
-    write_records,
-)
-from .estimation import (
-    CalibrationResult,
-    FidelityReport,
-    NoDataError,
-    calibrate,
-    fidelities_from_counts,
-    report,
-)
-from .robustness import (
-    QuadraticErrorForm,
-    biased_fidelity_psi,
-    biased_fidelity_psi_perp,
-    biased_mean,
-    biased_mean_b,
-    error_bound,
-    eta_from_mismatch,
-    taylor_form,
-    taylor_form_b,
-)
-from .states import (
-    BasisPair,
-    catalog_states,
-    fidelity,
-    mub_bases,
-    partial_trace,
-    tensor,
-)
+Import names from the submodules (`qclone.cloner`, `qclone.detection`,
+`qclone.estimation`, `qclone.robustness`, `qclone.states`, `qclone.labels`,
+`qclone.cli`); the package itself loads none of them, so `import qclone`
+does not load numpy.
+"""
 
 __version__ = "0.1.0"

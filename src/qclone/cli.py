@@ -14,46 +14,24 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 
-import numpy as np
+from .labels import CATALOG_LABELS, OBJECTIVES, RECORD_FIELDS, EfficiencyPair
 
-from .cloner import (
-    MachineTriple,
-    clone_fidelities,
-    machine_triple,
-    success_probability,
-    tradeoff_residual,
-)
-from .detection import (
-    RECORD_FIELDS,
-    EfficiencyPair,
-    read_records,
-    run_experiment,
-    write_atomic,
-    write_records,
-)
-from .states import CATALOG_LABELS
-from .estimation import (
-    OBJECTIVES,
-    NoDataError,
-    calibrate,
-    calibrate_pooled,
-    report,
-)
-from .robustness import (
-    biased_mean,
-    biased_mean_b,
-    error_bound,
-    eta_from_mismatch,
-    taylor_form,
-    taylor_form_b,
-)
+# The numeric modules (numpy, cloner, detection, estimation, robustness) are
+# imported inside the subcommands that use them, so parsing, validation,
+# `schema` and every config error run on the standard library alone.
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_BOUNDARY = 3
 
-DEFAULT_T_VALUES = tuple(float(np.sqrt(n / 5.0)) for n in range(6))
+DEFAULT_T_VALUES = tuple(math.sqrt(n / 5.0) for n in range(6))
+
+# Caps on the run sizes. At COUNTS_MAX the largest Poisson rate, about
+# counts * 25 * 2/3 at eta = 5, stays far below numpy's limit (about 9.2e18);
+# EPS_POINTS_MAX**2 is the row count of the largest robustness table.
+COUNTS_MAX = 1e15
+EPS_POINTS_MAX = 501
 
 SCHEMAS = {
     "analytic": ("kind", "t", "f_a", "f_b", "p", "success_prob", "tradeoff_residual"),
@@ -104,14 +82,25 @@ class RunConfig:
         for t in self.t_values:
             if not 0.0 <= t <= 1.0:
                 raise ConfigError(f"t value {t} outside [0, 1]")
-        if not 0 < self.counts < math.inf:  # also rejects nan
-            raise ConfigError(f"counts must be positive and finite, got {self.counts}")
+        if not 0 < self.counts <= COUNTS_MAX:  # also rejects nan
+            raise ConfigError(
+                f"counts must be positive and at most {COUNTS_MAX:g}, got {self.counts}"
+            )
+        try:
+            self.eta.validate()
+        except ValueError as exc:
+            raise ConfigError(str(exc))
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.objective not in OBJECTIVES:
             raise ConfigError(f"objective must be one of {OBJECTIVES}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
-        if self.eps_points < 1:
-            raise ConfigError(f"eps_points must be at least 1, got {self.eps_points}")
+        if not 1 <= self.eps_points <= EPS_POINTS_MAX:
+            raise ConfigError(
+                f"eps_points must be at least 1 and at most {EPS_POINTS_MAX}, "
+                f"got {self.eps_points}"
+            )
         if not 0.0 <= self.eps_max < 1.0:
             raise ConfigError(f"eps_max must lie in [0, 1), got {self.eps_max}")
 
@@ -274,6 +263,8 @@ def write_table(columns, rows, path: str, fmt: str, config: dict | None = None) 
     if path == "-":
         _dump_table(columns, rows, sys.stdout, fmt, config)
         return
+    from .detection import write_atomic
+
     try:
         write_atomic(path, lambda fh: _dump_table(columns, rows, fh, fmt, config))
     except OSError as exc:
@@ -295,6 +286,10 @@ def _echo_config(cfg: RunConfig) -> None:
 # --- subcommands ------------------------------------------------------------
 
 def cmd_analytic(cfg: RunConfig) -> int:
+    import numpy as np
+
+    from .cloner import clone_fidelities, machine_triple, success_probability, tradeoff_residual
+
     rows = []
     for kind, ts in (("grid", cfg.t_values), ("curve", np.linspace(0.0, 1.0, 200))):
         for t in ts:
@@ -312,6 +307,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
     records_path = cfg.records or _sibling_path(cfg.out, "records")
     if records_path == "-":
         raise ConfigError("simulate cannot write the record file to stdout; give --records <path>")
+    from .detection import run_experiment, write_records
+    from .estimation import NoDataError, report
+
     all_records = []
     rows = []
     for i, t in enumerate(cfg.t_values):
@@ -319,7 +317,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
             t, cfg.eta, cfg.counts, seed=cfg.seed + i, noiseless=cfg.noiseless
         )
         all_records.extend(recs)
-        rep = report(recs)
+        try:
+            rep = report(recs)
+        except NoDataError as exc:
+            raise DataError(f"t = {t}: {exc}; raise --counts")
         for rec, (fa, fb) in zip(recs, rep.per_state):
             rows.append(
                 (t, rec.state_label, rec.basis_label, rec.role, fa, fb,
@@ -344,6 +345,9 @@ def _grouped_by_t(records):
 def cmd_calibrate(cfg: RunConfig) -> int:
     if not cfg.records:
         raise ConfigError("calibrate requires --records <record file>")
+    from .detection import read_records
+    from .estimation import NoDataError, calibrate, calibrate_pooled, report
+
     try:
         records = read_records(cfg.records)
     except (OSError, ValueError) as exc:
@@ -400,22 +404,35 @@ def cmd_calibrate(cfg: RunConfig) -> int:
 
 
 def _machine_from_config(cfg: RunConfig) -> MachineTriple:
-    if cfg.triple is not None:
-        if len(cfg.triple) != 3:
-            raise ConfigError("--triple needs three comma-separated values f_a,f_b,p")
-        m = MachineTriple(*cfg.triple)
-        try:
-            m.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-        return m
-    if len(cfg.t_values) != 1:
+    if cfg.triple is not None and len(cfg.triple) != 3:
+        raise ConfigError("--triple needs three comma-separated values f_a,f_b,p")
+    if cfg.triple is None and len(cfg.t_values) != 1:
         raise ConfigError("robustness needs a single --t value or an explicit --triple")
-    return machine_triple(cfg.t_values[0])
+    from .cloner import MachineTriple, machine_triple
+
+    if cfg.triple is None:
+        return machine_triple(cfg.t_values[0])
+    m = MachineTriple(*cfg.triple)
+    try:
+        m.validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    return m
 
 
 def cmd_robustness(cfg: RunConfig) -> int:
     m = _machine_from_config(cfg)
+    import numpy as np
+
+    from .robustness import (
+        biased_mean,
+        biased_mean_b,
+        error_bound,
+        eta_from_mismatch,
+        taylor_form,
+        taylor_form_b,
+    )
+
     form_a = taylor_form(m)
     form_b = taylor_form_b(m)
     for clone, form in (("A", form_a), ("B", form_b)):

@@ -13,36 +13,22 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, TextIO
+from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
-from .states import BASIS_LABELS, CATALOG_LABELS
-
-ROLE_PSI = "psi"
-ROLE_PERP = "perp"
-# role of each catalog state: the even ones are the basis states psi
-CATALOG_ROLES = tuple(ROLE_PSI if i % 2 == 0 else ROLE_PERP for i in range(len(CATALOG_LABELS)))
-
-ETA_MIN = 0.2
-ETA_MAX = 5.0
-
-
-class EfficiencyPair(NamedTuple):
-    """Relative efficiencies (minus-detector over plus-detector) per block."""
-
-    eta_a: float
-    eta_b: float
-
-    def validate(self) -> None:
-        for name, eta in zip(("eta_a", "eta_b"), self):
-            if not ETA_MIN <= eta <= ETA_MAX:
-                raise ValueError(
-                    f"{name} = {eta} outside plausible range [{ETA_MIN}, {ETA_MAX}]"
-                )
-
-    def mismatches(self) -> tuple[float, float]:
-        return self.eta_a - 1.0, self.eta_b - 1.0
+# defined in labels; callers may import them from here too
+from .labels import (
+    BASIS_LABELS,
+    CATALOG_LABELS,
+    CATALOG_ROLES,
+    ETA_MAX,
+    ETA_MIN,
+    RECORD_FIELDS,
+    ROLE_PERP,
+    ROLE_PSI,
+    EfficiencyPair,
+)
 
 
 @dataclass(frozen=True)
@@ -157,9 +143,7 @@ def run_experiment(
 
 
 # --- record file I/O -------------------------------------------------------
-# One record per line: t, state_label, basis_label, role, c_pp, c_pm, c_mp, c_mm
-
-RECORD_FIELDS = ("t", "state", "basis", "role", "c_pp", "c_pm", "c_mp", "c_mm")
+# One record per line, in the order of RECORD_FIELDS
 
 
 def format_record(rec: MeasurementRecord) -> str:

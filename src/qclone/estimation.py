@@ -8,24 +8,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .detection import (
+from .detection import MeasurementRecord, rescale_counts
+from .labels import (
+    CATALOG_LABELS,
     CATALOG_ROLES,
     ETA_MAX,
     ETA_MIN,
+    OBJECTIVES,
     ROLE_PERP,
     ROLE_PSI,
     EfficiencyPair,
-    MeasurementRecord,
-    rescale_counts,
 )
-from .states import CATALOG_LABELS
 
 
 class NoDataError(ValueError):
     """A record carries zero total counts; fidelities are undefined."""
-
-
-OBJECTIVES = ("a", "b", "sum")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+# defined in labels; callers may import them from here too
+from .labels import BASIS_LABELS, CATALOG_LABELS
+
 ATOL = 1e-12
 EIG_ATOL = 1e-10
 
@@ -25,9 +28,6 @@ KET_L = np.array([_S2, -1j * _S2], dtype=complex)
 
 #: singlet (|HV> - |VH>)/sqrt(2) in the fixed (HH,HV,VH,VV) ordering
 SINGLET = np.array([0.0, _S2, -_S2, 0.0], dtype=complex)
-
-CATALOG_LABELS = ("H", "V", "D", "A", "R", "L")
-BASIS_LABELS = ("HV", "DA", "RL")
 
 
 class BasisPair(NamedTuple):

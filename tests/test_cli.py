@@ -11,6 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from table_oracle import dump_table
 
 from qclone.cli import (
+    COUNTS_MAX,
+    EPS_POINTS_MAX,
     EXIT_BOUNDARY,
     EXIT_CONFIG,
     EXIT_DATA,
@@ -135,11 +137,27 @@ def test_config_parse_error(tmp_path, capsys):
     assert "bad.cfg:1" in capsys.readouterr().err
 
 
-def test_config_validation_error():
+def test_config_validation_error(tmp_path):
     assert main(["analytic", "--t", "2.0"]) == EXIT_CONFIG
-    assert main(["simulate", "--counts", "-5"]) == EXIT_CONFIG
-    assert main(["simulate", "--counts", "nan"]) == EXIT_CONFIG
-    assert main(["simulate", "--counts", "inf"]) == EXIT_CONFIG
+    # with both output paths given, simulate would otherwise run
+    simulate = ["simulate", "--t", "0.5", "--out", str(tmp_path / "sim.csv"),
+                "--records", str(tmp_path / "records.csv")]
+    for flag, value in [("--counts", "-5"), ("--counts", "nan"), ("--counts", "inf"),
+                        ("--counts", "1e300"), ("--counts", repr(COUNTS_MAX * 1.5)),
+                        ("--eta-a", "9"), ("--eta-a", "nan"), ("--eta-b", "0.1"),
+                        ("--seed", "-1")]:
+        assert main([*simulate, flag, value]) == EXIT_CONFIG, flag
+    assert main(["robustness", "--t", "0.5", "--eps-points", "100000000",
+                 "--out", str(tmp_path / "rob.csv")]) == EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_without_counts_is_a_data_error(tmp_path, capsys):
+    rc = main(["simulate", "--t", "0.5", "--counts", "1e-9", "--out", str(tmp_path / "sim.csv"),
+               "--records", str(tmp_path / "records.csv")])
+    assert rc == EXIT_DATA
+    assert "t = 0.5: all four coincidence counts are zero" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_calibrate_missing_file(tmp_path):
@@ -366,6 +384,7 @@ def test_write_table_matches_oracle(tmp_path_factory, table):
 @pytest.mark.parametrize("flag, value, message", [
     ("--eps-points", "-3", "eps_points must be at least 1"),
     ("--eps-points", "0", "eps_points must be at least 1"),
+    ("--eps-points", str(EPS_POINTS_MAX + 1), f"and at most {EPS_POINTS_MAX}, got"),
     ("--eps-max", "1.5", "eps_max must lie in [0, 1)"),
     ("--eps-max", "-0.1", "eps_max must lie in [0, 1)"),
 ])
@@ -387,13 +406,71 @@ def test_default_calibration_stays_inside_the_box(tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
+    # neither the package, nor the cli module, nor the commands that need no
+    # numbers (schema, --help, config errors) load numpy or scipy; the
+    # -X importtime trace names every module the process imports
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (
-        "import qclone.cli, sys; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    cases = [
+        (["-c", "import qclone"], EXIT_OK),
+        (["-c", "import qclone.cli"], EXIT_OK),
+        (["-m", "qclone.cli", "schema"], EXIT_OK),
+        (["-m", "qclone.cli", "--help"], EXIT_OK),
+        (["-m", "qclone.cli", "simulate", "--t", "2"], EXIT_CONFIG),
+        (["-m", "qclone.cli", "simulate", "--out", "-"], EXIT_CONFIG),
+        (["-m", "qclone.cli", "calibrate"], EXIT_CONFIG),
+        (["-m", "qclone.cli", "robustness", "--t", "0,1"], EXIT_CONFIG),
+    ]
+    for args, code in cases:
+        proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, (args, proc.stderr)
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "qclone" in imported, args
+        assert not [m for m in imported if m.split(".")[0] in ("numpy", "scipy")], args
+
+
+# Fuzzed flags for the exit-code property: each value is drawn in range or
+# anywhere, so that runs as well as rejections are drawn. A run size is drawn
+# small and valid or beyond its cap, never large but in range.
+def _floats_or_in(low, high):
+    return (st.floats(low, high) | st.floats()).map(repr)
+
+
+FLAG_VALUES = {
+    "--t": (_floats_or_in(0.0, 1.0) | st.lists(_floats_or_in(0.0, 1.0), min_size=2).map(",".join)
+            | st.text()),
+    "--eta-a": _floats_or_in(0.2, 5.0),
+    "--eta-b": _floats_or_in(0.2, 5.0),
+    "--seed": (st.integers(0, 2**64) | st.integers()).map(str),
+    "--counts": (st.floats(0.0, 1e4, exclude_min=True)
+                 | st.floats().filter(lambda c: not 0.0 < c <= COUNTS_MAX)).map(repr),
+    "--eps-points": (st.integers(1, 21)
+                     | st.integers().filter(lambda n: not 1 <= n <= EPS_POINTS_MAX)).map(str),
+    "--eps-max": _floats_or_in(0.0, 0.99),
+}
+
+
+@st.composite
+def command_lines(draw):
+    flags = [f"{flag}={draw(values)}" for flag, values in FLAG_VALUES.items() if draw(st.booleans())]
+    return [draw(st.sampled_from(["analytic", "simulate", "robustness", "schema"])), *flags]
+
+
+@settings(deadline=None)
+@given(command_lines())
+@example(["simulate", "--eta-a=9"])
+@example(["simulate", "--eta-a=nan"])
+@example(["simulate", "--seed=-1"])
+@example(["simulate", "--counts=1e300"])
+@example(["robustness", "--t=0.5", "--eps-points=100000000"])
+def test_exit_code_is_documented(tmp_path_factory, argv):
+    folder = tmp_path_factory.mktemp("run")
+    argv = [*argv, "--out", str(folder / "table.csv"), "--records", str(folder / "records.csv")]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejected the command line
+        assert exc.code == 2
+    else:
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_BOUNDARY)
