@@ -1,8 +1,9 @@
 """Command-line front end: analytic curves, synthetic experiments, detector
 calibration and miscalibration sweeps, emitted as CSV or JSON tables.
 
-Exit codes: 0 success, 1 config error, 2 data error, 3 calibration hit the
-search boundary and --strict was given.
+Exit codes: 0 success, 1 config error, 2 data error (a stdout closed by its
+reader included), 3 calibration hit the search boundary and --strict was
+given.
 """
 
 from __future__ import annotations
@@ -346,7 +347,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     if not cfg.records:
         raise ConfigError("calibrate requires --records <record file>")
     from .detection import read_records
-    from .estimation import NoDataError, calibrate, calibrate_pooled, report
+    from .estimation import NoDataError, calibrate_each, calibrate_pooled, report
 
     try:
         records = read_records(cfg.records)
@@ -358,31 +359,20 @@ def cmd_calibrate(cfg: RunConfig) -> int:
 
     summary_rows = []
     state_rows = []
-    boundary = False
+    ts = sorted(groups)
     try:
         if cfg.pooled:
-            pooled = calibrate_pooled(list(groups.values()), objective=cfg.objective)
-            results = {t: pooled.eta for t in groups}
+            # the pooled objective sums the groups in file order
+            results = [calibrate_pooled(list(groups.values()), objective=cfg.objective)] * len(ts)
         else:
-            results = None
-        for t in sorted(groups):
+            results = calibrate_each([groups[t] for t in ts], objective=cfg.objective)
+        for t, res in zip(ts, results):
             recs = groups[t]
-            if cfg.pooled:
-                eta = results[t]
-                before = report(recs)
-                after = report(recs, eta_correction=eta)
-                res_obj = pooled.objective_value
-                hit = pooled.boundary_hit
-            else:
-                res = calibrate(recs, objective=cfg.objective)
-                eta, after = res.eta, res.report
-                before = report(recs)
-                res_obj = res.objective_value
-                hit = res.boundary_hit
-            boundary = boundary or hit
+            before = report(recs)
+            after = report(recs, eta_correction=res.eta) if cfg.pooled else res.report
             summary_rows.append(
-                (t, eta.eta_a, eta.eta_b, cfg.objective, res_obj, hit,
-                 before.mean_a, before.mean_b, after.mean_a, after.mean_b)
+                (t, res.eta.eta_a, res.eta.eta_b, cfg.objective, res.objective_value,
+                 res.boundary_hit, before.mean_a, before.mean_b, after.mean_a, after.mean_b)
             )
             by_state = {r.state_label: r for r in recs}
             for label, (fa, fb) in zip(CATALOG_LABELS, after.per_state):
@@ -390,6 +380,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
                 state_rows.append((t, label, rec.basis_label, rec.role, fa, fb))
     except (NoDataError, ValueError) as exc:
         raise DataError(str(exc))
+    boundary = any(res.boundary_hit for res in results)
 
     write_table(SCHEMAS["calibrate_summary"], summary_rows, cfg.out, cfg.format, cfg.resolved())
     states_path = _sibling_path(cfg.out, "states")
@@ -510,12 +501,20 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         _echo_config(cfg)
-        return COMMANDS[args.command](cfg)
+        code = COMMANDS[args.command](cfg)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except BrokenPipeError:
+        # the reader of stdout went away; send what is still buffered to
+        # devnull, so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("data error: stdout was closed before the table was written", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -8,6 +8,7 @@ blank-copy arm, clone B the signal arm; for t > 0 clone B is the better one.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +33,8 @@ class MachineTriple(NamedTuple):
         return np.array([p, fa - p, fb - p, 1.0 + p - fa - fb])
 
     def validate(self, atol: float = 1e-12) -> None:
+        if not all(math.isfinite(v) for v in self):
+            raise ValueError(f"invalid machine triple {self}: entries must be finite")
         if np.min(self.diagonal()) < -atol:
             raise ValueError(f"invalid machine triple {self}: negative diagonal element")
 

@@ -120,14 +120,23 @@ def report(
 # with d s_A = (1 - 2 f_A) d f_A,  d s_B = (1 - 2 f_B) d f_B  and
 # d c = c (1 - 2 f_A, 1 - 2 f_B).  A perp-role fidelity is one minus the same
 # expression.  The psi-role rows are H, D, R; the perp-role rows V, A, L.
+#
+# Calibration runs on a batch of rows, counts (B, G, 6, 4): one row per
+# efficiency pair sought, holding the G six-state groups that pair must fit.
+# `calibrate_each` makes one row per group, `calibrate_pooled` one row of all
+# groups.  No operation mixes rows: every row gets bit for bit the numbers a
+# batch of it alone would get.  Sums run along contiguous trailing axes and
+# small products go through `np.matmul` on stacked arrays, the same kernels
+# a single row uses.
 
 _PSI_ROWS = np.array(CATALOG_ROLES) == ROLE_PSI
 _ROLE_SIGN = np.where(_PSI_ROWS, 1.0, -1.0)
 _CLONES = {"a": [0], "b": [1], "sum": [0, 1]}
 _LOG_BOUNDS = (np.log(ETA_MIN), np.log(ETA_MAX))
 _GRID_POINTS = 50  # per axis of the pre-scan grid
-# (G, 6) cells per block of grid points in the pre-scan; bounds its memory
-_GRID_CELLS = 2**17
+# cells (rows x grid points x groups x states) per block of the pre-scan;
+# bounds its memory
+_GRID_CELLS = 2**14
 
 
 def _clones(objective: str) -> list[int]:
@@ -144,13 +153,13 @@ def _stacked_counts(groups: list[list[MeasurementRecord]]) -> np.ndarray:
     return counts
 
 
-def _rescaled_fidelities(counts: np.ndarray, eta_a, eta_b):
-    """Psi-role f_A, f_B and the C++ fraction of the rescaled counts."""
+def _rescaled_sums(counts: np.ndarray, eta_a, eta_b):
+    """Sums of the rescaled counts: A clicked +, B clicked +, both did, all."""
     c_pp, c_pm, c_mp, c_mm = np.moveaxis(counts, -1, 0)
     both = eta_a * eta_b * c_pp
     a_plus = both + eta_a * c_pm
-    total = a_plus + eta_b * c_mp + c_mm
-    return a_plus / total, (both + eta_b * c_mp) / total, both / total
+    b_only = eta_b * c_mp
+    return a_plus, both + b_only, both, a_plus + b_only + c_mm
 
 
 def _own_role(f: np.ndarray) -> np.ndarray:
@@ -162,42 +171,69 @@ def _centered(f: np.ndarray) -> np.ndarray:
     return f - f.mean(axis=-1, keepdims=True)
 
 
-def _grid_values(counts: np.ndarray, objective: str, eta_a: np.ndarray, eta_b: np.ndarray):
-    """Objective at every point (eta_a[i], eta_b[i]), in blocks of bounded size."""
+def _grid_seed(counts: np.ndarray, objective: str) -> np.ndarray:
+    """ln(eta) (B, 2) of the lowest objective on a 50x50 grid over [0.5, 2]^2,
+    the first such point in row-major order.
+
+    Blocks of rows and of grid points of at most `_GRID_CELLS` cells are
+    laid out (rows, states, points, groups), so every reduction adds in the
+    order the per-row layout (points, groups, states) does; each row keeps
+    a running minimum over its blocks of points.
+    """
     clones = _clones(objective)
-    block = max(1, _GRID_CELLS // counts[..., 0].size)
-    values = []
-    for i in range(0, eta_a.size, block):
-        fa, fb, _ = _rescaled_fidelities(
-            counts, eta_a[i : i + block, None, None], eta_b[i : i + block, None, None]
-        )
-        f = _own_role(np.stack([fa, fb])[clones])
-        values.append((_centered(f) ** 2).mean(axis=-1).sum(axis=(0, -1)))
-    return np.concatenate(values)
+    axis = np.linspace(0.5, 2.0, _GRID_POINTS)
+    grid_a, grid_b = np.repeat(axis, _GRID_POINTS)[:, None], np.tile(axis, _GRID_POINTS)[:, None]
+    rows, groups, states = counts.shape[:3]
+    points = min(grid_a.size, max(1, _GRID_CELLS // (states * groups)))
+    block = max(1, _GRID_CELLS // (states * groups * points))
+    best = np.zeros(rows, dtype=int)
+    lowest = np.full(rows, np.inf)
+    by_state = counts.transpose(0, 2, 1, 3)[:, :, None]  # (B, 6, 1, G, 4)
+    for r in range(0, rows, block):
+        for i in range(0, grid_a.size, points):
+            sums = _rescaled_sums(by_state[r : r + block], grid_a[i : i + points], grid_b[i : i + points])
+            values = 0.0
+            for k in clones:
+                f = sums[k] / sums[3]
+                f[:, ~_PSI_ROWS] = 1.0 - f[:, ~_PSI_ROWS]
+                f -= f.mean(axis=1, keepdims=True)
+                f *= f
+                values = values + f.mean(axis=1).sum(axis=-1)
+            arg = values.argmin(axis=-1)
+            low = values[np.arange(len(arg)), arg]
+            lower = low < lowest[r : r + block]
+            best[r : r + block][lower] = i + arg[lower]
+            lowest[r : r + block][lower] = low[lower]
+    return np.log(np.concatenate([grid_a[best], grid_b[best]], axis=-1))
 
 
 def _objective_terms(counts: np.ndarray, log_eta: np.ndarray, objective: str):
-    """Value, gradient (2,) and Hessian (2, 2) in z = ln(eta) of the fidelity
-    variance, summed over the chosen clones and the groups."""
-    fa, fb, both = _rescaled_fidelities(counts, *np.exp(log_eta))
+    """Value (B,), gradient (B, 2) and Hessian (B, 2, 2) in z = ln(eta) of the
+    fidelity variance of each row, summed over the chosen clones and the
+    row's groups; counts (B, G, 6, 4), log_eta (B, 2)."""
+    eta = np.exp(log_eta)
+    a_plus, b_plus, both, total = _rescaled_sums(counts, eta[:, 0, None, None], eta[:, 1, None, None])
+    fa, fb, both = a_plus / total, b_plus / total, both / total
     sa, sb, c = fa * (1.0 - fa), fb * (1.0 - fb), both - fa * fb
     ka, kb = 1.0 - 2.0 * fa, 1.0 - 2.0 * fb
     # per clone: f, d_a f, d_b f, d_aa f, d_ab f, d_bb f
     terms = [(fa, sa, c, ka * sa, ka * c, kb * c), (fb, c, sb, ka * c, kb * c, kb * sb)]
-    p = np.stack([np.stack(terms[i]) for i in _clones(objective)], axis=1)
-    p[0] = _own_role(p[0])
-    p[1:] *= _ROLE_SIGN
-    dev = _centered(p[:3])
-    n = counts.shape[-2]
-    value = float((dev[0] ** 2).sum()) / n
-    grad = 2.0 / n * (dev[0] * dev[1:]).sum(axis=(1, 2, 3))
-    slopes = dev[1:].reshape(2, -1)
-    h_aa, h_ab, h_bb = (dev[0] * p[3:]).sum(axis=(1, 2, 3))
-    hess = 2.0 / n * (slopes @ slopes.T + np.array([[h_aa, h_ab], [h_ab, h_bb]]))
+    p = np.stack([np.stack(terms[i], axis=1) for i in _clones(objective)], axis=2)
+    p[:, 0] = _own_role(p[:, 0])
+    p[:, 1:] *= _ROLE_SIGN
+    dev = _centered(p[:, :3])
+    rows, n = len(p), counts.shape[-2]
+    value = (dev[:, 0] ** 2).reshape(rows, -1).sum(axis=-1) / n
+    grad = 2.0 / n * (dev[:, :1] * dev[:, 1:]).reshape(rows, 2, -1).sum(axis=-1)
+    slopes = dev[:, 1:].reshape(rows, 2, -1)
+    curvature = (dev[:, :1] * p[:, 3:]).reshape(rows, 3, -1).sum(axis=-1)
+    hess = 2.0 / n * (
+        slopes @ slopes.swapaxes(-1, -2) + curvature[:, [0, 1, 1, 2]].reshape(rows, 2, 2)
+    )
     return value, grad, hess
 
 
-def _rounding(value: float) -> float:
+def _rounding(value):
     """Rounding error of an objective value.  It is a mean of squared
     deviations of fidelities that are each off by a few ulp of 1, so the
     error scales with the root of the value, not with the value."""
@@ -205,31 +241,38 @@ def _rounding(value: float) -> float:
 
 
 def _ratio_seed(counts: np.ndarray) -> np.ndarray:
-    """Closed-form ln(eta) from count ratios of the bias model.
+    """Closed-form ln(eta) (B, 2) from count ratios of the bias model.
 
     Per basis, with psi-role counts C_psi and perp-role counts C_perp,
     eta_a^2 = (C-+_psi C--_perp) / (C++_psi C+-_perp) and
     eta_b^2 = (C+-_psi C--_perp) / (C++_psi C-+_perp): the machine parameters
-    cancel.  Log-mean over bases and groups, skipping zero counts; an
-    efficiency without a usable ratio is seeded at 1.
+    cancel.  Log-mean over the bases and groups of a row, skipping zero
+    counts; an efficiency without a usable ratio is seeded at 1.
     """
-    psi, perp = counts[:, _PSI_ROWS], counts[:, ~_PSI_ROWS]
-    seed = []
-    for num, den in (
+    psi, perp = counts[:, :, _PSI_ROWS], counts[:, :, ~_PSI_ROWS]
+    seed = np.zeros((len(counts), 2))
+    for k, (num, den) in enumerate((
         (psi[..., 2] * perp[..., 3], psi[..., 0] * perp[..., 1]),
         (psi[..., 1] * perp[..., 3], psi[..., 0] * perp[..., 2]),
-    ):
+    )):
+        num, den = num.reshape(len(counts), -1), den.reshape(len(counts), -1)
         ok = (num > 0) & (den > 0)
-        seed.append(0.5 * np.log(num[ok] / den[ok]).mean() if ok.any() else 0.0)
+        used = ok.sum(axis=-1)
+        # rows with as many usable ratios are summed as one (rows, m) array,
+        # each in the order a mean of that row's ratios alone would use
+        for m in np.flatnonzero(np.bincount(used)[1:]) + 1:
+            sel = used == m
+            logs = np.log(num[sel][ok[sel]] / den[sel][ok[sel]]).reshape(-1, m)
+            seed[sel, k] = 0.5 * (logs.sum(axis=-1) / m)
     return np.clip(seed, *_LOG_BOUNDS)
 
 
 class NewtonResult(NamedTuple):
-    x: np.ndarray
-    fun: float
-    nfev: int
-    nit: int
-    success: bool
+    x: np.ndarray  # (B, n)
+    fun: np.ndarray  # (B,)
+    nfev: int  # calls of fun, each on every row still descending
+    nit: int  # steps of the longest descent
+    success: np.ndarray  # (B,)
 
 
 # Curvature below this fraction of the largest Hessian eigenvalue counts as
@@ -241,52 +284,80 @@ _XTOL = 1e-10
 _MAXITER = 200
 
 
-def minimize(fun, x0, lower, upper) -> NewtonResult:
-    """Bound-constrained damped Newton descent.
+def _larger(a, b):
+    """Elementwise max(a, b) as Python's: a unless b is larger."""
+    return np.where(b > a, b, a)
 
-    ``fun(x)`` returns (value, gradient, Hessian).  A coordinate on its bound
-    whose gradient points out of the box is held fixed.  The Hessian of the
-    free coordinates gets Levenberg damping, at least enough to make it
-    positive definite, adapted to how well the quadratic model predicted the
-    last step (Nielsen's rule).  Only steps that do not raise the value are
-    taken.  Stops when the step is below ``_XTOL`` or a step lowers the value
-    by no more than ``_rounding`` of it.
+
+def minimize(fun, x0, lower, upper) -> NewtonResult:
+    """Bound-constrained damped Newton descents, one per row of x0 (B, n).
+
+    ``fun(x, rows)`` returns the values (R,), gradients (R, n) and Hessians
+    (R, n, n) at the points x (R, n) of the batch rows ``rows``.  A
+    coordinate on its bound whose gradient points out of the box is held
+    fixed.  The Hessian of the free coordinates gets Levenberg damping, at
+    least enough to make it positive definite, adapted to how well the
+    quadratic model predicted the last step (Nielsen's rule).  Only steps
+    that do not raise the value are taken.  A row stops when its step is
+    below ``_XTOL`` or a step lowers its value by no more than ``_rounding``
+    of it.  Each row keeps its own damping and stops on its own; a row takes
+    the steps a descent of it alone would, bit for bit.
     """
-    lower = np.broadcast_to(np.asarray(lower, dtype=float), np.shape(x0))
-    upper = np.broadcast_to(np.asarray(upper, dtype=float), np.shape(x0))
-    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
-    f, g, h = fun(x)
-    nfev, nit, damping, growth, success = 1, 0, 0.0, 2.0, False
-    while nit < _MAXITER:
+    x = np.clip(np.array(x0, dtype=float), lower, upper)
+    f, g, h = fun(x, np.arange(len(x)))
+    nfev, nit = 1, 0
+    damping, growth = np.zeros(len(x)), np.full(len(x), 2.0)
+    active, success = np.ones(len(x), dtype=bool), np.zeros(len(x), dtype=bool)
+    while nit < _MAXITER and active.any():
         nit += 1
-        free = ~(((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0)))
-        w, v = np.linalg.eigh(h[np.ix_(free, free)])
-        scale = np.abs(w).max(initial=0.0)
-        if scale == 0.0:  # nothing free, or a flat objective
-            success = True
+        rows = np.flatnonzero(active)
+        xr, gr = x[rows], g[rows]
+        free = ~(((xr <= lower) & (gr > 0)) | ((xr >= upper) & (gr < 0)))
+        scale, shift, step = np.zeros(len(rows)), np.zeros(len(rows)), np.zeros_like(xr)
+        # rows with the same free coordinates (a bit mask) share one eigh call;
+        # where nothing is free (mask 0) the scale stays 0 and the row stops
+        masks = free @ (1 << np.arange(free.shape[1]))
+        for mask in np.flatnonzero(np.bincount(masks)[1:]) + 1:
+            sel = np.flatnonzero(masks == mask)
+            coords = free[sel[0]]
+            w, v = np.linalg.eigh(h[rows[sel]][:, coords][:, :, coords])
+            s = np.abs(w).max(axis=-1)
+            curved = s > 0  # a row whose Hessian is zero is flat and stops
+            sel, w, v, s = sel[curved], w[curved], v[curved], s[curved]
+            scale[sel] = s
+            shift[sel] = _larger(damping[rows[sel]], _FLAT_RCOND * s - w.min(axis=-1))
+            along = (v.swapaxes(-1, -2) @ gr[sel][:, coords, None]) / (w + shift[sel, None])[..., None]
+            step[np.ix_(sel, coords)] = (-v @ along)[..., 0]
+        trial = np.clip(xr + step, lower, upper)
+        dx = trial - xr
+        done = (scale == 0.0) | (np.abs(dx).max(axis=-1) < _XTOL)
+        success[rows[done]], active[rows[done]] = True, False
+        go = ~done
+        rows, trial, dx, shift, scale = rows[go], trial[go], dx[go], shift[go], scale[go]
+        if not rows.size:
             break
-        shift = max(damping, _FLAT_RCOND * scale - w.min())
-        step = np.zeros_like(x)
-        step[free] = -v @ ((v.T @ g[free]) / (w + shift))
-        trial = np.clip(x + step, lower, upper)
-        dx = trial - x
-        if np.abs(dx).max() < _XTOL:
-            success = True
-            break
-        f_t, g_t, h_t = fun(trial)
+        f_t, g_t, h_t = fun(trial, rows)
         nfev += 1
-        if f_t > f:  # rejected: damp harder, faster on each rejection in a row
-            damping = growth * (shift if damping else max(shift, 1e-3 * scale))
-            growth *= 2.0
-            continue
-        predicted = -(g @ dx + 0.5 * dx @ h @ dx)
-        gain = (f - f_t) / predicted if predicted > 0 else 1.0
-        stalled = f - f_t <= _rounding(f)
-        x, f, g, h = trial, f_t, g_t, h_t
-        damping, growth = shift * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 2.0
-        if stalled:
-            success = True
-            break
+        # rejected: damp harder, faster on each rejection in a row
+        up = f_t > f[rows]
+        r = rows[up]
+        damping[r] = growth[r] * np.where(
+            damping[r] != 0.0, shift[up], _larger(shift[up], 1e-3 * scale[up])
+        )
+        growth[r] *= 2.0
+        # taken
+        ok = ~up
+        r, dx, shift = rows[ok], dx[ok], shift[ok]
+        predicted = -(
+            g[r, None, :] @ dx[:, :, None] + (0.5 * dx[:, None, :]) @ h[r] @ dx[:, :, None]
+        )[:, 0, 0]
+        gain = np.divide(f[r] - f_t[ok], predicted, out=np.ones(len(r)), where=predicted > 0)
+        stalled = f[r] - f_t[ok] <= _rounding(f[r])
+        x[r], f[r], g[r], h[r] = trial[ok], f_t[ok], g_t[ok], h_t[ok]
+        # the cube as Python's float power, which numpy's array power can miss by an ulp
+        cube = np.array([c**3 for c in (2.0 * gain - 1.0).tolist()])
+        damping[r], growth[r] = shift * _larger(1.0 / 3.0, 1.0 - cube), 2.0
+        success[r[stalled]], active[r[stalled]] = True, False
     return NewtonResult(x=x, fun=f, nfev=nfev, nit=nit, success=success)
 
 
@@ -295,9 +366,21 @@ def calibrate(records: list[MeasurementRecord], objective: str = "sum") -> Calib
 
     Damped Newton descents within [0.2, 5]^2 start from the count-ratio
     closed form and from the best point of a grid pre-scan over [0.5, 2]^2;
-    the lower minimum is kept.  The returned report is computed at it.
+    the lower minimum is kept.  The returned report is computed at it.  This
+    is `calibrate_each` on a batch of one group.
     """
-    return _calibrate_groups([records], objective)
+    return calibrate_each([records], objective)[0]
+
+
+def calibrate_each(
+    groups: list[list[MeasurementRecord]],
+    objective: str = "sum",
+) -> list[CalibrationResult]:
+    """`calibrate` of every six-state group, all groups in one batched grid
+    pre-scan and one batched descent.  Each result is bit for bit the one
+    the group calibrated alone gets."""
+    etas, values = _calibrate_rows(_stacked_counts(groups)[:, None], objective)
+    return [_result(*args, objective) for args in zip(groups, etas, values)]
 
 
 def calibrate_pooled(
@@ -305,35 +388,40 @@ def calibrate_pooled(
     objective: str = "sum",
 ) -> CalibrationResult:
     """Single efficiency pair minimizing the summed objective over several
-    six-state groups (one per asymmetry setting).  The returned report is for
-    the first group."""
-    return _calibrate_groups(groups, objective)
+    six-state groups (one per asymmetry setting): a batch of one row holding
+    every group, through the same descent as `calibrate_each`.  The returned
+    report is for the first group."""
+    (eta,), (value,) = _calibrate_rows(_stacked_counts(groups)[None], objective)
+    return _result(groups[0], eta, value, objective)
 
 
-def _calibrate_groups(groups: list[list[MeasurementRecord]], objective: str) -> CalibrationResult:
-    counts = _stacked_counts(groups)
-    axis = np.linspace(0.5, 2.0, _GRID_POINTS)
-    grid_a, grid_b = np.repeat(axis, _GRID_POINTS), np.tile(axis, _GRID_POINTS)
-    best = int(np.argmin(_grid_values(counts, objective, grid_a, grid_b)))
+def _calibrate_rows(counts: np.ndarray, objective: str):
+    """Efficiencies (B, 2) and objective values (B,) for counts (B, G, 6, 4).
 
-    def fun(log_eta):
-        return _objective_terms(counts, log_eta, objective)
-
-    ratio, grid = (
-        minimize(fun, z0, *_LOG_BOUNDS)
-        for z0 in (_ratio_seed(counts), np.log([grid_a[best], grid_b[best]]))
+    The descents from the ratio seeds and from the grid seeds run as one
+    batch of 2B rows.  On a tie the ratio seed wins: where the data leave an
+    efficiency undetermined it stays at its closed-form seed, not at a grid
+    point.
+    """
+    grid = _grid_seed(counts, objective)
+    n = len(counts)
+    res = minimize(
+        lambda z, rows: _objective_terms(counts[rows % n], z, objective),
+        np.concatenate([_ratio_seed(counts), grid]),
+        *_LOG_BOUNDS,
     )
-    # on a tie the ratio seed wins: where the data leave an efficiency
-    # undetermined it stays at its closed-form seed, not at a grid point
-    res = grid if grid.fun < ratio.fun - _rounding(ratio.fun) else ratio
-    eta = EfficiencyPair(*(float(e) for e in np.exp(res.x)))
-    boundary_hit = any(
-        min(e - ETA_MIN, ETA_MAX - e) < 1e-6 for e in eta
-    )
+    ratio_fun, grid_fun = res.fun[:n], res.fun[n:]
+    use_grid = grid_fun < ratio_fun - _rounding(ratio_fun)
+    log_eta = np.where(use_grid[:, None], res.x[n:], res.x[:n])
+    return np.exp(log_eta), np.where(use_grid, grid_fun, ratio_fun)
+
+
+def _result(records, eta, value, objective: str) -> CalibrationResult:
+    eta = EfficiencyPair(*eta.tolist())
     return CalibrationResult(
         eta=eta,
-        report=report(groups[0], eta_correction=eta),
-        objective_value=float(res.fun),
+        report=report(records, eta_correction=eta),
+        objective_value=float(value),
         objective=objective,
-        boundary_hit=boundary_hit,
+        boundary_hit=any(min(e - ETA_MIN, ETA_MAX - e) < 1e-6 for e in eta),
     )

@@ -1,0 +1,156 @@
+"""Per-group calibration with a scalar Newton descent, the oracle the batched
+`estimation.calibrate_each` and `estimation.calibrate_pooled` are tested
+against: one grid pre-scan, one ratio seed and two descents per call, each
+on the counts of that call alone."""
+
+import numpy as np
+
+from qclone.estimation import (
+    _FLAT_RCOND,
+    _LOG_BOUNDS,
+    _MAXITER,
+    _PSI_ROWS,
+    _ROLE_SIGN,
+    _XTOL,
+    CalibrationResult,
+    _clones,
+    _stacked_counts,
+    report,
+)
+from qclone.labels import ETA_MAX, ETA_MIN, EfficiencyPair
+
+GRID_POINTS = 50  # per axis of the pre-scan grid
+GRID_CELLS = 2**17  # (G, 6) cells per block of grid points
+
+
+def _rescaled_fidelities(counts, eta_a, eta_b):
+    c_pp, c_pm, c_mp, c_mm = np.moveaxis(counts, -1, 0)
+    both = eta_a * eta_b * c_pp
+    a_plus = both + eta_a * c_pm
+    total = a_plus + eta_b * c_mp + c_mm
+    return a_plus / total, (both + eta_b * c_mp) / total, both / total
+
+
+def _own_role(f):
+    return np.where(_PSI_ROWS, f, 1.0 - f)
+
+
+def _centered(f):
+    return f - f.mean(axis=-1, keepdims=True)
+
+
+def _rounding(value):
+    return 8.0 * np.finfo(float).eps * np.sqrt(value)
+
+
+def grid_values(counts, objective, eta_a, eta_b):
+    """Objective at every point (eta_a[i], eta_b[i]) for counts (G, 6, 4)."""
+    clones = _clones(objective)
+    block = max(1, GRID_CELLS // counts[..., 0].size)
+    values = []
+    for i in range(0, eta_a.size, block):
+        fa, fb, _ = _rescaled_fidelities(
+            counts, eta_a[i : i + block, None, None], eta_b[i : i + block, None, None]
+        )
+        f = _own_role(np.stack([fa, fb])[clones])
+        values.append((_centered(f) ** 2).mean(axis=-1).sum(axis=(0, -1)))
+    return np.concatenate(values)
+
+
+def objective_terms(counts, log_eta, objective):
+    """Value, gradient (2,) and Hessian (2, 2) for counts (G, 6, 4)."""
+    fa, fb, both = _rescaled_fidelities(counts, *np.exp(log_eta))
+    sa, sb, c = fa * (1.0 - fa), fb * (1.0 - fb), both - fa * fb
+    ka, kb = 1.0 - 2.0 * fa, 1.0 - 2.0 * fb
+    terms = [(fa, sa, c, ka * sa, ka * c, kb * c), (fb, c, sb, ka * c, kb * c, kb * sb)]
+    p = np.stack([np.stack(terms[i]) for i in _clones(objective)], axis=1)
+    p[0] = _own_role(p[0])
+    p[1:] *= _ROLE_SIGN
+    dev = _centered(p[:3])
+    n = counts.shape[-2]
+    value = float((dev[0] ** 2).sum()) / n
+    grad = 2.0 / n * (dev[0] * dev[1:]).sum(axis=(1, 2, 3))
+    slopes = dev[1:].reshape(2, -1)
+    h_aa, h_ab, h_bb = (dev[0] * p[3:]).sum(axis=(1, 2, 3))
+    hess = 2.0 / n * (slopes @ slopes.T + np.array([[h_aa, h_ab], [h_ab, h_bb]]))
+    return value, grad, hess
+
+
+def ratio_seed(counts):
+    """Closed-form ln(eta) from the count ratios of counts (G, 6, 4)."""
+    psi, perp = counts[:, _PSI_ROWS], counts[:, ~_PSI_ROWS]
+    seed = []
+    for num, den in (
+        (psi[..., 2] * perp[..., 3], psi[..., 0] * perp[..., 1]),
+        (psi[..., 1] * perp[..., 3], psi[..., 0] * perp[..., 2]),
+    ):
+        ok = (num > 0) & (den > 0)
+        seed.append(0.5 * np.log(num[ok] / den[ok]).mean() if ok.any() else 0.0)
+    return np.clip(seed, *_LOG_BOUNDS)
+
+
+def minimize(fun, x0, lower, upper):
+    """Scalar damped Newton descent; ``fun(x)`` returns (value, gradient,
+    Hessian).  Returns (x, value, evaluations, iterations, success)."""
+    lower = np.broadcast_to(np.asarray(lower, dtype=float), np.shape(x0))
+    upper = np.broadcast_to(np.asarray(upper, dtype=float), np.shape(x0))
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    f, g, h = fun(x)
+    nfev, nit, damping, growth, success = 1, 0, 0.0, 2.0, False
+    while nit < _MAXITER:
+        nit += 1
+        free = ~(((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0)))
+        w, v = np.linalg.eigh(h[np.ix_(free, free)])
+        scale = np.abs(w).max(initial=0.0)
+        if scale == 0.0:
+            success = True
+            break
+        shift = max(damping, _FLAT_RCOND * scale - w.min())
+        step = np.zeros_like(x)
+        step[free] = -v @ ((v.T @ g[free]) / (w + shift))
+        trial = np.clip(x + step, lower, upper)
+        dx = trial - x
+        if np.abs(dx).max() < _XTOL:
+            success = True
+            break
+        f_t, g_t, h_t = fun(trial)
+        nfev += 1
+        if f_t > f:
+            damping = growth * (shift if damping else max(shift, 1e-3 * scale))
+            growth *= 2.0
+            continue
+        predicted = -(g @ dx + 0.5 * dx @ h @ dx)
+        gain = (f - f_t) / predicted if predicted > 0 else 1.0
+        stalled = f - f_t <= _rounding(f)
+        x, f, g, h = trial, f_t, g_t, h_t
+        damping, growth = shift * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 2.0
+        if stalled:
+            success = True
+            break
+    return x, f, nfev, nit, success
+
+
+def calibrate_groups(groups, objective):
+    """One efficiency pair for the summed objective of `groups`: descents from
+    the ratio seed and from the best grid point, the lower minimum kept."""
+    counts = _stacked_counts(groups)
+    axis = np.linspace(0.5, 2.0, GRID_POINTS)
+    grid_a, grid_b = np.repeat(axis, GRID_POINTS), np.tile(axis, GRID_POINTS)
+    best = int(np.argmin(grid_values(counts, objective, grid_a, grid_b)))
+
+    def fun(log_eta):
+        return objective_terms(counts, log_eta, objective)
+
+    ratio, grid = (
+        minimize(fun, z0, *_LOG_BOUNDS)
+        for z0 in (ratio_seed(counts), np.log([grid_a[best], grid_b[best]]))
+    )
+    res = grid if grid[1] < ratio[1] - _rounding(ratio[1]) else ratio
+    eta = EfficiencyPair(*(float(e) for e in np.exp(res[0])))
+    return CalibrationResult(
+        eta=eta,
+        report=report(groups[0], eta_correction=eta),
+        objective_value=float(res[1]),
+        objective=objective,
+        boundary_hit=any(min(e - ETA_MIN, ETA_MAX - e) < 1e-6 for e in eta),
+    )

@@ -149,6 +149,9 @@ def test_config_validation_error(tmp_path):
         assert main([*simulate, flag, value]) == EXIT_CONFIG, flag
     assert main(["robustness", "--t", "0.5", "--eps-points", "100000000",
                  "--out", str(tmp_path / "rob.csv")]) == EXIT_CONFIG
+    for triple in ("nan,0.5,0.5", "0.5,0.5,nan", "inf,0.5,0.5", "0.9,0.7,-inf"):
+        assert main(["robustness", "--triple", triple,
+                     "--out", str(tmp_path / "rob.csv")]) == EXIT_CONFIG, triple
     assert list(tmp_path.iterdir()) == []
 
 
@@ -405,12 +408,17 @@ def test_default_calibration_stays_inside_the_box(tmp_path):
     assert [r[5] for r in rows] == ["false"] * 6
 
 
+def _subprocess_env():
+    """The environment of a child python that imports this checkout's qclone."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_cli_import_loads_no_scipy():
     # neither the package, nor the cli module, nor the commands that need no
     # numbers (schema, --help, config errors) load numpy or scipy; the
     # -X importtime trace names every module the process imports
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _subprocess_env()
     cases = [
         (["-c", "import qclone"], EXIT_OK),
         (["-c", "import qclone.cli"], EXIT_OK),
@@ -429,6 +437,26 @@ def test_cli_import_loads_no_scipy():
                     if line.startswith("import time:")]
         assert "qclone" in imported, args
         assert not [m for m in imported if m.split(".")[0] in ("numpy", "scipy")], args
+
+
+def test_closed_stdout_is_a_data_error():
+    # a reader that stops after the first line, like `| head -1`, closes the
+    # pipe while a 201x201 sweep (about 4 MB) is still being written
+    argv = [sys.executable, "-m", "qclone.cli", "robustness", "--t", "0", "--eps-points", "201",
+            "--out", "-"]
+    proc = subprocess.Popen(argv, env=_subprocess_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == (",".join(SCHEMAS["robustness"]) + "\n").encode()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == EXIT_DATA, err
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert "data error: stdout was closed" in err
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 # Fuzzed flags for the exit-code property: each value is drawn in range or

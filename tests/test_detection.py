@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from channel_oracle import channel_probabilities
+from hypothesis import given, settings, strategies as st
 
 from qclone.cloner import machine_triple
 from qclone.detection import (
@@ -10,6 +11,7 @@ from qclone.detection import (
     EfficiencyPair,
     MeasurementRecord,
     bias_counts,
+    format_record,
     ideal_probabilities,
     read_records,
     rescale_counts,
@@ -18,6 +20,7 @@ from qclone.detection import (
     write_records,
 )
 from qclone.estimation import fidelities_from_counts
+from qclone.labels import BASIS_LABELS, CATALOG_LABELS
 from qclone.states import catalog_states, mub_bases
 
 T_ORACLE = [0.0, *np.linspace(0.05, 0.95, 19), *(np.sqrt(n / 5) for n in range(1, 5)), 1.0]
@@ -201,6 +204,31 @@ def test_record_file_round_trip(tmp_path):
         assert rec.role == orig.role
         assert abs(rec.t - orig.t) < 1e-11
         np.testing.assert_allclose(rec.counts, orig.counts, rtol=1e-11)
+
+
+def _record(t, state, counts):
+    return MeasurementRecord(t, CATALOG_LABELS[state], BASIS_LABELS[state // 2],
+                             CATALOG_ROLES[state], counts)
+
+
+RECORDS = st.lists(
+    st.builds(
+        _record,
+        st.floats(0.0, 1.0),
+        st.integers(0, len(CATALOG_LABELS) - 1),
+        st.lists(st.floats(0.0, 1e300) | st.integers(0, 10**15).map(float), min_size=4, max_size=4),
+    ),
+    max_size=12,
+)
+
+
+@settings(deadline=None)
+@given(RECORDS)
+def test_write_read_records_round_trip(tmp_path_factory, records):
+    # a record file keeps 12 significant digits, so compare the formatted lines
+    path = tmp_path_factory.mktemp("records") / "records.csv"
+    write_records(records, path)
+    assert [format_record(r) for r in read_records(path)] == [format_record(r) for r in records]
 
 
 def test_write_records_failure_keeps_target(tmp_path):

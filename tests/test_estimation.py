@@ -1,3 +1,4 @@
+import calibration_oracle
 import numpy as np
 import pytest
 
@@ -11,10 +12,12 @@ from qclone.detection import (
 )
 from qclone.estimation import (
     NoDataError,
+    _grid_seed,
     _objective_terms,
     _ratio_seed,
     _stacked_counts,
     calibrate,
+    calibrate_each,
     calibrate_pooled,
     fidelities_from_counts,
     minimize,
@@ -213,11 +216,12 @@ def test_objective_derivatives_match_finite_differences(objective):
     groups = [run_experiment(t, ETA_PAPER, 1e4, seed=i) for i, t in enumerate((0.2, 0.7))]
     h = 1e-5
     for pooled in (False, True):
-        counts = _stacked_counts(groups if pooled else groups[:1])
+        counts = _stacked_counts(groups if pooled else groups[:1])[None]
         for _ in range(5):
             z = rng.uniform(-1.2, 1.2, size=2)
-            _, grad, hess = _objective_terms(counts, z, objective)
-            steps = [_objective_terms(counts, z + s * h * e, objective) for e in np.eye(2) for s in (1, -1)]
+            _, grad, hess = (v[0] for v in _objective_terms(counts, z[None], objective))
+            steps = [[v[0] for v in _objective_terms(counts, (z + s * h * e)[None], objective)]
+                     for e in np.eye(2) for s in (1, -1)]
             fd_grad = [(steps[2 * i][0] - steps[2 * i + 1][0]) / (2 * h) for i in range(2)]
             fd_hess = [(steps[2 * i][1] - steps[2 * i + 1][1]) / (2 * h) for i in range(2)]
             np.testing.assert_allclose(grad, fd_grad, rtol=1e-6, atol=1e-7 * np.abs(grad).max())
@@ -226,16 +230,25 @@ def test_objective_derivatives_match_finite_differences(objective):
 
 @pytest.mark.parametrize("t", [n / 10 for n in range(10)] + [0.95])
 def test_ratio_seed_exact_on_noiseless_data(t):
-    counts = _stacked_counts([run_experiment(t, ETA_PAPER, 1e5, noiseless=True)])
-    np.testing.assert_allclose(np.exp(_ratio_seed(counts)), ETA_PAPER, rtol=0, atol=1e-12)
+    counts = _stacked_counts([run_experiment(t, ETA_PAPER, 1e5, noiseless=True)])[None]
+    np.testing.assert_allclose(np.exp(_ratio_seed(counts)[0]), ETA_PAPER, rtol=0, atol=1e-12)
 
 
 def test_ratio_seed_skips_zero_counts():
     # at t = 1 the psi-role C+- vanish: no ratio constrains eta_b
-    counts = _stacked_counts([run_experiment(1.0, ETA_PAPER, 1e5, noiseless=True)])
-    seed = np.exp(_ratio_seed(counts))
+    counts = _stacked_counts([run_experiment(1.0, ETA_PAPER, 1e5, noiseless=True)])[None]
+    seed = np.exp(_ratio_seed(counts)[0])
     assert abs(seed[0] - ETA_PAPER.eta_a) < 1e-12
     assert seed[1] == 1.0
+
+
+def _batch_of_one(fun):
+    """A batched objective of the single-point objective `fun`."""
+    def batched(x, rows):
+        assert list(rows) == [0]
+        return tuple(np.asarray(v)[None] for v in fun(x[0]))
+
+    return batched
 
 
 def test_minimize_holds_coordinates_on_their_bounds():
@@ -243,19 +256,19 @@ def test_minimize_holds_coordinates_on_their_bounds():
         d = x - np.array([2.0, -1.0])
         return float(d @ d), 2.0 * d, 2.0 * np.eye(2)
 
-    res = minimize(fun, np.array([0.5, 0.5]), 0.0, 1.0)
-    assert res.success and res.nfev >= 2 and res.nit >= 1
-    np.testing.assert_array_equal(res.x, [1.0, 0.0])
-    assert res.fun == 2.0
+    res = minimize(_batch_of_one(fun), np.array([[0.5, 0.5]]), 0.0, 1.0)
+    assert res.success[0] and res.nfev >= 2 and res.nit >= 1
+    np.testing.assert_array_equal(res.x[0], [1.0, 0.0])
+    assert res.fun[0] == 2.0
 
 
 def test_minimize_leaves_a_flat_direction_alone():
     def fun(x):  # the value does not depend on x[1]
         return (x[0] - 0.3) ** 2, np.array([2.0 * (x[0] - 0.3), 0.0]), np.diag([2.0, 0.0])
 
-    res = minimize(fun, np.array([0.9, 0.7]), -1.0, 1.0)
-    assert res.success
-    assert abs(res.x[0] - 0.3) < 1e-12 and res.x[1] == 0.7
+    res = minimize(_batch_of_one(fun), np.array([[0.9, 0.7]]), -1.0, 1.0)
+    assert res.success[0]
+    assert abs(res.x[0, 0] - 0.3) < 1e-12 and res.x[0, 1] == 0.7
 
 
 def test_calibrate_unidentified_eta_b_stays_at_its_seed():
@@ -306,3 +319,93 @@ def test_calibrate_never_worse_than_nelder_mead():
             assert new.objective_value <= old.fun * (1 + 1e-9), (k, objective)
             if objective == "sum":
                 np.testing.assert_allclose(new.eta, old.x, rtol=0, atol=1e-6)
+
+
+# Groups for the batched-versus-alone checks: t = 1, where eta_b has no usable
+# count ratio and stays at its seed of 1; a noiseless group; noisy groups
+# across t, whose single-clone descents end on the edge of the box; and three
+# groups whose `b` descents take a damping update where numpy's array power
+# and Python's float power round the cube differently.
+def _oracle_groups():
+    return [
+        run_experiment(1.0, ETA_PAPER, 1e4, seed=3),
+        run_experiment(T_MID, ETA_PAPER, 1e5, noiseless=True),
+        *(run_experiment(t, ETA_PAPER, 1e4, seed=10 + i)
+          for i, t in enumerate(np.linspace(0.0, 0.95, 12))),
+        *(run_experiment(t, ETA_PAPER, 1e4, seed=seed)
+          for t, seed in ((0.231067512895, 349), (0.307732893789, 368), (0.374270314199, 381))),
+    ]
+
+
+@pytest.mark.parametrize("objective", ["a", "b", "sum"])
+def test_calibrate_each_matches_the_per_group_oracle(objective):
+    groups = _oracle_groups()
+    results = calibrate_each(groups, objective)
+    assert len(results) == len(groups)
+    for recs, res in zip(groups, results):
+        expected = calibration_oracle.calibrate_groups([recs], objective)
+        assert res.eta == expected.eta
+        assert res.objective_value == expected.objective_value
+        assert res.boundary_hit == expected.boundary_hit
+        assert res.report == expected.report
+        # a group in a mixed batch gets what it gets alone
+        assert calibrate(recs, objective) == res
+    assert calibrate_pooled(groups, objective) == calibration_oracle.calibrate_groups(groups, objective)
+    if objective == "sum":
+        assert results[0].eta.eta_b == 1.0
+    else:
+        assert any(res.boundary_hit for res in results)
+
+
+@pytest.mark.parametrize("objective", ["a", "b", "sum"])
+def test_batched_terms_and_seeds_match_the_oracle(objective):
+    counts = _stacked_counts(_oracle_groups() * 12)  # 204 groups
+    axis = np.linspace(0.5, 2.0, calibration_oracle.GRID_POINTS)
+    grid_a = np.repeat(axis, axis.size)
+    grid_b = np.tile(axis, axis.size)
+
+    def oracle_grid_seed(c):
+        best = np.argmin(calibration_oracle.grid_values(c, objective, grid_a, grid_b))
+        return np.log([grid_a[best], grid_b[best]])
+
+    rng = np.random.default_rng(5)
+    for size in (1, 3, 6, 200):
+        pooled = counts[None, :size]
+        z = rng.uniform(-1.5, 1.5, size=2)
+        value, grad, hess = _objective_terms(pooled, z[None], objective)
+        expected = calibration_oracle.objective_terms(counts[:size], z, objective)
+        assert value[0] == expected[0]
+        np.testing.assert_array_equal(grad[0], expected[1])
+        np.testing.assert_array_equal(hess[0], expected[2])
+        np.testing.assert_array_equal(_ratio_seed(pooled)[0], calibration_oracle.ratio_seed(counts[:size]))
+        np.testing.assert_array_equal(_grid_seed(pooled, objective)[0], oracle_grid_seed(counts[:size]))
+    rows = counts[:17, None]
+    np.testing.assert_array_equal(_ratio_seed(rows), [calibration_oracle.ratio_seed(c) for c in rows])
+    np.testing.assert_array_equal(_grid_seed(rows, objective), [oracle_grid_seed(c) for c in rows])
+
+
+def test_minimize_rows_descend_as_they_would_alone():
+    # rows that stop at different steps: bound-held, flat and curved objectives
+    centers = np.array([[2.0, -1.0], [0.3, 0.2], [-0.4, 0.6], [0.1, 0.1]])
+    flat = np.array([1.0, 0.0, 1.0, 1.0])
+
+    def row_fun(k):
+        def fun(x):
+            d, c = x - centers[k], flat[k]
+            q = np.exp(d[0]) - 1.0 - d[0] + c * (d[1] ** 2 + 0.5 * (d[0] + d[1]) ** 2)
+            grad = np.array([np.exp(d[0]) - 1.0 + c * (d[0] + d[1]), c * (3.0 * d[1] + d[0])])
+            hess = np.array([[np.exp(d[0]) + c, c], [c, 3.0 * c]])
+            return q, grad, hess
+
+        return fun
+
+    def fun(x, rows):
+        values = [row_fun(k)(xk) for k, xk in zip(rows, x)]
+        return tuple(np.array(v) for v in zip(*values))
+
+    x0 = np.array([[0.5, 0.5], [0.9, 0.7], [-0.9, -0.9], [0.1, 0.1]])
+    res = minimize(fun, x0, -1.0, 1.0)
+    for k in range(len(x0)):
+        x, f, _, _, success = calibration_oracle.minimize(row_fun(k), x0[k], -1.0, 1.0)
+        np.testing.assert_array_equal(res.x[k], x)
+        assert res.fun[k] == f and res.success[k] == success
