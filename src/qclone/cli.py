@@ -15,7 +15,14 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 
-from .labels import CATALOG_LABELS, OBJECTIVES, RECORD_FIELDS, EfficiencyPair
+from .labels import (
+    BASIS_LABELS,
+    CATALOG_LABELS,
+    CATALOG_ROLES,
+    OBJECTIVES,
+    RECORD_FIELDS,
+    EfficiencyPair,
+)
 
 # The numeric modules (numpy, cloner, detection, estimation, robustness) are
 # imported inside the subcommands that use them, so parsing, validation,
@@ -27,6 +34,12 @@ EXIT_DATA = 2
 EXIT_BOUNDARY = 3
 
 DEFAULT_T_VALUES = tuple(math.sqrt(n / 5.0) for n in range(6))
+
+# (state, basis, role) of each row of a six-state group, in catalog order
+STATE_COLUMNS = tuple(
+    (label, BASIS_LABELS[i // 2], role)
+    for i, (label, role) in enumerate(zip(CATALOG_LABELS, CATALOG_ROLES))
+)
 
 # Caps on the run sizes. At COUNTS_MAX the largest Poisson rate, about
 # counts * 25 * 2/3 at eta = 5, stays far below numpy's limit (about 9.2e18);
@@ -80,9 +93,19 @@ class RunConfig:
     triple: tuple | None = None
 
     def validate(self) -> None:
+        seen = {}
         for t in self.t_values:
             if not 0.0 <= t <= 1.0:
                 raise ConfigError(f"t value {t} outside [0, 1]")
+            # a record file keeps t to 12 significant digits; two t values
+            # that read back the same would make one group of twelve records
+            key = float(f"{t:.12g}")
+            if key in seen:
+                raise ConfigError(
+                    f"t values {seen[key]} and {t} are the same to 12 significant "
+                    "digits, the precision of a record file"
+                )
+            seen[key] = t
         if not 0 < self.counts <= COUNTS_MAX:  # also rejects nan
             raise ConfigError(
                 f"counts must be positive and at most {COUNTS_MAX:g}, got {self.counts}"
@@ -309,26 +332,24 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if records_path == "-":
         raise ConfigError("simulate cannot write the record file to stdout; give --records <path>")
     from .detection import run_experiment, write_records
-    from .estimation import NoDataError, report
+    from .estimation import NoDataError, batch_report, stacked_counts
 
-    all_records = []
-    rows = []
-    for i, t in enumerate(cfg.t_values):
-        recs = run_experiment(
-            t, cfg.eta, cfg.counts, seed=cfg.seed + i, noiseless=cfg.noiseless
-        )
-        all_records.extend(recs)
-        try:
-            rep = report(recs)
-        except NoDataError as exc:
-            raise DataError(f"t = {t}: {exc}; raise --counts")
-        for rec, (fa, fb) in zip(recs, rep.per_state):
-            rows.append(
-                (t, rec.state_label, rec.basis_label, rec.role, fa, fb,
-                 rep.mean_a, rep.mean_b, rep.variance_a, rep.variance_b)
-            )
+    groups = [
+        run_experiment(t, cfg.eta, cfg.counts, seed=cfg.seed + i, noiseless=cfg.noiseless)
+        for i, t in enumerate(cfg.t_values)
+    ]
     try:
-        write_records(all_records, records_path)
+        rep = batch_report(stacked_counts(groups))
+    except NoDataError as exc:
+        raise DataError(f"{exc}; raise --counts")
+    f_a, f_b, *stats = (v.tolist() for v in rep)
+    rows = (
+        (t, *columns, fa, fb, *group_stats)
+        for t, fa_g, fb_g, *group_stats in zip(cfg.t_values, f_a, f_b, *stats)
+        for columns, fa, fb in zip(STATE_COLUMNS, fa_g, fb_g)
+    )
+    try:
+        write_records((rec for recs in groups for rec in recs), records_path)
     except OSError as exc:
         raise DataError(f"cannot write records to {records_path}: {exc}")
     write_table(SCHEMAS["simulate_report"], rows, cfg.out, cfg.format, cfg.resolved())
@@ -347,7 +368,9 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     if not cfg.records:
         raise ConfigError("calibrate requires --records <record file>")
     from .detection import read_records
-    from .estimation import NoDataError, calibrate_each, calibrate_pooled, report
+    from .estimation import (
+        NoDataError, batch_report, calibrate_each, calibrate_pooled, stacked_counts,
+    )
 
     try:
         records = read_records(cfg.records)
@@ -357,29 +380,33 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     if not groups:
         raise DataError(f"no records found in {cfg.records}")
 
-    summary_rows = []
-    state_rows = []
-    ts = sorted(groups)
+    # groups in file order, which the pooled objective sums in; the tables
+    # list them by t
+    file_ts = list(groups)
+    order = sorted(range(len(file_ts)), key=file_ts.__getitem__)
+    ts = [file_ts[i] for i in order]
     try:
+        counts = stacked_counts(list(groups.values()))
+        by_t = counts[order]
+        before = batch_report(by_t).split()
         if cfg.pooled:
-            # the pooled objective sums the groups in file order
-            results = [calibrate_pooled(list(groups.values()), objective=cfg.objective)] * len(ts)
+            results = [calibrate_pooled(counts, objective=cfg.objective)] * len(ts)
+            after = batch_report(by_t, results[0].eta).split()
         else:
-            results = calibrate_each([groups[t] for t in ts], objective=cfg.objective)
-        for t, res in zip(ts, results):
-            recs = groups[t]
-            before = report(recs)
-            after = report(recs, eta_correction=res.eta) if cfg.pooled else res.report
-            summary_rows.append(
-                (t, res.eta.eta_a, res.eta.eta_b, cfg.objective, res.objective_value,
-                 res.boundary_hit, before.mean_a, before.mean_b, after.mean_a, after.mean_b)
-            )
-            by_state = {r.state_label: r for r in recs}
-            for label, (fa, fb) in zip(CATALOG_LABELS, after.per_state):
-                rec = by_state[label]
-                state_rows.append((t, label, rec.basis_label, rec.role, fa, fb))
+            results = calibrate_each(by_t, objective=cfg.objective)
+            after = [res.report for res in results]
     except (NoDataError, ValueError) as exc:
         raise DataError(str(exc))
+    summary_rows = [
+        (t, res.eta.eta_a, res.eta.eta_b, cfg.objective, res.objective_value,
+         res.boundary_hit, b.mean_a, b.mean_b, a.mean_a, a.mean_b)
+        for t, res, b, a in zip(ts, results, before, after)
+    ]
+    state_rows = [
+        (t, *columns, fa, fb)
+        for t, a in zip(ts, after)
+        for columns, (fa, fb) in zip(STATE_COLUMNS, a.per_state)
+    ]
     boundary = any(res.boundary_hit for res in results)
 
     write_table(SCHEMAS["calibrate_summary"], summary_rows, cfg.out, cfg.format, cfg.resolved())

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .detection import MeasurementRecord, rescale_counts
+from .detection import MeasurementRecord
 from .labels import (
     CATALOG_LABELS,
     CATALOG_ROLES,
@@ -63,39 +63,79 @@ def fidelities_from_counts(counts: np.ndarray, role: str) -> tuple[float, float]
     raise ValueError(f"unknown role {role!r}")
 
 
-def _population_variance(values: np.ndarray) -> float:
-    # population (divide-by-6) variance, computed in centered form: the
-    # mean-of-squares expression loses everything below ~1e-16 to cancellation
-    values = np.asarray(values, dtype=float)
-    return float(np.mean((values - values.mean()) ** 2))
-
-
-def _ordered_counts(records: list[MeasurementRecord]) -> tuple[np.ndarray, list[str]]:
-    """Counts matrix (6,4) in catalog order plus the role list; validates coverage."""
+def _ordered_counts(records: list[MeasurementRecord]) -> np.ndarray:
+    """Counts (6, 4) of one six-state group in catalog order; validates coverage."""
     by_state = {}
     for rec in records:
         if rec.state_label in by_state:
-            raise ValueError(f"duplicate record for state {rec.state_label}")
+            raise ValueError(f"duplicate record for state {rec.state_label} at t = {rec.t}")
         by_state[rec.state_label] = rec
     missing = [s for s in CATALOG_LABELS if s not in by_state]
     if missing:
         raise ValueError(f"missing records for states: {missing}")
-    ordered = [by_state[s] for s in CATALOG_LABELS]
-    counts = np.array([r.counts for r in ordered], dtype=float)
-    roles = [r.role for r in ordered]
-    return counts, roles
+    return np.array([by_state[s].counts for s in CATALOG_LABELS], dtype=float)
 
 
-def _report_from_counts(counts: np.ndarray, roles: list[str]) -> FidelityReport:
-    per_state = [fidelities_from_counts(c, role) for c, role in zip(counts, roles)]
-    fa = np.array([p[0] for p in per_state])
-    fb = np.array([p[1] for p in per_state])
-    return FidelityReport(
-        per_state=per_state,
-        mean_a=float(fa.mean()),
-        mean_b=float(fb.mean()),
-        variance_a=_population_variance(fa),
-        variance_b=_population_variance(fb),
+def stacked_counts(groups: list[list[MeasurementRecord]]) -> np.ndarray:
+    """Counts of every six-state group in catalog order, shape (G, 6, 4).
+
+    Raises `NoDataError`, naming the t of the first such group, when a
+    record holds no count at all.
+    """
+    counts = np.stack([_ordered_counts(records) for records in groups])
+    empty = (counts.sum(axis=-1) <= 0).any(axis=-1)
+    if empty.any():
+        t = groups[int(empty.argmax())][0].t
+        raise NoDataError(f"t = {t}: all four coincidence counts are zero")
+    return counts
+
+
+_PSI_ROWS = np.array(CATALOG_ROLES) == ROLE_PSI
+
+
+class BatchReport(NamedTuple):
+    """Six-state reports of G groups: per-state fidelities (G, 6) in catalog
+    order, and their means and population variances (G,)."""
+
+    f_a: np.ndarray
+    f_b: np.ndarray
+    mean_a: np.ndarray
+    mean_b: np.ndarray
+    variance_a: np.ndarray
+    variance_b: np.ndarray
+
+    def split(self) -> list[FidelityReport]:
+        """One `FidelityReport` of Python floats per group."""
+        f_a, f_b, *stats = (v.tolist() for v in self)
+        return [FidelityReport(list(zip(a, b)), *s) for a, b, *s in zip(f_a, f_b, *stats)]
+
+
+def batch_report(counts: np.ndarray, eta=None) -> BatchReport:
+    """Six-state reports of counts (G, 6, 4) in catalog order, rescaled first
+    by the efficiencies eta, (G, 2) or (2,), when given.
+
+    Row g is bit for bit the report of group g alone: the arithmetic is
+    elementwise, and every sum runs along a contiguous trailing axis of at
+    most six terms, which numpy adds in the order of a sum of that group.
+    """
+    counts = np.asarray(counts, dtype=float)
+    if eta is not None:
+        eta_a, eta_b = np.moveaxis(np.asarray(eta, dtype=float), -1, 0)
+        scale = np.stack([eta_a * eta_b, eta_a, eta_b, np.ones_like(eta_a)], axis=-1)
+        counts = counts * scale[..., None, :]
+    total = counts.sum(axis=-1)
+    if np.any(total <= 0):
+        raise NoDataError("all four coincidence counts are zero")
+    c_pp, c_pm, c_mp, c_mm = np.moveaxis(counts, -1, 0)
+    f_a = np.where(_PSI_ROWS, c_pp + c_pm, c_mm + c_mp) / total
+    f_b = np.where(_PSI_ROWS, c_pp + c_mp, c_mm + c_pm) / total
+    mean_a, mean_b = f_a.mean(axis=-1), f_b.mean(axis=-1)
+    # population (divide-by-6) variance in centered form: the mean-of-squares
+    # expression loses everything below ~1e-16 to cancellation
+    return BatchReport(
+        f_a, f_b, mean_a, mean_b,
+        ((f_a - mean_a[:, None]) ** 2).mean(axis=-1),
+        ((f_b - mean_b[:, None]) ** 2).mean(axis=-1),
     )
 
 
@@ -103,11 +143,9 @@ def report(
     records: list[MeasurementRecord],
     eta_correction: EfficiencyPair | None = None,
 ) -> FidelityReport:
-    """Six-state fidelity report, optionally after efficiency rescaling."""
-    counts, roles = _ordered_counts(records)
-    if eta_correction is not None:
-        counts = np.array([rescale_counts(c, eta_correction) for c in counts])
-    return _report_from_counts(counts, roles)
+    """Six-state fidelity report, optionally after efficiency rescaling:
+    `batch_report` of one group."""
+    return batch_report(stacked_counts([records]), eta_correction).split()[0]
 
 
 # --- calibration --------------------------------------------------------------
@@ -129,28 +167,21 @@ def report(
 # small products go through `np.matmul` on stacked arrays, the same kernels
 # a single row uses.
 
-_PSI_ROWS = np.array(CATALOG_ROLES) == ROLE_PSI
 _ROLE_SIGN = np.where(_PSI_ROWS, 1.0, -1.0)
 _CLONES = {"a": [0], "b": [1], "sum": [0, 1]}
 _LOG_BOUNDS = (np.log(ETA_MIN), np.log(ETA_MAX))
 _GRID_POINTS = 50  # per axis of the pre-scan grid
-# cells (rows x grid points x groups x states) per block of the pre-scan;
-# bounds its memory
+# Memory bounds of the pre-scan: cells (groups x states x points) of the
+# arithmetic on one chunk, and per-group objective values (groups x points)
+# of a row kept for one block of grid points, per clone
 _GRID_CELLS = 2**14
+_GRID_VALUES = 2**15
 
 
 def _clones(objective: str) -> list[int]:
     if objective not in _CLONES:
         raise ValueError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
     return _CLONES[objective]
-
-
-def _stacked_counts(groups: list[list[MeasurementRecord]]) -> np.ndarray:
-    """Counts of every six-state group in catalog order, shape (G, 6, 4)."""
-    counts = np.stack([_ordered_counts(records)[0] for records in groups])
-    if np.any(counts.sum(axis=-1) <= 0):
-        raise NoDataError("all four coincidence counts are zero")
-    return counts
 
 
 def _rescaled_sums(counts: np.ndarray, eta_a, eta_b):
@@ -171,40 +202,60 @@ def _centered(f: np.ndarray) -> np.ndarray:
     return f - f.mean(axis=-1, keepdims=True)
 
 
-def _grid_seed(counts: np.ndarray, objective: str) -> np.ndarray:
-    """ln(eta) (B, 2) of the lowest objective on a 50x50 grid over [0.5, 2]^2,
-    the first such point in row-major order.
+def _grid() -> tuple[np.ndarray, np.ndarray]:
+    """(eta_a, eta_b) of the pre-scan grid points, 50x50 over [0.5, 2]^2 in
+    row-major order: eta_a outer, eta_b inner."""
+    axis = np.linspace(0.5, 2.0, _GRID_POINTS)
+    return np.repeat(axis, _GRID_POINTS), np.tile(axis, _GRID_POINTS)
 
-    Blocks of rows and of grid points of at most `_GRID_CELLS` cells are
-    laid out (rows, states, points, groups), so every reduction adds in the
-    order the per-row layout (points, groups, states) does; each row keeps
-    a running minimum over its blocks of points.
+
+def _grid_values(counts: np.ndarray, objective: str):
+    """Objective of counts (B, G, 6, 4) on the pre-scan grid, row by row and
+    block by block of grid points.
+
+    Yields (row, start, values): the values (P,) of batch row `row` at grid
+    points start to start + P, where P keeps the row's per-group values
+    within `_GRID_VALUES` per clone.  The arithmetic runs on chunks of
+    groups of at most `_GRID_CELLS` cells laid out (group, state, point), so
+    the innermost loop runs over points.  The per-group values of each clone
+    are then summed over groups along the contiguous trailing axis of a
+    (point, group) copy, and the clones are added after: the order of the
+    sums of one row alone.
     """
     clones = _clones(objective)
-    axis = np.linspace(0.5, 2.0, _GRID_POINTS)
-    grid_a, grid_b = np.repeat(axis, _GRID_POINTS)[:, None], np.tile(axis, _GRID_POINTS)[:, None]
-    rows, groups, states = counts.shape[:3]
-    points = min(grid_a.size, max(1, _GRID_CELLS // (states * groups)))
-    block = max(1, _GRID_CELLS // (states * groups * points))
-    best = np.zeros(rows, dtype=int)
-    lowest = np.full(rows, np.inf)
-    by_state = counts.transpose(0, 2, 1, 3)[:, :, None]  # (B, 6, 1, G, 4)
-    for r in range(0, rows, block):
-        for i in range(0, grid_a.size, points):
-            sums = _rescaled_sums(by_state[r : r + block], grid_a[i : i + points], grid_b[i : i + points])
-            values = 0.0
-            for k in clones:
-                f = sums[k] / sums[3]
-                f[:, ~_PSI_ROWS] = 1.0 - f[:, ~_PSI_ROWS]
-                f -= f.mean(axis=1, keepdims=True)
-                f *= f
-                values = values + f.mean(axis=1).sum(axis=-1)
-            arg = values.argmin(axis=-1)
-            low = values[np.arange(len(arg)), arg]
-            lower = low < lowest[r : r + block]
-            best[r : r + block][lower] = i + arg[lower]
-            lowest[r : r + block][lower] = low[lower]
-    return np.log(np.concatenate([grid_a[best], grid_b[best]], axis=-1))
+    all_a, all_b = _grid()
+    groups, states = counts.shape[1:3]
+    points = min(all_a.size, max(1, _GRID_VALUES // groups))
+    chunk = max(1, _GRID_CELLS // (states * points))
+    for row, cells in enumerate(counts[:, :, :, None]):  # (G, 6, 1, 4)
+        for start in range(0, all_a.size, points):
+            grid_a, grid_b = all_a[start : start + points], all_b[start : start + points]
+            per_group = np.empty((len(clones), groups, grid_a.size))
+            for j in range(0, groups, chunk):
+                sums = _rescaled_sums(cells[j : j + chunk], grid_a, grid_b)
+                for slot, k in enumerate(clones):
+                    f = np.divide(sums[k], sums[3], out=sums[k])
+                    np.subtract(1.0, f[:, 1::2], out=f[:, 1::2])  # the perp-role rows
+                    f -= f.mean(axis=1, keepdims=True)
+                    f *= f
+                    np.mean(f, axis=1, out=per_group[slot, j : j + chunk])
+            values = np.zeros(grid_a.size)
+            for v in per_group:
+                values += np.ascontiguousarray(v.T).sum(axis=-1)
+            yield row, start, values
+
+
+def _grid_seed(counts: np.ndarray, objective: str) -> np.ndarray:
+    """ln(eta) (B, 2) of the lowest objective on a 50x50 grid over [0.5, 2]^2,
+    the first such point in row-major order."""
+    best = np.zeros(len(counts), dtype=int)
+    lowest = np.full(len(counts), np.inf)
+    for row, start, values in _grid_values(counts, objective):
+        arg = values.argmin()
+        if values[arg] < lowest[row]:
+            best[row], lowest[row] = start + arg, values[arg]
+    grid_a, grid_b = _grid()
+    return np.log(np.stack([grid_a[best], grid_b[best]], axis=-1))
 
 
 def _objective_terms(counts: np.ndarray, log_eta: np.ndarray, objective: str):
@@ -373,26 +424,31 @@ def calibrate(records: list[MeasurementRecord], objective: str = "sum") -> Calib
 
 
 def calibrate_each(
-    groups: list[list[MeasurementRecord]],
+    groups: list[list[MeasurementRecord]] | np.ndarray,
     objective: str = "sum",
 ) -> list[CalibrationResult]:
     """`calibrate` of every six-state group, all groups in one batched grid
-    pre-scan and one batched descent.  Each result is bit for bit the one
-    the group calibrated alone gets."""
-    etas, values = _calibrate_rows(_stacked_counts(groups)[:, None], objective)
-    return [_result(*args, objective) for args in zip(groups, etas, values)]
+    pre-scan, one batched descent and one batched report.  Each result is
+    bit for bit the one the group calibrated alone gets.  `groups` may also
+    be their counts (G, 6, 4) from `stacked_counts`."""
+    counts = groups if isinstance(groups, np.ndarray) else stacked_counts(groups)
+    etas, values = _calibrate_rows(counts[:, None], objective)
+    reports = batch_report(counts, etas).split()
+    return [_result(*args, objective) for args in zip(etas, values, reports)]
 
 
 def calibrate_pooled(
-    groups: list[list[MeasurementRecord]],
+    groups: list[list[MeasurementRecord]] | np.ndarray,
     objective: str = "sum",
 ) -> CalibrationResult:
     """Single efficiency pair minimizing the summed objective over several
     six-state groups (one per asymmetry setting): a batch of one row holding
     every group, through the same descent as `calibrate_each`.  The returned
-    report is for the first group."""
-    (eta,), (value,) = _calibrate_rows(_stacked_counts(groups)[None], objective)
-    return _result(groups[0], eta, value, objective)
+    report is for the first group.  `groups` may also be their counts
+    (G, 6, 4) from `stacked_counts`."""
+    counts = groups if isinstance(groups, np.ndarray) else stacked_counts(groups)
+    (eta,), (value,) = _calibrate_rows(counts[None], objective)
+    return _result(eta, value, batch_report(counts[:1], eta).split()[0], objective)
 
 
 def _calibrate_rows(counts: np.ndarray, objective: str):
@@ -416,11 +472,11 @@ def _calibrate_rows(counts: np.ndarray, objective: str):
     return np.exp(log_eta), np.where(use_grid, grid_fun, ratio_fun)
 
 
-def _result(records, eta, value, objective: str) -> CalibrationResult:
+def _result(eta, value, report: FidelityReport, objective: str) -> CalibrationResult:
     eta = EfficiencyPair(*eta.tolist())
     return CalibrationResult(
         eta=eta,
-        report=report(records, eta_correction=eta),
+        report=report,
         objective_value=float(value),
         objective=objective,
         boundary_hit=any(min(e - ETA_MIN, ETA_MAX - e) < 1e-6 for e in eta),

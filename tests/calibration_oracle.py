@@ -14,8 +14,8 @@ from qclone.estimation import (
     _XTOL,
     CalibrationResult,
     _clones,
-    _stacked_counts,
     report,
+    stacked_counts,
 )
 from qclone.labels import ETA_MAX, ETA_MIN, EfficiencyPair
 
@@ -133,7 +133,7 @@ def minimize(fun, x0, lower, upper):
 def calibrate_groups(groups, objective):
     """One efficiency pair for the summed objective of `groups`: descents from
     the ratio seed and from the best grid point, the lower minimum kept."""
-    counts = _stacked_counts(groups)
+    counts = stacked_counts(groups)
     axis = np.linspace(0.5, 2.0, GRID_POINTS)
     grid_a, grid_b = np.repeat(axis, GRID_POINTS), np.tile(axis, GRID_POINTS)
     best = int(np.argmin(grid_values(counts, objective, grid_a, grid_b)))

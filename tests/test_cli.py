@@ -137,7 +137,7 @@ def test_config_parse_error(tmp_path, capsys):
     assert "bad.cfg:1" in capsys.readouterr().err
 
 
-def test_config_validation_error(tmp_path):
+def test_config_validation_error(tmp_path, capsys):
     assert main(["analytic", "--t", "2.0"]) == EXIT_CONFIG
     # with both output paths given, simulate would otherwise run
     simulate = ["simulate", "--t", "0.5", "--out", str(tmp_path / "sim.csv"),
@@ -147,6 +147,12 @@ def test_config_validation_error(tmp_path):
                         ("--eta-a", "9"), ("--eta-a", "nan"), ("--eta-b", "0.1"),
                         ("--seed", "-1")]:
         assert main([*simulate, flag, value]) == EXIT_CONFIG, flag
+    # t values a record file would write alike; calibrate would reject the file
+    for t_list, first, second in [("0.5,0.5", "0.5", "0.5"),
+                                  ("0.1,0.1000000000001", "0.1", "0.1000000000001")]:
+        capsys.readouterr()
+        assert main([*simulate[:1], "--t", t_list, *simulate[3:]]) == EXIT_CONFIG, t_list
+        assert f"t values {first} and {second} are the same" in capsys.readouterr().err
     assert main(["robustness", "--t", "0.5", "--eps-points", "100000000",
                  "--out", str(tmp_path / "rob.csv")]) == EXIT_CONFIG
     for triple in ("nan,0.5,0.5", "0.5,0.5,nan", "inf,0.5,0.5", "0.9,0.7,-inf"):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from channel_oracle import channel_probabilities
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qclone.cloner import machine_triple
 from qclone.detection import (
@@ -20,7 +21,7 @@ from qclone.detection import (
     write_records,
 )
 from qclone.estimation import fidelities_from_counts
-from qclone.labels import BASIS_LABELS, CATALOG_LABELS
+from qclone.labels import BASIS_LABELS, CATALOG_LABELS, ETA_MAX, ETA_MIN
 from qclone.states import catalog_states, mub_bases
 
 T_ORACLE = [0.0, *np.linspace(0.05, 0.95, 19), *(np.sqrt(n / 5) for n in range(1, 5)), 1.0]
@@ -124,6 +125,18 @@ def test_bias_rescale_round_trip():
         back = rescale_counts(bias_counts(p, eta, n), eta)
         expected = eta.eta_a * eta.eta_b * n * p
         np.testing.assert_allclose(back, expected, rtol=1e-12)
+
+
+@given(
+    arrays(np.float64, 4, elements=st.just(0.0) | st.floats(1e-300, 1.0)),
+    st.floats(ETA_MIN, ETA_MAX),
+    st.floats(ETA_MIN, ETA_MAX),
+    st.floats(1e-3, 1e15),
+)
+def test_rescale_inverts_bias_property(p, eta_a, eta_b, n):
+    eta = EfficiencyPair(eta_a, eta_b)
+    back = rescale_counts(bias_counts(p, eta, n), eta)
+    np.testing.assert_allclose(back, eta_a * eta_b * n * p, rtol=1e-12, atol=0)
 
 
 def test_sample_counts_zero_and_determinism():

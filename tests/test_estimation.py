@@ -1,6 +1,7 @@
 import calibration_oracle
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qclone.cloner import machine_triple
 from qclone.detection import (
@@ -8,21 +9,25 @@ from qclone.detection import (
     ROLE_PSI,
     EfficiencyPair,
     MeasurementRecord,
+    rescale_counts,
     run_experiment,
 )
 from qclone.estimation import (
     NoDataError,
     _grid_seed,
+    _grid_values,
     _objective_terms,
     _ratio_seed,
-    _stacked_counts,
+    batch_report,
     calibrate,
     calibrate_each,
     calibrate_pooled,
     fidelities_from_counts,
     minimize,
     report,
+    stacked_counts,
 )
+from qclone.labels import CATALOG_ROLES, ETA_MAX, ETA_MIN
 from qclone.robustness import error_bound, taylor_form, taylor_form_b
 
 UNIT = EfficiencyPair(1.0, 1.0)
@@ -115,6 +120,54 @@ def test_report_rejects_incomplete_records():
         report(recs[:5])
     with pytest.raises(ValueError, match="duplicate"):
         report(recs + [recs[0]])
+    with pytest.raises(ValueError, match="duplicate record for state H at t = 0.5"):
+        report(recs + [recs[0]])
+
+
+def _group_report(counts, eta):
+    """Means, variances and per-state fidelities of one group (6, 4), state
+    by state through `fidelities_from_counts`."""
+    if eta is not None:
+        counts = [rescale_counts(c, EfficiencyPair(*eta)) for c in counts]
+    per_state = [fidelities_from_counts(c, role) for c, role in zip(counts, CATALOG_ROLES)]
+    fa, fb = (np.array([p[k] for p in per_state]) for k in (0, 1))
+    return (
+        [tuple(map(float, p)) for p in per_state],
+        float(fa.mean()), float(fb.mean()),
+        float(np.mean((fa - fa.mean()) ** 2)), float(np.mean((fb - fb.mean()) ** 2)),
+    )
+
+
+@st.composite
+def count_arrays(draw):
+    """Counts (G, 6, 4), G from 1 to 40: whole or fractional, of one to twelve
+    decades, with a drawn share of zero outcomes; no state without any count."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    shape = (draw(st.integers(1, 40)), 6, 4)
+    counts = 10.0 ** rng.uniform(-3.0, draw(st.floats(-2.0, 9.0)), shape)
+    if draw(st.booleans()):
+        counts = np.ceil(counts)
+    counts[rng.random(shape) < draw(st.floats(0.0, 0.9))] = 0.0
+    counts[..., 3] += counts.sum(axis=-1) == 0
+    return counts
+
+
+@given(count_arrays(), st.sampled_from(["none", "pair", "per group"]), st.integers(0, 2**32))
+def test_batch_report_equals_the_report_of_each_group(counts, correction, seed):
+    rng = np.random.default_rng(seed)
+    groups = len(counts)
+    eta = {
+        "none": None,
+        "pair": rng.uniform(ETA_MIN, ETA_MAX, 2),
+        "per group": rng.uniform(ETA_MIN, ETA_MAX, (groups, 2)),
+    }[correction]
+    reports = batch_report(counts, eta).split()
+    assert len(reports) == groups
+    for g, rep in enumerate(reports):
+        eta_g = None if eta is None else (eta if eta.ndim == 1 else eta[g]).tolist()
+        per_state, *stats = _group_report(counts[g], eta_g)
+        assert rep.per_state == per_state
+        assert [rep.mean_a, rep.mean_b, rep.variance_a, rep.variance_b] == stats
 
 
 def test_calibrate_noiseless_round_trip():
@@ -216,7 +269,7 @@ def test_objective_derivatives_match_finite_differences(objective):
     groups = [run_experiment(t, ETA_PAPER, 1e4, seed=i) for i, t in enumerate((0.2, 0.7))]
     h = 1e-5
     for pooled in (False, True):
-        counts = _stacked_counts(groups if pooled else groups[:1])[None]
+        counts = stacked_counts(groups if pooled else groups[:1])[None]
         for _ in range(5):
             z = rng.uniform(-1.2, 1.2, size=2)
             _, grad, hess = (v[0] for v in _objective_terms(counts, z[None], objective))
@@ -230,13 +283,13 @@ def test_objective_derivatives_match_finite_differences(objective):
 
 @pytest.mark.parametrize("t", [n / 10 for n in range(10)] + [0.95])
 def test_ratio_seed_exact_on_noiseless_data(t):
-    counts = _stacked_counts([run_experiment(t, ETA_PAPER, 1e5, noiseless=True)])[None]
+    counts = stacked_counts([run_experiment(t, ETA_PAPER, 1e5, noiseless=True)])[None]
     np.testing.assert_allclose(np.exp(_ratio_seed(counts)[0]), ETA_PAPER, rtol=0, atol=1e-12)
 
 
 def test_ratio_seed_skips_zero_counts():
     # at t = 1 the psi-role C+- vanish: no ratio constrains eta_b
-    counts = _stacked_counts([run_experiment(1.0, ETA_PAPER, 1e5, noiseless=True)])[None]
+    counts = stacked_counts([run_experiment(1.0, ETA_PAPER, 1e5, noiseless=True)])[None]
     seed = np.exp(_ratio_seed(counts)[0])
     assert abs(seed[0] - ETA_PAPER.eta_a) < 1e-12
     assert seed[1] == 1.0
@@ -359,7 +412,7 @@ def test_calibrate_each_matches_the_per_group_oracle(objective):
 
 @pytest.mark.parametrize("objective", ["a", "b", "sum"])
 def test_batched_terms_and_seeds_match_the_oracle(objective):
-    counts = _stacked_counts(_oracle_groups() * 12)  # 204 groups
+    counts = stacked_counts(_oracle_groups() * 12)  # 204 groups
     axis = np.linspace(0.5, 2.0, calibration_oracle.GRID_POINTS)
     grid_a = np.repeat(axis, axis.size)
     grid_b = np.tile(axis, axis.size)
@@ -382,6 +435,39 @@ def test_batched_terms_and_seeds_match_the_oracle(objective):
     rows = counts[:17, None]
     np.testing.assert_array_equal(_ratio_seed(rows), [calibration_oracle.ratio_seed(c) for c in rows])
     np.testing.assert_array_equal(_grid_seed(rows, objective), [oracle_grid_seed(c) for c in rows])
+
+
+def _oracle_grid():
+    axis = np.linspace(0.5, 2.0, calibration_oracle.GRID_POINTS)
+    return np.repeat(axis, axis.size), np.tile(axis, axis.size)
+
+
+def _grid_table(counts, objective):
+    """Every grid value (B, 2500) of `_grid_values`, put together from its blocks."""
+    table = np.full((len(counts), calibration_oracle.GRID_POINTS**2), np.nan)
+    for row, start, values in _grid_values(counts, objective):
+        table[row, start : start + values.size] = values
+    return table
+
+
+@pytest.mark.parametrize("objective", ["a", "b", "sum"])
+def test_pooled_grid_values_match_the_oracle(objective):
+    # the oracle sums each clone over groups pairwise along a contiguous
+    # axis; 7, 9, 130 and 200 groups cross that sum's 8- and 128-term steps
+    counts = stacked_counts(_oracle_groups() * 12)  # 204 groups
+    grid_a, grid_b = _oracle_grid()
+    for size in (2, 7, 9, 130, 200):
+        expected = calibration_oracle.grid_values(counts[:size], objective, grid_a, grid_b)
+        np.testing.assert_array_equal(_grid_table(counts[None, :size], objective)[0], expected)
+        best = np.argmin(expected)
+        np.testing.assert_array_equal(
+            _grid_seed(counts[None, :size], objective)[0], np.log([grid_a[best], grid_b[best]])
+        )
+    rows = counts[:30, None]
+    table = _grid_table(rows, objective)
+    for k in range(len(rows)):
+        expected = calibration_oracle.grid_values(rows[k], objective, grid_a, grid_b)
+        np.testing.assert_array_equal(table[k], expected)
 
 
 def test_minimize_rows_descend_as_they_would_alone():

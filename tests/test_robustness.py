@@ -236,6 +236,17 @@ MISMATCHES = arrays(
 )
 
 
+@given(machines(), st.floats(0.0, 2.0 * np.pi))
+def test_linear_terms_cancel_property(m, angle):
+    # the basis mean of either clone has no first-order term in the
+    # mismatches: its central difference along any direction vanishes
+    step = 1e-5
+    da, db = step * np.cos(angle), step * np.sin(angle)
+    for mean in (biased_mean, biased_mean_b):
+        slope = (mean(m, eta_from_mismatch(da, db)) - mean(m, eta_from_mismatch(-da, -db))) / (2 * step)
+        assert abs(slope) < 1e-8
+
+
 # 0.343805606955381**2 through the C pow() of glibc is one unit in the last
 # place off the correctly rounded product that numpy's array square gives
 @example(SYMMETRIC, np.array([0.343805606955381, 0.0]), np.array([0.0, 0.343805606955381]))
