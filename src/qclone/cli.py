@@ -1,9 +1,9 @@
 """Command-line front end: analytic curves, synthetic experiments, detector
 calibration and miscalibration sweeps, emitted as CSV or JSON tables.
 
-Exit codes: 0 success, 1 config error, 2 data error (a stdout closed by its
-reader included), 3 calibration hit the search boundary and --strict was
-given.
+Exit codes: 0 success, 1 config error (a command line that argparse rejects
+included), 2 data error (a stdout closed by its reader included), 3
+calibration hit the search boundary and --strict was given.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .labels import (
     BASIS_LABELS,
@@ -21,6 +21,8 @@ from .labels import (
     CATALOG_ROLES,
     OBJECTIVES,
     RECORD_FIELDS,
+    ROLE_PERP,
+    ROLE_PSI,
     EfficiencyPair,
 )
 
@@ -46,6 +48,8 @@ STATE_COLUMNS = tuple(
 # EPS_POINTS_MAX**2 is the row count of the largest robustness table.
 COUNTS_MAX = 1e15
 EPS_POINTS_MAX = 501
+
+FORMATS = ("csv", "json")
 
 SCHEMAS = {
     "analytic": ("kind", "t", "f_a", "f_b", "p", "success_prob", "tradeoff_residual"),
@@ -118,7 +122,7 @@ class RunConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.objective not in OBJECTIVES:
             raise ConfigError(f"objective must be one of {OBJECTIVES}")
-        if self.format not in ("csv", "json"):
+        if self.format not in FORMATS:
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
         if not 1 <= self.eps_points <= EPS_POINTS_MAX:
             raise ConfigError(
@@ -140,19 +144,54 @@ class RunConfig:
         return out
 
 
-_BOOL_KEYS = {"noiseless", "pooled", "strict"}
-_FLOAT_KEYS = {"eta_a", "eta_b", "counts", "eps_max"}
-_INT_KEYS = {"seed", "eps_points"}
-_LIST_KEYS = {"t_values", "triple"}
+def _boolean(val) -> bool:
+    # a config file gives a string, a flag (store_true) gives True
+    text = str(val).lower()
+    if text not in ("true", "1", "yes", "false", "0", "no"):
+        raise ValueError(f"not a boolean: {val!r}")
+    return text in ("true", "1", "yes")
+
+
+def _floats(val: str) -> tuple:
+    return tuple(float(x) for x in val.split(","))
+
+
+# One entry per RunConfig field: its flag, the parser of its value (from a
+# flag or a config file alike; a bad value raises ValueError), its help text.
+OPTIONS = {
+    "t_values": ("--t", _floats, "comma-separated list of t values"),
+    "eta_a": ("--eta-a", float, "synthetic detector efficiency ratio of clone A"),
+    "eta_b": ("--eta-b", float, "synthetic detector efficiency ratio of clone B"),
+    "counts": ("--counts", float, "mean coincidence counts per state"),
+    "seed": ("--seed", int, "root seed of the simulated counts"),
+    "noiseless": ("--noiseless", _boolean, "expected counts, no Poisson noise"),
+    "objective": ("--objective", str, f"calibration objective: {', '.join(OBJECTIVES)}"),
+    "pooled": ("--pooled", _boolean, "calibrate one efficiency pair for all t values"),
+    "out": ("--out", str, "output path, '-' for stdout"),
+    "records": ("--records", str, "record file (simulate: write, calibrate: read)"),
+    "format": ("--format", str, f"table format: {', '.join(FORMATS)}"),
+    "strict": ("--strict", _boolean, "exit 3 when calibration hits the search boundary"),
+    "eps_max": ("--eps-max", float, "largest mismatch of the robustness sweep"),
+    "eps_points": ("--eps-points", int, "points per mismatch axis of the sweep"),
+    "triple": ("--triple", _floats, "explicit machine f_a,f_b,p (robustness)"),
+}
+
+
+def _parse_value(key: str, val, where: str):
+    _, parse, _ = OPTIONS[key]
+    try:
+        return parse(val)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}")
 
 
 def parse_config_file(path: str) -> dict:
     """Flat key=value config; '#' starts a comment."""
     values = {}
-    known = {f.name for f in fields(RunConfig)}
     try:
-        lines = open(path).read().splitlines()
-    except OSError as exc:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -162,63 +201,20 @@ def parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in known:
+        if key not in OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            values[key] = _coerce(key, val)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: field {key!r}: {exc}")
+        values[key] = _parse_value(key, val, f"{path}:{lineno}: field {key!r}")
     return values
-
-
-def _coerce(key: str, val: str):
-    if key in _BOOL_KEYS:
-        if val.lower() in ("true", "1", "yes"):
-            return True
-        if val.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"not a boolean: {val!r}")
-    if key in _FLOAT_KEYS:
-        return float(val)
-    if key in _INT_KEYS:
-        return int(val)
-    if key in _LIST_KEYS:
-        return tuple(float(x) for x in val.split(","))
-    return val
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults < config file < CLI flags."""
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, val in parse_config_file(args.config).items():
-            setattr(cfg, key, val)
-    flag_map = {
-        "t": "t_values",
-        "eta_a": "eta_a",
-        "eta_b": "eta_b",
-        "counts": "counts",
-        "seed": "seed",
-        "noiseless": "noiseless",
-        "objective": "objective",
-        "pooled": "pooled",
-        "out": "out",
-        "records": "records",
-        "format": "format",
-        "strict": "strict",
-        "eps_max": "eps_max",
-        "eps_points": "eps_points",
-        "triple": "triple",
-    }
-    for flag, key in flag_map.items():
-        val = getattr(args, flag, None)
-        if val is not None and val is not False:
-            if key in _LIST_KEYS and isinstance(val, str):
-                try:
-                    val = tuple(float(x) for x in val.split(","))
-                except ValueError as exc:
-                    raise ConfigError(f"--{flag}: {exc}")
-            setattr(cfg, key, val)
+    values = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    for key, (flag, _, _) in OPTIONS.items():
+        val = getattr(args, key, None)
+        if val is not None:
+            values[key] = _parse_value(key, val, flag)
+    cfg = RunConfig(**values)
     cfg.validate()
     return cfg
 
@@ -482,7 +478,8 @@ def cmd_schema(_cfg: RunConfig) -> int:
     for name, cols in SCHEMAS.items():
         print(f"{name}: {','.join(cols)}")
     print("record file: one record per line, fields as 'records' above;")
-    print("state in {H,V,D,A,R,L}, basis in {HV,DA,RL}, role in {psi,perp}")
+    vocabulary = {"state": CATALOG_LABELS, "basis": BASIS_LABELS, "role": (ROLE_PSI, ROLE_PERP)}
+    print(", ".join(f"{name} in {{{','.join(values)}}}" for name, values in vocabulary.items()))
     return EXIT_OK
 
 
@@ -495,37 +492,32 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose rejections are config errors, not exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qclone",
         description="Asymmetric qubit-cloner simulation, calibration and robustness tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", help="key=value config file")
-        p.add_argument("--t", help="comma-separated list of t values")
-        p.add_argument("--eta-a", dest="eta_a", type=float)
-        p.add_argument("--eta-b", dest="eta_b", type=float)
-        p.add_argument("--counts", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--noiseless", action="store_true", default=None)
-        p.add_argument("--objective", choices=OBJECTIVES)
-        p.add_argument("--pooled", action="store_true", default=None)
-        p.add_argument("--out", help="output path, '-' for stdout")
-        p.add_argument("--records", help="record file (simulate: write, calibrate: read)")
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--strict", action="store_true", default=None)
-        p.add_argument("--eps-max", dest="eps_max", type=float)
-        p.add_argument("--eps-points", dest="eps_points", type=int)
-        p.add_argument("--triple", help="explicit machine f_a,f_b,p (robustness)")
+        p.add_argument("--config", help=f"key=value config file; keys: {', '.join(OPTIONS)}")
+        for key, (flag, parse, text) in OPTIONS.items():
+            switch = {"action": "store_true", "default": None} if parse is _boolean else {}
+            p.add_argument(flag, dest=key, help=text, **switch)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = build_config(args)
         _echo_config(cfg)
         code = COMMANDS[args.command](cfg)

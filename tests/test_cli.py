@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -17,11 +18,17 @@ from qclone.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
+    FORMATS,
+    OPTIONS,
     SCHEMAS,
     DataError,
+    RunConfig,
+    build_config,
+    build_parser,
     main,
     write_table,
 )
+from qclone.labels import OBJECTIVES
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -135,6 +142,12 @@ def test_config_parse_error(tmp_path, capsys):
     cfg.write_text("t_values: 0,1\n")
     assert main(["analytic", "--config", str(cfg)]) == EXIT_CONFIG
     assert "bad.cfg:1" in capsys.readouterr().err
+    cfg.write_text("seed = 3\neta_a = abc\n")
+    assert main(["analytic", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "bad.cfg:2: field 'eta_a': could not convert" in capsys.readouterr().err
+    cfg.write_bytes(b"seed = \xff\n")  # not text
+    assert main(["analytic", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "cannot read config" in capsys.readouterr().err
 
 
 def test_config_validation_error(tmp_path, capsys):
@@ -159,6 +172,84 @@ def test_config_validation_error(tmp_path, capsys):
         assert main(["robustness", "--triple", triple,
                      "--out", str(tmp_path / "rob.csv")]) == EXIT_CONFIG, triple
     assert list(tmp_path.iterdir()) == []
+
+
+PATHS = ["--out", "sim.csv", "--records", "records.csv"]
+
+
+@pytest.mark.parametrize("argv, message, usage", [
+    (["simulate", "--eta-a", "abc", *PATHS], "--eta-a: could not convert string to float: 'abc'",
+     False),
+    (["robustness", "--eps-points", "2.5", *PATHS], "--eps-points: invalid literal for int()",
+     False),
+    (["simulate", "--objective", "c", *PATHS], "objective must be one of", False),
+    (["simulate", "--format", "xml", *PATHS], "format must be csv or json", False),
+    # argparse's own rejections also print the usage line
+    (["simulate", "--bogus", *PATHS], "unrecognized arguments: --bogus", True),
+    (["bogus", *PATHS], "argument command: invalid choice: 'bogus'", True),
+    ([], "the following arguments are required: command", True),
+])
+def test_rejected_command_line_is_a_config_error(tmp_path, monkeypatch, capsys, argv, message,
+                                                 usage):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err
+    assert err.startswith("usage: qclone") == usage
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    # the allowed values of the two choice flags are in the help text
+    assert "calibration objective: a, b, sum" in out and "table format: csv, json" in out
+
+
+def test_option_table():
+    # one entry per RunConfig field, in field order, and one flag per entry
+    assert list(OPTIONS) == [f.name for f in dataclasses.fields(RunConfig)]
+    assert [flag for flag, _, _ in OPTIONS.values()] == [
+        "--t", "--eta-a", "--eta-b", "--counts", "--seed", "--noiseless", "--objective",
+        "--pooled", "--out", "--records", "--format", "--strict", "--eps-max", "--eps-points",
+        "--triple",
+    ]
+
+
+# key, a config-file value away from the default, the same value as flags
+SETTINGS = [
+    ("t_values", "0,0.5", ["--t", "0,0.5"]),
+    ("eta_a", "1.1", ["--eta-a", "1.1"]),
+    ("eta_b", "0.9", ["--eta-b", "0.9"]),
+    ("counts", "1e3", ["--counts", "1e3"]),
+    ("seed", "7", ["--seed", "7"]),
+    ("noiseless", "true", ["--noiseless"]),
+    ("objective", "a", ["--objective", "a"]),
+    ("pooled", "yes", ["--pooled"]),
+    ("out", "x.csv", ["--out", "x.csv"]),
+    ("records", "r.csv", ["--records", "r.csv"]),
+    ("format", "json", ["--format", "json"]),
+    ("strict", "1", ["--strict"]),
+    ("eps_max", "0.1", ["--eps-max", "0.1"]),
+    ("eps_points", "5", ["--eps-points", "5"]),
+    ("triple", "0.9,0.7,0.6", ["--triple", "0.9,0.7,0.6"]),
+]
+
+
+def test_config_file_and_flags_build_the_same_config(tmp_path):
+    assert [key for key, _, _ in SETTINGS] == list(OPTIONS)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("".join(f"{key} = {val}  # comment\n" for key, val, _ in SETTINGS))
+    parser = build_parser()
+    from_file = build_config(parser.parse_args(["simulate", "--config", str(cfg_file)]))
+    flags = [arg for _, _, args in SETTINGS for arg in args]
+    from_flags = build_config(parser.parse_args(["simulate", *flags]))
+    assert from_file == from_flags
+    default = RunConfig()
+    assert all(getattr(from_file, key) != getattr(default, key) for key in OPTIONS)
 
 
 def test_simulate_without_counts_is_a_data_error(tmp_path, capsys):
@@ -211,11 +302,22 @@ def test_robustness_table_is_finite_at_the_efficiency_edge(tmp_path, triple):
     assert np.isfinite(np.array(rows, dtype=float)).all()
 
 
+SCHEMA_STDOUT = """\
+analytic: kind,t,f_a,f_b,p,success_prob,tradeoff_residual
+simulate_report: t,state,basis,role,f_a,f_b,mean_a,mean_b,variance_a,variance_b
+records: t,state,basis,role,c_pp,c_pm,c_mp,c_mm
+calibrate_summary: t,eta_a,eta_b,objective,objective_value,boundary_hit,\
+mean_a_before,mean_b_before,mean_a_after,mean_b_after
+calibrate_states: t,state,basis,role,f_a,f_b
+robustness: eps_a,eps_b,exact_a,quad_a,bound_a,exact_b,quad_b,bound_b
+record file: one record per line, fields as 'records' above;
+state in {H,V,D,A,R,L}, basis in {HV,DA,RL}, role in {psi,perp}
+"""
+
+
 def test_schema_command(capsys):
     assert main(["schema"]) == EXIT_OK
-    out = capsys.readouterr().out
-    for name in SCHEMAS:
-        assert name in out
+    assert capsys.readouterr().out == SCHEMA_STDOUT
 
 
 def test_calibrate_rejects_nonfinite_counts(tmp_path, capsys):
@@ -431,6 +533,7 @@ def test_cli_import_loads_no_scipy():
         (["-m", "qclone.cli", "schema"], EXIT_OK),
         (["-m", "qclone.cli", "--help"], EXIT_OK),
         (["-m", "qclone.cli", "simulate", "--t", "2"], EXIT_CONFIG),
+        (["-m", "qclone.cli", "simulate", "--eta-a", "abc"], EXIT_CONFIG),
         (["-m", "qclone.cli", "simulate", "--out", "-"], EXIT_CONFIG),
         (["-m", "qclone.cli", "calibrate"], EXIT_CONFIG),
         (["-m", "qclone.cli", "robustness", "--t", "0,1"], EXIT_CONFIG),
@@ -483,28 +586,52 @@ FLAG_VALUES = {
     "--eps-points": (st.integers(1, 21)
                      | st.integers().filter(lambda n: not 1 <= n <= EPS_POINTS_MAX)).map(str),
     "--eps-max": _floats_or_in(0.0, 0.99),
+    "--triple": (st.lists(_floats_or_in(0.0, 1.0), min_size=1, max_size=4).map(",".join)
+                 | st.text()),
+    "--objective": st.sampled_from(OBJECTIVES) | st.text(),
+    "--format": st.sampled_from(FORMATS) | st.text(),
 }
+KEYS = {flag: key for key, (flag, _, _) in OPTIONS.items()}
 
 
 @st.composite
 def command_lines(draw):
-    flags = [f"{flag}={draw(values)}" for flag, values in FLAG_VALUES.items() if draw(st.booleans())]
-    return [draw(st.sampled_from(["analytic", "simulate", "robustness", "schema"])), *flags]
+    """A command, its flags and the lines of a config file: each drawn value
+    is given either as a flag or as a `key = value` line. The last item is
+    the exit code the run must end in, None where any documented one will do."""
+    flags, lines = [], []
+    for flag, values in FLAG_VALUES.items():
+        if draw(st.booleans()):
+            value = draw(values)
+            if draw(st.booleans()):
+                flags.append(f"{flag}={value}")
+            else:
+                lines.append(f"{KEYS[flag]} = {value}")
+    command = draw(st.sampled_from(["analytic", "simulate", "robustness", "schema"]))
+    return [command, *flags], lines, None
 
 
 @settings(deadline=None)
 @given(command_lines())
-@example(["simulate", "--eta-a=9"])
-@example(["simulate", "--eta-a=nan"])
-@example(["simulate", "--seed=-1"])
-@example(["simulate", "--counts=1e300"])
-@example(["robustness", "--t=0.5", "--eps-points=100000000"])
-def test_exit_code_is_documented(tmp_path_factory, argv):
+@example((["simulate", "--eta-a=9"], [], EXIT_CONFIG))
+@example((["simulate", "--eta-a=nan"], [], EXIT_CONFIG))
+@example((["simulate", "--seed=-1"], [], EXIT_CONFIG))
+@example((["simulate", "--counts=1e300"], [], EXIT_CONFIG))
+@example((["robustness", "--t=0.5", "--eps-points=100000000"], [], EXIT_CONFIG))
+@example((["simulate", "--eta-a=abc"], [], EXIT_CONFIG))
+@example((["robustness", "--t=0.5", "--eps-points=2.5"], [], EXIT_CONFIG))
+@example((["simulate", "--objective=c"], [], EXIT_CONFIG))
+@example((["simulate", "--bogus=1"], [], EXIT_CONFIG))
+@example((["simulate"], ["eta_a = abc"], EXIT_CONFIG))
+@example((["robustness"], ["triple = 0.9,0.7", "eps_points = 3"], EXIT_CONFIG))
+def test_exit_code_is_documented(tmp_path_factory, run):
+    argv, lines, expected = run
     folder = tmp_path_factory.mktemp("run")
     argv = [*argv, "--out", str(folder / "table.csv"), "--records", str(folder / "records.csv")]
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse rejected the command line
-        assert exc.code == 2
-    else:
-        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_BOUNDARY)
+    if lines:
+        (folder / "run.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv += ["--config", str(folder / "run.cfg")]
+    code = main(argv)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_BOUNDARY)
+    if expected is not None:
+        assert code == expected
