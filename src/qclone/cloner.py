@@ -8,39 +8,10 @@ blank-copy arm, clone B the signal arm; for t > 0 clone B is the better one.
 
 from __future__ import annotations
 
-import math
-from typing import NamedTuple
-
 import numpy as np
 
+from .labels import MachineTriple
 from .states import SINGLET, partial_trace, projector, tensor
-
-
-class MachineTriple(NamedTuple):
-    """Diagonal parametrization (fid_a, fid_b, p) of a covariant two-clone machine.
-
-    In the (psi, psi_perp) product basis the joint diagonal is
-    (p, fid_a - p, fid_b - p, 1 + p - fid_a - fid_b); all four entries must be
-    valid probabilities.
-    """
-
-    fid_a: float
-    fid_b: float
-    p: float
-
-    def diagonal(self) -> np.ndarray:
-        fa, fb, p = self
-        return np.array([p, fa - p, fb - p, 1.0 + p - fa - fb])
-
-    def validate(self, atol: float = 1e-12) -> None:
-        if not all(math.isfinite(v) for v in self):
-            raise ValueError(f"invalid machine triple {self}: entries must be finite")
-        if np.min(self.diagonal()) < -atol:
-            raise ValueError(f"invalid machine triple {self}: negative diagonal element")
-
-    def swapped(self) -> "MachineTriple":
-        """The same machine with the clone labels interchanged."""
-        return MachineTriple(self.fid_b, self.fid_a, self.p)
 
 
 def _check_t(t: float) -> None:

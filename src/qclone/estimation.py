@@ -171,6 +171,13 @@ _ROLE_SIGN = np.where(_PSI_ROWS, 1.0, -1.0)
 _CLONES = {"a": [0], "b": [1], "sum": [0, 1]}
 _LOG_BOUNDS = (np.log(ETA_MIN), np.log(ETA_MAX))
 _GRID_POINTS = 50  # per axis of the pre-scan grid
+# Under `sum`, a ratio-seeded descent that ends inside the box, converged,
+# with its smallest Hessian eigenvalue at least this fraction of the
+# largest, is taken without a grid pre-scan (`_needs_grid`).  In about
+# 280,000 survey-like groups the grid decided 11 `sum` results, all at
+# t >= 0.89, where that ratio was at most 1.5e-4 (1e-4 would miss two).
+# This bound flags about one survey group in five.
+_CURVED_RCOND = 1e-3
 # Memory bounds of the pre-scan: cells (groups x states x points) of the
 # arithmetic on one chunk, and per-group objective values (groups x points)
 # of a row kept for one block of grid points, per clone
@@ -324,6 +331,7 @@ class NewtonResult(NamedTuple):
     nfev: int  # calls of fun, each on every row still descending
     nit: int  # steps of the longest descent
     success: np.ndarray  # (B,)
+    hess: np.ndarray  # (B, n, n) at x
 
 
 # Curvature below this fraction of the largest Hessian eigenvalue counts as
@@ -341,7 +349,8 @@ def _larger(a, b):
 
 
 def minimize(fun, x0, lower, upper) -> NewtonResult:
-    """Bound-constrained damped Newton descents, one per row of x0 (B, n).
+    """Bound-constrained damped Newton descents, one per row of x0 (B, n);
+    the result holds each row's endpoint with its value and Hessian there.
 
     ``fun(x, rows)`` returns the values (R,), gradients (R, n) and Hessians
     (R, n, n) at the points x (R, n) of the batch rows ``rows``.  A
@@ -409,16 +418,19 @@ def minimize(fun, x0, lower, upper) -> NewtonResult:
         cube = np.array([c**3 for c in (2.0 * gain - 1.0).tolist()])
         damping[r], growth[r] = shift * _larger(1.0 / 3.0, 1.0 - cube), 2.0
         success[r[stalled]], active[r[stalled]] = True, False
-    return NewtonResult(x=x, fun=f, nfev=nfev, nit=nit, success=success)
+    return NewtonResult(x=x, fun=f, nfev=nfev, nit=nit, success=success, hess=h)
 
 
 def calibrate(records: list[MeasurementRecord], objective: str = "sum") -> CalibrationResult:
     """Recover the relative detector efficiencies minimizing the fidelity variance.
 
-    Damped Newton descents within [0.2, 5]^2 start from the count-ratio
-    closed form and from the best point of a grid pre-scan over [0.5, 2]^2;
-    the lower minimum is kept.  The returned report is computed at it.  This
-    is `calibrate_each` on a batch of one group.
+    A damped Newton descent within [0.2, 5]^2 starts from the count-ratio
+    closed form.  A second one starts from the best point of a grid
+    pre-scan over [0.5, 2]^2 for the single-clone objectives, and under
+    `sum` only where the first ends on the box, unconverged, flat (smallest
+    Hessian eigenvalue below `_CURVED_RCOND` = 1e-3 of the largest) or at
+    an exact fit; the lower minimum is kept.  The returned report is
+    computed at it.  This is `calibrate_each` on a batch of one group.
     """
     return calibrate_each([records], objective)[0]
 
@@ -427,10 +439,12 @@ def calibrate_each(
     groups: list[list[MeasurementRecord]] | np.ndarray,
     objective: str = "sum",
 ) -> list[CalibrationResult]:
-    """`calibrate` of every six-state group, all groups in one batched grid
-    pre-scan, one batched descent and one batched report.  Each result is
-    bit for bit the one the group calibrated alone gets.  `groups` may also
-    be their counts (G, 6, 4) from `stacked_counts`."""
+    """`calibrate` of every six-state group, all groups in one batched
+    descent from the ratio seeds, one batched grid pre-scan and descent for
+    the groups that need the grid (`_needs_grid`; under `sum` about one in
+    five survey groups, those at t above about 0.7) and one batched report.
+    Each result is bit for bit the one the group calibrated alone gets.
+    `groups` may also be their counts (G, 6, 4) from `stacked_counts`."""
     counts = groups if isinstance(groups, np.ndarray) else stacked_counts(groups)
     etas, values = _calibrate_rows(counts[:, None], objective)
     reports = batch_report(counts, etas).split()
@@ -454,22 +468,60 @@ def calibrate_pooled(
 def _calibrate_rows(counts: np.ndarray, objective: str):
     """Efficiencies (B, 2) and objective values (B,) for counts (B, G, 6, 4).
 
-    The descents from the ratio seeds and from the grid seeds run as one
-    batch of 2B rows.  On a tie the ratio seed wins: where the data leave an
-    efficiency undetermined it stays at its closed-form seed, not at a grid
-    point.
+    Each row descends from its ratio seed and, where that may not find the
+    lowest minimum, also from the best point of the grid pre-scan.  A
+    single-clone objective is close to flat in one direction at every t, so
+    all its rows need the grid: both seeds descend in one batch of 2B rows.
+    Under `sum` the ratio seeds descend first, and only the rows
+    `_needs_grid` flags get the pre-scan and a second batch.  The grid
+    result wins only where it is lower by more than the rounding of the
+    ratio value: on a tie, where the data leave an efficiency undetermined,
+    it stays at its closed-form seed, not at a grid point.
     """
-    grid = _grid_seed(counts, objective)
     n = len(counts)
-    res = minimize(
-        lambda z, rows: _objective_terms(counts[rows % n], z, objective),
-        np.concatenate([_ratio_seed(counts), grid]),
-        *_LOG_BOUNDS,
+    every = np.arange(n)
+    if len(_clones(objective)) == 1:
+        rows = every
+        seeds = np.concatenate([_ratio_seed(counts), _grid_seed(counts, objective)])
+        both = _descend(counts, np.tile(every, 2), seeds, objective)
+        log_eta, values = both.x[:n], both.fun[:n]
+        grid_x, grid_fun = both.x[n:], both.fun[n:]
+    else:
+        ratio = _descend(counts, every, _ratio_seed(counts), objective)
+        log_eta, values = ratio.x, ratio.fun
+        rows = np.flatnonzero(_needs_grid(ratio))
+        if not rows.size:
+            return np.exp(log_eta), values
+        grid = _descend(counts, rows, _grid_seed(counts[rows], objective), objective)
+        grid_x, grid_fun = grid.x, grid.fun
+    use_grid = grid_fun < values[rows] - _rounding(values[rows])
+    log_eta[rows[use_grid]], values[rows[use_grid]] = grid_x[use_grid], grid_fun[use_grid]
+    return np.exp(log_eta), values
+
+
+def _descend(counts: np.ndarray, rows: np.ndarray, seeds: np.ndarray, objective: str):
+    """`minimize` of the objective of counts[rows], batch row k from seeds[k]."""
+    return minimize(
+        lambda z, sub: _objective_terms(counts[rows[sub]], z, objective), seeds, *_LOG_BOUNDS
     )
-    ratio_fun, grid_fun = res.fun[:n], res.fun[n:]
-    use_grid = grid_fun < ratio_fun - _rounding(ratio_fun)
-    log_eta = np.where(use_grid[:, None], res.x[n:], res.x[:n])
-    return np.exp(log_eta), np.where(use_grid, grid_fun, ratio_fun)
+
+
+def _needs_grid(res: NewtonResult) -> np.ndarray:
+    """Rows (B,) of a ratio-seeded `sum` descent that the grid pre-scan may
+    improve: the endpoint lies on the box, the descent did not converge, or
+    the endpoint is flat in some direction (`_CURVED_RCOND`).  Also a row
+    whose value is so small that a second descent into the same minimum may
+    end lower by more than the tie tolerance: a descent stops within about
+    `_XTOL` of its minimum, which moves the value by up to about the largest
+    curvature times `_XTOL`**2.  Only an exact fit, a noiseless group, is
+    that small.
+    """
+    on_box = ((res.x <= _LOG_BOUNDS[0]) | (res.x >= _LOG_BOUNDS[1])).any(axis=-1)
+    w = np.linalg.eigvalsh(res.hess)
+    # written so that a zero or nan eigenvalue counts as flat
+    curved = (w[:, 0] > 0.0) & (w[:, 0] >= _CURVED_RCOND * w[:, -1])
+    tie_resolved = _rounding(res.fun) >= w[:, -1] * _XTOL**2
+    return on_box | ~res.success | ~curved | ~tie_resolved
 
 
 def _result(eta, value, report: FidelityReport, objective: str) -> CalibrationResult:

@@ -1,13 +1,15 @@
 """Names shared by the record files, the tables and the command line.
 
 The six preparation states and their analysis bases, the role of each state,
-the record-file columns, the calibration objectives and the efficiency
-search box.  This module imports nothing but the standard library, so the
-command line can parse and validate a run without loading numpy.
+the record-file columns, the calibration objectives, the efficiency search
+box and the machine triple.  This module imports nothing but the standard
+library, so the command line can parse and validate a run without loading
+numpy.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 CATALOG_LABELS = ("H", "V", "D", "A", "R", "L")
@@ -42,3 +44,36 @@ class EfficiencyPair(NamedTuple):
 
     def mismatches(self) -> tuple[float, float]:
         return self.eta_a - 1.0, self.eta_b - 1.0
+
+
+class MachineTriple(NamedTuple):
+    """Diagonal parametrization (fid_a, fid_b, p) of a covariant two-clone machine.
+
+    In the (psi, psi_perp) product basis the joint diagonal is
+    (p, fid_a - p, fid_b - p, 1 + p - fid_a - fid_b); all four entries must be
+    valid probabilities.
+    """
+
+    fid_a: float
+    fid_b: float
+    p: float
+
+    def diagonal(self):
+        """The joint diagonal as a numpy array; this call imports numpy."""
+        import numpy as np
+
+        return np.array(self._entries())
+
+    def _entries(self) -> tuple[float, float, float, float]:
+        fa, fb, p = self
+        return p, fa - p, fb - p, 1.0 + p - fa - fb
+
+    def validate(self, atol: float = 1e-12) -> None:
+        if not all(math.isfinite(v) for v in self):
+            raise ValueError(f"invalid machine triple {self}: entries must be finite")
+        if min(self._entries()) < -atol:
+            raise ValueError(f"invalid machine triple {self}: negative diagonal element")
+
+    def swapped(self) -> MachineTriple:
+        """The same machine with the clone labels interchanged."""
+        return MachineTriple(self.fid_b, self.fid_a, self.p)

@@ -1,7 +1,12 @@
 """Per-group calibration with a scalar Newton descent, the oracle the batched
 `estimation.calibrate_each` and `estimation.calibrate_pooled` are tested
 against: one grid pre-scan, one ratio seed and two descents per call, each
-on the counts of that call alone."""
+on the counts of that call alone.  The oracle runs both seeds for every
+group; the batched calibration runs the grid only for the rows
+`estimation._needs_grid` flags (under `sum`: ratio-seeded descents that end
+on the box, unconverged, flat below `_CURVED_RCOND` = 1e-3, or at an exact
+fit), so wherever the two agree, `_needs_grid` skipped no group whose result
+the grid decides."""
 
 import numpy as np
 

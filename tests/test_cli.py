@@ -516,6 +516,37 @@ def test_default_calibration_stays_inside_the_box(tmp_path):
     assert [r[5] for r in rows] == ["false"] * 6
 
 
+def test_strict_boundary_hit_exits_3_and_writes_both_tables(tmp_path):
+    # on the default noisy run the single-clone objective `b` pushes some
+    # eta to the edge of the box; `sum` does not
+    recs = tmp_path / "records.csv"
+    assert main(["simulate", "--out", str(tmp_path / "sim.csv"), "--records", str(recs)]) == EXIT_OK
+    out = tmp_path / "b.csv"
+    calibrate = ["calibrate", "--strict", "--records", str(recs)]
+    rc = main([*calibrate, "--objective", "b", "--out", str(out)])
+    assert rc == EXIT_BOUNDARY
+    _, rows = read_csv(out)
+    assert len(rows) == 6 and "true" in [r[5] for r in rows]
+    _, states = read_csv(tmp_path / "b_states.csv")
+    assert len(states) == 36
+    out = tmp_path / "sum.csv"
+    rc = main([*calibrate, "--objective", "sum", "--out", str(out)])
+    assert rc == EXIT_OK
+    assert (tmp_path / "sum_states.csv").exists()
+
+
+def test_machine_from_config_type_hints_resolve_without_numpy():
+    code = (
+        "import sys, typing, qclone.cli as cli\n"
+        "hints = typing.get_type_hints(cli._machine_from_config)\n"
+        "assert hints == {'cfg': cli.RunConfig, 'return': cli.MachineTriple}, hints\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _subprocess_env():
     """The environment of a child python that imports this checkout's qclone."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -537,6 +568,7 @@ def test_cli_import_loads_no_scipy():
         (["-m", "qclone.cli", "simulate", "--out", "-"], EXIT_CONFIG),
         (["-m", "qclone.cli", "calibrate"], EXIT_CONFIG),
         (["-m", "qclone.cli", "robustness", "--t", "0,1"], EXIT_CONFIG),
+        (["-m", "qclone.cli", "robustness", "--triple", "0.9,0.9,0.95"], EXIT_CONFIG),
     ]
     for args, code in cases:
         proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,

@@ -3,14 +3,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qclone import estimation
 from qclone.cloner import machine_triple
 from qclone.detection import (
     ROLE_PERP,
     ROLE_PSI,
     EfficiencyPair,
     MeasurementRecord,
+    read_records,
     rescale_counts,
     run_experiment,
+    write_records,
 )
 from qclone.estimation import (
     NoDataError,
@@ -495,3 +498,95 @@ def test_minimize_rows_descend_as_they_would_alone():
         x, f, _, _, success = calibration_oracle.minimize(row_fun(k), x0[k], -1.0, 1.0)
         np.testing.assert_array_equal(res.x[k], x)
         assert res.fun[k] == f and res.success[k] == success
+
+
+def _survey_groups(counts, size, seed, t_max=0.95):
+    """`size` six-state groups at t drawn uniformly from [0, t_max], seeded
+    like `simulate` (group i from seed + i)."""
+    t_values = np.random.default_rng(seed).uniform(0.0, t_max, size)
+    return [run_experiment(t, ETA_PAPER, counts, seed=seed + i) for i, t in enumerate(t_values)]
+
+
+def _count_grid_rows(monkeypatch):
+    """A list that collects, as bytes, the counts of every batch row that
+    `_grid_seed` is given."""
+    seen = []
+    grid_seed = estimation._grid_seed
+
+    def counting(counts, objective):
+        seen.extend(row.tobytes() for row in counts)
+        return grid_seed(counts, objective)
+
+    monkeypatch.setattr(estimation, "_grid_seed", counting)
+    return seen
+
+
+def _oracle_grid_wins(recs, objective):
+    """Whether the oracle's grid-seeded descent beats its ratio-seeded one
+    by more than the tie tolerance, so that the grid decides the result."""
+    counts = stacked_counts([recs])
+    grid_a, grid_b = _oracle_grid()
+    best = np.argmin(calibration_oracle.grid_values(counts, objective, grid_a, grid_b))
+
+    def fun(z):
+        return calibration_oracle.objective_terms(counts, z, objective)
+
+    _, ratio, *_ = calibration_oracle.minimize(
+        fun, calibration_oracle.ratio_seed(counts), *estimation._LOG_BOUNDS)
+    _, grid, *_ = calibration_oracle.minimize(
+        fun, np.log([grid_a[best], grid_b[best]]), *estimation._LOG_BOUNDS)
+    return grid < ratio - calibration_oracle._rounding(ratio)
+
+
+@pytest.mark.parametrize("objective", ["a", "b", "sum"])
+def test_grid_prescan_sees_every_group_it_improves(monkeypatch, objective):
+    # survey-like groups, and two high-t groups at 1e3 counts whose ratio
+    # descents end in a curved interior minimum that is not the lowest one
+    # (smallest over largest Hessian eigenvalue 1.5e-4 and 4e-5 there)
+    groups = [
+        *_oracle_groups(),
+        *_survey_groups(1e3, 40, 31),
+        *_survey_groups(1e4, 40, 71),
+        run_experiment(0.904396475061, ETA_PAPER, 1e3, seed=1103),
+        run_experiment(0.913495840406, ETA_PAPER, 1e3, seed=1197),
+    ]
+    seen = _count_grid_rows(monkeypatch)
+    calibrate_each(groups, objective)
+    wins = [recs for recs in groups if _oracle_grid_wins(recs, objective)]
+    assert wins
+    for recs in wins:
+        assert stacked_counts([recs])[0].tobytes() in set(seen)
+    if objective == "sum":
+        assert len(seen) < len(groups) / 2
+    else:
+        assert len(seen) == len(groups)
+
+
+def test_grid_prescan_skips_well_conditioned_sum_rows(monkeypatch):
+    seen = _count_grid_rows(monkeypatch)
+    calibrate_each(_survey_groups(1e4, 40, 5, t_max=0.6), "sum")
+    assert seen == []
+    calibrate_pooled(_survey_groups(1e4, 200, 901), "sum")
+    assert seen == []
+    # at t = 1 the data leave eta_b undetermined: a zero Hessian eigenvalue
+    t_one = run_experiment(1.0, ETA_PAPER, 1e4, seed=3)
+    calibrate(t_one, "sum")
+    assert seen == [stacked_counts([t_one])[0].tobytes()]
+
+
+@pytest.mark.parametrize("objective", ["a", "b", "sum"])
+def test_noiseless_calibration_matches_the_oracle(tmp_path, objective):
+    # the default noiseless run as `calibrate` reads it: counts kept to 12
+    # significant digits fit the model to rounding, so the pooled objective
+    # at its minimum is about 1e-25, where a grid-seeded descent can end
+    # lower than the ratio-seeded one by more than the tie tolerance
+    path = tmp_path / "records.csv"
+    write_records((rec for n in range(6)
+                   for rec in run_experiment(np.sqrt(n / 5), ETA_PAPER, 1e5, noiseless=True)), path)
+    records = read_records(path)
+    groups = [records[i : i + 6] for i in range(0, len(records), 6)]
+    pooled = calibrate_pooled(groups, objective)
+    assert pooled.objective_value < 1e-20
+    assert pooled == calibration_oracle.calibrate_groups(groups, objective)
+    for recs, res in zip(groups, calibrate_each(groups, objective)):
+        assert res == calibration_oracle.calibrate_groups([recs], objective)
