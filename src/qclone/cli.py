@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import operator
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -232,95 +231,40 @@ def _fmt(value) -> str:
 
 
 _FLOAT = {float}
-# value types of a row that a template holds: floats fill its slots, strings
-# and bools are written into it as text
-_TEMPLATED = frozenset((float, str, bool))
-# row shapes per table, and templates per row shape; a row past either cap
-# is formatted value by value
-_TEMPLATES_MAX = 64
-# per table format: the slot of a float in a row template, the text of a row
-# from the texts of its values, and the text of a string or a bool
-_ROW_FORMS = {
-    "csv": ("%.12g", lambda parts: ",".join(parts) + "\n", _fmt),
-    "json": ("%r", lambda parts: "[\n      " + ",\n      ".join(parts) + "\n    ]", json.dumps),
-}
-
-
-def _getter(indices):
-    """row -> the values at `indices`: a tuple, or the value itself for one."""
-    return operator.itemgetter(*indices) if indices else (lambda row: ())
-
-
-def _mixed_row_formatter(width: int, fmt: str):
-    """Function row -> the text of a row of `width` floats, strings and
-    bools by one %-operation, or None for any other row.
-
-    The template is built once per row shape: the types of the row's values
-    and the values of its strings and bools, which the template holds as the
-    text the value-by-value path writes for them; the floats fill its slots.
-    A JSON template whose strings hold an ``n`` is not built, so an ``n`` in
-    a JSON row's text marks a float ``nan`` or ``inf``.
-    """
-    slot, join, literal = _ROW_FORMS[fmt]
-    shapes = {}  # value types -> (floats getter, texts getter, {texts: template})
-
-    def text(row):
-        types = tuple(map(type, row))
-        shape = shapes.get(types)
-        if shape is None:
-            if not (len(types) == width > 0 and _TEMPLATED.issuperset(types)
-                    and len(shapes) < _TEMPLATES_MAX):
-                return None
-            floats = [i for i, t in enumerate(types) if t is float]
-            fixed = [i for i, t in enumerate(types) if t is not float]
-            shape = shapes[types] = (_getter(floats), _getter(fixed), {})
-        floats, fixed, templates = shape
-        key = fixed(row)
-        if key not in templates:
-            if len(templates) >= _TEMPLATES_MAX:
-                return None
-            template = join([slot if t is float else literal(v).replace("%", "%%")
-                             for t, v in zip(types, row)])
-            templates[key] = None if fmt == "json" and "n" in template else template
-        template = templates[key]
-        return None if template is None else template % floats(row)
-
-    return text
 
 
 def _dump_table(columns, rows, fh, fmt: str, config: dict | None) -> None:
     # A row of exact Python floats, the bulk of a robustness sweep, is
-    # formatted by one %-template; so is a row of floats, strings and bools,
-    # by a template per row shape; any other row goes value by value.
+    # formatted by one %-template; any other row goes value by value.
     width = len(columns)
-    slot, join, _ = _ROW_FORMS[fmt]
-    template = join([slot] * width)
-    mixed = _mixed_row_formatter(width, fmt)
     if fmt == "json":
         payload = {"columns": list(columns), "rows": []}
         if config is not None:
             payload["config"] = config
         # json escapes every quote inside a string, so the first match is the key
         head, _, tail = json.dumps(payload, indent=2, default=_fmt).partition('"rows": []')
+        template = "[\n      " + ",\n      ".join(["%r"] * width) + "\n    ]"
         fh.write(head + '"rows": [')
         sep, close = "\n    ", "]"
         for row in rows:
+            text = None
             if set(map(type, row)) == _FLOAT and len(row) == width:
                 text = template % tuple(row)
-            else:
-                text = mixed(row)
-            if text is None or "n" in text:  # nan or inf, which json writes NaN or Infinity
+                if "n" in text:  # nan or inf, which json writes NaN or Infinity
+                    text = None
+            if text is None:
                 text = json.dumps(row, indent=2, default=_fmt).replace("\n", "\n    ")
             fh.write(sep + text)
             sep, close = ",\n    ", "\n  ]"
         fh.write(close + tail + "\n")
     else:
+        template = ",".join(["%.12g"] * width) + "\n"
         fh.write(",".join(columns) + "\n")
         for row in rows:
             if set(map(type, row)) == _FLOAT and len(row) == width:
                 fh.write(template % tuple(row))
             else:
-                fh.write(mixed(row) or ",".join(_fmt(v) for v in row) + "\n")
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def write_table(columns, rows, path: str, fmt: str, config: dict | None = None) -> None:
@@ -330,8 +274,8 @@ def write_table(columns, rows, path: str, fmt: str, config: dict | None = None) 
     other value as ``str``. JSON is what ``json.dump(..., indent=2)`` writes:
     a float as its shortest ``repr`` (``NaN``, ``Infinity``), a bool as
     ``true``/``false``, a string with json's ASCII escapes. A row of Python
-    floats, strings and bools costs one formatting operation, by a template
-    built once per row shape; other rows are formatted value by value.
+    floats costs one formatting operation; other rows are formatted value by
+    value.
 
     The table is streamed into the file (or stdout) row by row, never built
     as one string; a file is written by `write_atomic`, so on any error an

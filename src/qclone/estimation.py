@@ -175,8 +175,10 @@ _GRID_POINTS = 50  # per axis of the pre-scan grid
 # with its smallest Hessian eigenvalue at least this fraction of the
 # largest, is taken without a grid pre-scan (`_needs_grid`).  In about
 # 280,000 survey-like groups the grid decided 11 `sum` results, all at
-# t >= 0.89, where that ratio was at most 1.5e-4 (1e-4 would miss two).
-# This bound flags about one survey group in five.
+# t >= 0.89, where that ratio was at most 1.5e-4 (1e-4 would miss two);
+# in 960,000 more at other true efficiencies, up to the box edges, it
+# decided 298, where the ratio was at most 3.5e-4.  This bound flags about
+# one survey group in five.
 _CURVED_RCOND = 1e-3
 # Memory bounds of the pre-scan: cells (groups x states x points) of the
 # arithmetic on one chunk, and per-group objective values (groups x points)
@@ -441,8 +443,9 @@ def calibrate_each(
 ) -> list[CalibrationResult]:
     """`calibrate` of every six-state group, all groups in one batched
     descent from the ratio seeds, one batched grid pre-scan and descent for
-    the groups that need the grid (`_needs_grid`; under `sum` about one in
-    five survey groups, those at t above about 0.7) and one batched report.
+    the groups that need the grid (every group under `a` and `b`; under
+    `sum` those `_needs_grid` flags, about one in five survey groups, those
+    at t above about 0.7) and one batched report.
     Each result is bit for bit the one the group calibrated alone gets.
     `groups` may also be their counts (G, 6, 4) from `stacked_counts`."""
     counts = groups if isinstance(groups, np.ndarray) else stacked_counts(groups)
@@ -468,34 +471,23 @@ def calibrate_pooled(
 def _calibrate_rows(counts: np.ndarray, objective: str):
     """Efficiencies (B, 2) and objective values (B,) for counts (B, G, 6, 4).
 
-    Each row descends from its ratio seed and, where that may not find the
-    lowest minimum, also from the best point of the grid pre-scan.  A
-    single-clone objective is close to flat in one direction at every t, so
-    all its rows need the grid: both seeds descend in one batch of 2B rows.
-    Under `sum` the ratio seeds descend first, and only the rows
-    `_needs_grid` flags get the pre-scan and a second batch.  The grid
-    result wins only where it is lower by more than the rounding of the
-    ratio value: on a tie, where the data leave an efficiency undetermined,
-    it stays at its closed-form seed, not at a grid point.
+    Every row descends from its ratio seed.  The rows where that may not
+    find the lowest minimum then get the grid pre-scan and a second descent
+    from its best point: all rows of a single-clone objective, which is
+    close to flat in one direction at every t, and the rows of `sum` that
+    `_needs_grid` flags.  The grid result wins only where it is lower by
+    more than the rounding of the ratio value: on a tie, where the data
+    leave an efficiency undetermined, it stays at its closed-form seed, not
+    at a grid point.
     """
-    n = len(counts)
-    every = np.arange(n)
-    if len(_clones(objective)) == 1:
-        rows = every
-        seeds = np.concatenate([_ratio_seed(counts), _grid_seed(counts, objective)])
-        both = _descend(counts, np.tile(every, 2), seeds, objective)
-        log_eta, values = both.x[:n], both.fun[:n]
-        grid_x, grid_fun = both.x[n:], both.fun[n:]
-    else:
-        ratio = _descend(counts, every, _ratio_seed(counts), objective)
-        log_eta, values = ratio.x, ratio.fun
-        rows = np.flatnonzero(_needs_grid(ratio))
-        if not rows.size:
-            return np.exp(log_eta), values
+    every = np.arange(len(counts))
+    ratio = _descend(counts, every, _ratio_seed(counts), objective)
+    log_eta, values = ratio.x, ratio.fun
+    rows = every if len(_clones(objective)) == 1 else np.flatnonzero(_needs_grid(ratio))
+    if rows.size:
         grid = _descend(counts, rows, _grid_seed(counts[rows], objective), objective)
-        grid_x, grid_fun = grid.x, grid.fun
-    use_grid = grid_fun < values[rows] - _rounding(values[rows])
-    log_eta[rows[use_grid]], values[rows[use_grid]] = grid_x[use_grid], grid_fun[use_grid]
+        use_grid = grid.fun < values[rows] - _rounding(values[rows])
+        log_eta[rows[use_grid]], values[rows[use_grid]] = grid.x[use_grid], grid.fun[use_grid]
     return np.exp(log_eta), values
 
 

@@ -538,24 +538,55 @@ def _oracle_grid_wins(recs, objective):
     return grid < ratio - calibration_oracle._rounding(ratio)
 
 
+# true efficiency pairs near the edges of the [0.2, 5]^2 box
+EDGE_ETAS = [(0.22, 0.22), (0.22, 4.5), (4.5, 0.22), (4.5, 4.5),
+             (0.3, 3.3), (3.3, 0.3), (0.5, 2.0), (2.0, 0.5)]
+
+
+def _off_paper_groups(counts, seed):
+    """Survey-like groups at true efficiencies other than the paper's: 20
+    pairs drawn from uniform(0.8, 1.25), as in the Nelder-Mead check, and
+    the `EDGE_ETAS`, each at a t drawn uniformly from [0, 0.95]."""
+    rng = np.random.default_rng(seed)
+    etas = [*rng.uniform(0.8, 1.25, size=(20, 2)).tolist(), *EDGE_ETAS]
+    t_values = rng.uniform(0.0, 0.95, len(etas))
+    return [run_experiment(t, EfficiencyPair(*eta), counts, seed=seed + i)
+            for i, (t, eta) in enumerate(zip(t_values, etas))]
+
+
 @pytest.mark.parametrize("objective", ["a", "b", "sum"])
 def test_grid_prescan_sees_every_group_it_improves(monkeypatch, objective):
-    # survey-like groups, and two high-t groups at 1e3 counts whose ratio
-    # descents end in a curved interior minimum that is not the lowest one
-    # (smallest over largest Hessian eigenvalue 1.5e-4 and 4e-5 there)
+    # survey-like groups at the paper's and at other efficiencies, and
+    # high-t groups whose `sum` ratio descents end in a curved interior
+    # minimum that is not the lowest one: the grid decides their result
+    # (smallest over largest Hessian eigenvalue there: 1.5e-4, 4e-5, 1.4e-4,
+    # 4.5e-6, 3.5e-4, 1.4e-5 and 2.2e-4)
+    grid_decided = [
+        run_experiment(0.904396475061, ETA_PAPER, 1e3, seed=1103),
+        run_experiment(0.913495840406, ETA_PAPER, 1e3, seed=1197),
+        run_experiment(0.900779045714, EfficiencyPair(0.8183, 0.9381), 1e3, seed=5575),
+        run_experiment(0.948504324991, EfficiencyPair(0.8482, 0.9965), 1e4, seed=5289),
+        run_experiment(0.915423453695, EfficiencyPair(4.5, 0.22), 1e3, seed=7441),
+        run_experiment(0.948884534516, EfficiencyPair(0.22, 0.5), 1e4, seed=7324),
+        run_experiment(0.874782227792, EfficiencyPair(0.3, 0.3), 1e3, seed=7395),
+    ]
     groups = [
         *_oracle_groups(),
         *_survey_groups(1e3, 40, 31),
         *_survey_groups(1e4, 40, 71),
-        run_experiment(0.904396475061, ETA_PAPER, 1e3, seed=1103),
-        run_experiment(0.913495840406, ETA_PAPER, 1e3, seed=1197),
+        *_off_paper_groups(1e3, 131),
+        *_off_paper_groups(1e4, 171),
+        *grid_decided,
     ]
     seen = _count_grid_rows(monkeypatch)
     calibrate_each(groups, objective)
-    wins = [recs for recs in groups if _oracle_grid_wins(recs, objective)]
-    assert wins
-    for recs in wins:
-        assert stacked_counts([recs])[0].tobytes() in set(seen)
+    won = [_oracle_grid_wins(recs, objective) for recs in groups]
+    assert any(won)
+    if objective == "sum":
+        assert all(won[-len(grid_decided):])
+    for recs, grid_wins in zip(groups, won):
+        if grid_wins:
+            assert stacked_counts([recs])[0].tobytes() in set(seen)
     if objective == "sum":
         assert len(seen) < len(groups) / 2
     else:
@@ -566,8 +597,15 @@ def test_grid_prescan_skips_well_conditioned_sum_rows(monkeypatch):
     seen = _count_grid_rows(monkeypatch)
     calibrate_each(_survey_groups(1e4, 40, 5, t_max=0.6), "sum")
     assert seen == []
-    calibrate_pooled(_survey_groups(1e4, 200, 901), "sum")
+    survey = _survey_groups(1e4, 200, 901)
+    calibrate_pooled(survey, "sum")
     assert seen == []
+    # a single-clone row gets the grid even where `_needs_grid` would pass
+    # it: these pooled `a` and `b` rows end curved (ratio 2.8e-3 and 1.7e-3)
+    for objective in ("a", "b"):
+        calibrate_pooled(survey, objective)
+    assert len(seen) == 2
+    seen.clear()
     # at t = 1 the data leave eta_b undetermined: a zero Hessian eigenvalue
     t_one = run_experiment(1.0, ETA_PAPER, 1e4, seed=3)
     calibrate(t_one, "sum")
