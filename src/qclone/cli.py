@@ -121,6 +121,11 @@ class RunConfig:
             raise ConfigError(str(exc))
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if self.objective in ("a", "b"):
+            raise ConfigError(
+                f"objective {self.objective!r} was retired: the fidelity variance of "
+                "one clone leaves an efficiency undetermined; use 'sum'"
+            )
         if self.objective not in OBJECTIVES:
             raise ConfigError(f"objective must be one of {OBJECTIVES}")
         if self.format not in FORMATS:
@@ -387,10 +392,10 @@ def cmd_calibrate(cfg: RunConfig) -> int:
         by_t = counts[order]
         before = batch_report(by_t).split()
         if cfg.pooled:
-            results = [calibrate_pooled(counts, objective=cfg.objective)] * len(ts)
+            results = [calibrate_pooled(counts)] * len(ts)
             after = batch_report(by_t, results[0].eta).split()
         else:
-            results = calibrate_each(by_t, objective=cfg.objective)
+            results = calibrate_each(by_t)
             after = [res.report for res in results]
     except (NoDataError, ValueError) as exc:
         raise DataError(str(exc))
@@ -498,6 +503,10 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
+        if message.endswith("expected one argument"):
+            # argparse takes a value that starts with '-' (`-inf`) for a flag
+            flag = message.split(":")[0].split()[-1]
+            message += f" (give a value that starts with '-' as {flag}=<value>)"
         raise ConfigError(message)
 
 

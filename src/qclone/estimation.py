@@ -14,7 +14,6 @@ from .labels import (
     CATALOG_ROLES,
     ETA_MAX,
     ETA_MIN,
-    OBJECTIVES,
     ROLE_PERP,
     ROLE_PSI,
     EfficiencyPair,
@@ -41,7 +40,6 @@ class CalibrationResult:
     eta: EfficiencyPair
     report: FidelityReport
     objective_value: float
-    objective: str
     boundary_hit: bool
 
 
@@ -168,29 +166,7 @@ def report(
 # a single row uses.
 
 _ROLE_SIGN = np.where(_PSI_ROWS, 1.0, -1.0)
-_CLONES = {"a": [0], "b": [1], "sum": [0, 1]}
 _LOG_BOUNDS = (np.log(ETA_MIN), np.log(ETA_MAX))
-_GRID_POINTS = 50  # per axis of the pre-scan grid
-# Under `sum`, a ratio-seeded descent that ends inside the box, converged,
-# with its smallest Hessian eigenvalue at least this fraction of the
-# largest, is taken without a grid pre-scan (`_needs_grid`).  In about
-# 280,000 survey-like groups the grid decided 11 `sum` results, all at
-# t >= 0.89, where that ratio was at most 1.5e-4 (1e-4 would miss two);
-# in 960,000 more at other true efficiencies, up to the box edges, it
-# decided 298, where the ratio was at most 3.5e-4.  This bound flags about
-# one survey group in five.
-_CURVED_RCOND = 1e-3
-# Memory bounds of the pre-scan: cells (groups x states x points) of the
-# arithmetic on one chunk, and per-group objective values (groups x points)
-# of a row kept for one block of grid points, per clone
-_GRID_CELLS = 2**14
-_GRID_VALUES = 2**15
-
-
-def _clones(objective: str) -> list[int]:
-    if objective not in _CLONES:
-        raise ValueError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
-    return _CLONES[objective]
 
 
 def _rescaled_sums(counts: np.ndarray, eta_a, eta_b):
@@ -211,66 +187,10 @@ def _centered(f: np.ndarray) -> np.ndarray:
     return f - f.mean(axis=-1, keepdims=True)
 
 
-def _grid() -> tuple[np.ndarray, np.ndarray]:
-    """(eta_a, eta_b) of the pre-scan grid points, 50x50 over [0.5, 2]^2 in
-    row-major order: eta_a outer, eta_b inner."""
-    axis = np.linspace(0.5, 2.0, _GRID_POINTS)
-    return np.repeat(axis, _GRID_POINTS), np.tile(axis, _GRID_POINTS)
-
-
-def _grid_values(counts: np.ndarray, objective: str):
-    """Objective of counts (B, G, 6, 4) on the pre-scan grid, row by row and
-    block by block of grid points.
-
-    Yields (row, start, values): the values (P,) of batch row `row` at grid
-    points start to start + P, where P keeps the row's per-group values
-    within `_GRID_VALUES` per clone.  The arithmetic runs on chunks of
-    groups of at most `_GRID_CELLS` cells laid out (group, state, point), so
-    the innermost loop runs over points.  The per-group values of each clone
-    are then summed over groups along the contiguous trailing axis of a
-    (point, group) copy, and the clones are added after: the order of the
-    sums of one row alone.
-    """
-    clones = _clones(objective)
-    all_a, all_b = _grid()
-    groups, states = counts.shape[1:3]
-    points = min(all_a.size, max(1, _GRID_VALUES // groups))
-    chunk = max(1, _GRID_CELLS // (states * points))
-    for row, cells in enumerate(counts[:, :, :, None]):  # (G, 6, 1, 4)
-        for start in range(0, all_a.size, points):
-            grid_a, grid_b = all_a[start : start + points], all_b[start : start + points]
-            per_group = np.empty((len(clones), groups, grid_a.size))
-            for j in range(0, groups, chunk):
-                sums = _rescaled_sums(cells[j : j + chunk], grid_a, grid_b)
-                for slot, k in enumerate(clones):
-                    f = np.divide(sums[k], sums[3], out=sums[k])
-                    np.subtract(1.0, f[:, 1::2], out=f[:, 1::2])  # the perp-role rows
-                    f -= f.mean(axis=1, keepdims=True)
-                    f *= f
-                    np.mean(f, axis=1, out=per_group[slot, j : j + chunk])
-            values = np.zeros(grid_a.size)
-            for v in per_group:
-                values += np.ascontiguousarray(v.T).sum(axis=-1)
-            yield row, start, values
-
-
-def _grid_seed(counts: np.ndarray, objective: str) -> np.ndarray:
-    """ln(eta) (B, 2) of the lowest objective on a 50x50 grid over [0.5, 2]^2,
-    the first such point in row-major order."""
-    best = np.zeros(len(counts), dtype=int)
-    lowest = np.full(len(counts), np.inf)
-    for row, start, values in _grid_values(counts, objective):
-        arg = values.argmin()
-        if values[arg] < lowest[row]:
-            best[row], lowest[row] = start + arg, values[arg]
-    grid_a, grid_b = _grid()
-    return np.log(np.stack([grid_a[best], grid_b[best]], axis=-1))
-
-
-def _objective_terms(counts: np.ndarray, log_eta: np.ndarray, objective: str):
+def _objective_terms(counts: np.ndarray, log_eta: np.ndarray):
     """Value (B,), gradient (B, 2) and Hessian (B, 2, 2) in z = ln(eta) of the
-    fidelity variance of each row, summed over the chosen clones and the
-    row's groups; counts (B, G, 6, 4), log_eta (B, 2)."""
+    fidelity variance of each row, summed over both clones and the row's
+    groups; counts (B, G, 6, 4), log_eta (B, 2)."""
     eta = np.exp(log_eta)
     a_plus, b_plus, both, total = _rescaled_sums(counts, eta[:, 0, None, None], eta[:, 1, None, None])
     fa, fb, both = a_plus / total, b_plus / total, both / total
@@ -278,7 +198,7 @@ def _objective_terms(counts: np.ndarray, log_eta: np.ndarray, objective: str):
     ka, kb = 1.0 - 2.0 * fa, 1.0 - 2.0 * fb
     # per clone: f, d_a f, d_b f, d_aa f, d_ab f, d_bb f
     terms = [(fa, sa, c, ka * sa, ka * c, kb * c), (fb, c, sb, ka * c, kb * c, kb * sb)]
-    p = np.stack([np.stack(terms[i], axis=1) for i in _clones(objective)], axis=2)
+    p = np.stack([np.stack(clone, axis=1) for clone in terms], axis=2)
     p[:, 0] = _own_role(p[:, 0])
     p[:, 1:] *= _ROLE_SIGN
     dev = _centered(p[:, :3])
@@ -333,7 +253,6 @@ class NewtonResult(NamedTuple):
     nfev: int  # calls of fun, each on every row still descending
     nit: int  # steps of the longest descent
     success: np.ndarray  # (B,)
-    hess: np.ndarray  # (B, n, n) at x
 
 
 # Curvature below this fraction of the largest Hessian eigenvalue counts as
@@ -352,7 +271,7 @@ def _larger(a, b):
 
 def minimize(fun, x0, lower, upper) -> NewtonResult:
     """Bound-constrained damped Newton descents, one per row of x0 (B, n);
-    the result holds each row's endpoint with its value and Hessian there.
+    the result holds each row's endpoint and its value there.
 
     ``fun(x, rows)`` returns the values (R,), gradients (R, n) and Hessians
     (R, n, n) at the points x (R, n) of the batch rows ``rows``.  A
@@ -420,108 +339,59 @@ def minimize(fun, x0, lower, upper) -> NewtonResult:
         cube = np.array([c**3 for c in (2.0 * gain - 1.0).tolist()])
         damping[r], growth[r] = shift * _larger(1.0 / 3.0, 1.0 - cube), 2.0
         success[r[stalled]], active[r[stalled]] = True, False
-    return NewtonResult(x=x, fun=f, nfev=nfev, nit=nit, success=success, hess=h)
+    return NewtonResult(x=x, fun=f, nfev=nfev, nit=nit, success=success)
 
 
-def calibrate(records: list[MeasurementRecord], objective: str = "sum") -> CalibrationResult:
-    """Recover the relative detector efficiencies minimizing the fidelity variance.
+def calibrate(records: list[MeasurementRecord]) -> CalibrationResult:
+    """Recover the relative detector efficiencies minimizing the summed
+    fidelity variance of both clones.
 
-    A damped Newton descent within [0.2, 5]^2 starts from the count-ratio
-    closed form.  A second one starts from the best point of a grid
-    pre-scan over [0.5, 2]^2 for the single-clone objectives, and under
-    `sum` only where the first ends on the box, unconverged, flat (smallest
-    Hessian eigenvalue below `_CURVED_RCOND` = 1e-3 of the largest) or at
-    an exact fit; the lower minimum is kept.  The returned report is
-    computed at it.  This is `calibrate_each` on a batch of one group.
+    One damped Newton descent within [0.2, 5]^2 starts from the count-ratio
+    closed form (`_ratio_seed`); the returned report is computed at its
+    endpoint.  This is `calibrate_each` on a batch of one group.
     """
-    return calibrate_each([records], objective)[0]
+    return calibrate_each([records])[0]
 
 
-def calibrate_each(
-    groups: list[list[MeasurementRecord]] | np.ndarray,
-    objective: str = "sum",
-) -> list[CalibrationResult]:
-    """`calibrate` of every six-state group, all groups in one batched
-    descent from the ratio seeds, one batched grid pre-scan and descent for
-    the groups that need the grid (every group under `a` and `b`; under
-    `sum` those `_needs_grid` flags, about one in five survey groups, those
-    at t above about 0.7) and one batched report.
-    Each result is bit for bit the one the group calibrated alone gets.
-    `groups` may also be their counts (G, 6, 4) from `stacked_counts`."""
+def calibrate_each(groups: list[list[MeasurementRecord]] | np.ndarray) -> list[CalibrationResult]:
+    """`calibrate` of every six-state group: one batched descent of all groups
+    from their ratio seeds and one batched report.  Each result is bit for
+    bit the one the group calibrated alone gets.  `groups` may also be their
+    counts (G, 6, 4) from `stacked_counts`."""
     counts = groups if isinstance(groups, np.ndarray) else stacked_counts(groups)
-    etas, values = _calibrate_rows(counts[:, None], objective)
+    etas, values = _calibrate_rows(counts[:, None])
     reports = batch_report(counts, etas).split()
-    return [_result(*args, objective) for args in zip(etas, values, reports)]
+    return [_result(*args) for args in zip(etas, values, reports)]
 
 
-def calibrate_pooled(
-    groups: list[list[MeasurementRecord]] | np.ndarray,
-    objective: str = "sum",
-) -> CalibrationResult:
-    """Single efficiency pair minimizing the summed objective over several
+def calibrate_pooled(groups: list[list[MeasurementRecord]] | np.ndarray) -> CalibrationResult:
+    """Single efficiency pair minimizing the variance summed over several
     six-state groups (one per asymmetry setting): a batch of one row holding
     every group, through the same descent as `calibrate_each`.  The returned
     report is for the first group.  `groups` may also be their counts
     (G, 6, 4) from `stacked_counts`."""
     counts = groups if isinstance(groups, np.ndarray) else stacked_counts(groups)
-    (eta,), (value,) = _calibrate_rows(counts[None], objective)
-    return _result(eta, value, batch_report(counts[:1], eta).split()[0], objective)
+    (eta,), (value,) = _calibrate_rows(counts[None])
+    return _result(eta, value, batch_report(counts[:1], eta).split()[0])
 
 
-def _calibrate_rows(counts: np.ndarray, objective: str):
-    """Efficiencies (B, 2) and objective values (B,) for counts (B, G, 6, 4).
+def _calibrate_rows(counts: np.ndarray):
+    """Efficiencies (B, 2) and objective values (B,) for counts (B, G, 6, 4):
+    `minimize` of each row's objective from its ratio seed.  Where the data
+    leave an efficiency undetermined (at t = 1, eta_b), the descent does not
+    move it off its closed-form seed."""
+    def fun(z, rows):
+        return _objective_terms(counts[rows], z)
 
-    Every row descends from its ratio seed.  The rows where that may not
-    find the lowest minimum then get the grid pre-scan and a second descent
-    from its best point: all rows of a single-clone objective, which is
-    close to flat in one direction at every t, and the rows of `sum` that
-    `_needs_grid` flags.  The grid result wins only where it is lower by
-    more than the rounding of the ratio value: on a tie, where the data
-    leave an efficiency undetermined, it stays at its closed-form seed, not
-    at a grid point.
-    """
-    every = np.arange(len(counts))
-    ratio = _descend(counts, every, _ratio_seed(counts), objective)
-    log_eta, values = ratio.x, ratio.fun
-    rows = every if len(_clones(objective)) == 1 else np.flatnonzero(_needs_grid(ratio))
-    if rows.size:
-        grid = _descend(counts, rows, _grid_seed(counts[rows], objective), objective)
-        use_grid = grid.fun < values[rows] - _rounding(values[rows])
-        log_eta[rows[use_grid]], values[rows[use_grid]] = grid.x[use_grid], grid.fun[use_grid]
-    return np.exp(log_eta), values
+    res = minimize(fun, _ratio_seed(counts), *_LOG_BOUNDS)
+    return np.exp(res.x), res.fun
 
 
-def _descend(counts: np.ndarray, rows: np.ndarray, seeds: np.ndarray, objective: str):
-    """`minimize` of the objective of counts[rows], batch row k from seeds[k]."""
-    return minimize(
-        lambda z, sub: _objective_terms(counts[rows[sub]], z, objective), seeds, *_LOG_BOUNDS
-    )
-
-
-def _needs_grid(res: NewtonResult) -> np.ndarray:
-    """Rows (B,) of a ratio-seeded `sum` descent that the grid pre-scan may
-    improve: the endpoint lies on the box, the descent did not converge, or
-    the endpoint is flat in some direction (`_CURVED_RCOND`).  Also a row
-    whose value is so small that a second descent into the same minimum may
-    end lower by more than the tie tolerance: a descent stops within about
-    `_XTOL` of its minimum, which moves the value by up to about the largest
-    curvature times `_XTOL`**2.  Only an exact fit, a noiseless group, is
-    that small.
-    """
-    on_box = ((res.x <= _LOG_BOUNDS[0]) | (res.x >= _LOG_BOUNDS[1])).any(axis=-1)
-    w = np.linalg.eigvalsh(res.hess)
-    # written so that a zero or nan eigenvalue counts as flat
-    curved = (w[:, 0] > 0.0) & (w[:, 0] >= _CURVED_RCOND * w[:, -1])
-    tie_resolved = _rounding(res.fun) >= w[:, -1] * _XTOL**2
-    return on_box | ~res.success | ~curved | ~tie_resolved
-
-
-def _result(eta, value, report: FidelityReport, objective: str) -> CalibrationResult:
+def _result(eta, value, report: FidelityReport) -> CalibrationResult:
     eta = EfficiencyPair(*eta.tolist())
     return CalibrationResult(
         eta=eta,
         report=report,
         objective_value=float(value),
-        objective=objective,
         boundary_hit=any(min(e - ETA_MIN, ETA_MAX - e) < 1e-6 for e in eta),
     )

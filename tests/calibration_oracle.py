@@ -1,12 +1,7 @@
 """Per-group calibration with a scalar Newton descent, the oracle the batched
 `estimation.calibrate_each` and `estimation.calibrate_pooled` are tested
-against: one grid pre-scan, one ratio seed and two descents per call, each
-on the counts of that call alone.  The oracle runs both seeds for every
-group; the batched calibration runs the grid only for the rows
-`estimation._needs_grid` flags (under `sum`: ratio-seeded descents that end
-on the box, unconverged, flat below `_CURVED_RCOND` = 1e-3, or at an exact
-fit), so wherever the two agree, `_needs_grid` skipped no group whose result
-the grid decides."""
+against: the count-ratio seed and one descent per call, on the counts of
+that call alone."""
 
 import numpy as np
 
@@ -18,14 +13,10 @@ from qclone.estimation import (
     _ROLE_SIGN,
     _XTOL,
     CalibrationResult,
-    _clones,
     report,
     stacked_counts,
 )
 from qclone.labels import ETA_MAX, ETA_MIN, EfficiencyPair
-
-GRID_POINTS = 50  # per axis of the pre-scan grid
-GRID_CELLS = 2**17  # (G, 6) cells per block of grid points
 
 
 def _rescaled_fidelities(counts, eta_a, eta_b):
@@ -48,27 +39,14 @@ def _rounding(value):
     return 8.0 * np.finfo(float).eps * np.sqrt(value)
 
 
-def grid_values(counts, objective, eta_a, eta_b):
-    """Objective at every point (eta_a[i], eta_b[i]) for counts (G, 6, 4)."""
-    clones = _clones(objective)
-    block = max(1, GRID_CELLS // counts[..., 0].size)
-    values = []
-    for i in range(0, eta_a.size, block):
-        fa, fb, _ = _rescaled_fidelities(
-            counts, eta_a[i : i + block, None, None], eta_b[i : i + block, None, None]
-        )
-        f = _own_role(np.stack([fa, fb])[clones])
-        values.append((_centered(f) ** 2).mean(axis=-1).sum(axis=(0, -1)))
-    return np.concatenate(values)
-
-
-def objective_terms(counts, log_eta, objective):
-    """Value, gradient (2,) and Hessian (2, 2) for counts (G, 6, 4)."""
+def objective_terms(counts, log_eta):
+    """Value, gradient (2,) and Hessian (2, 2) of the fidelity variance of
+    both clones for counts (G, 6, 4)."""
     fa, fb, both = _rescaled_fidelities(counts, *np.exp(log_eta))
     sa, sb, c = fa * (1.0 - fa), fb * (1.0 - fb), both - fa * fb
     ka, kb = 1.0 - 2.0 * fa, 1.0 - 2.0 * fb
     terms = [(fa, sa, c, ka * sa, ka * c, kb * c), (fb, c, sb, ka * c, kb * c, kb * sb)]
-    p = np.stack([np.stack(terms[i]) for i in _clones(objective)], axis=1)
+    p = np.stack([np.stack(clone) for clone in terms], axis=1)
     p[0] = _own_role(p[0])
     p[1:] *= _ROLE_SIGN
     dev = _centered(p[:3])
@@ -135,27 +113,17 @@ def minimize(fun, x0, lower, upper):
     return x, f, nfev, nit, success
 
 
-def calibrate_groups(groups, objective):
-    """One efficiency pair for the summed objective of `groups`: descents from
-    the ratio seed and from the best grid point, the lower minimum kept."""
+def calibrate_groups(groups):
+    """One efficiency pair for the summed variance of `groups`: the descent
+    from the ratio seed."""
     counts = stacked_counts(groups)
-    axis = np.linspace(0.5, 2.0, GRID_POINTS)
-    grid_a, grid_b = np.repeat(axis, GRID_POINTS), np.tile(axis, GRID_POINTS)
-    best = int(np.argmin(grid_values(counts, objective, grid_a, grid_b)))
-
-    def fun(log_eta):
-        return objective_terms(counts, log_eta, objective)
-
-    ratio, grid = (
-        minimize(fun, z0, *_LOG_BOUNDS)
-        for z0 in (ratio_seed(counts), np.log([grid_a[best], grid_b[best]]))
+    x, value, *_ = minimize(
+        lambda log_eta: objective_terms(counts, log_eta), ratio_seed(counts), *_LOG_BOUNDS
     )
-    res = grid if grid[1] < ratio[1] - _rounding(ratio[1]) else ratio
-    eta = EfficiencyPair(*(float(e) for e in np.exp(res[0])))
+    eta = EfficiencyPair(*(float(e) for e in np.exp(x)))
     return CalibrationResult(
         eta=eta,
         report=report(groups[0], eta_correction=eta),
-        objective_value=float(res[1]),
-        objective=objective,
+        objective_value=float(value),
         boundary_hit=any(min(e - ETA_MIN, ETA_MAX - e) < 1e-6 for e in eta),
     )

@@ -188,6 +188,12 @@ PATHS = ["--out", "sim.csv", "--records", "records.csv"]
     (["simulate", "--bogus", *PATHS], "unrecognized arguments: --bogus", True),
     (["bogus", *PATHS], "argument command: invalid choice: 'bogus'", True),
     ([], "the following arguments are required: command", True),
+    (["robustness", "--t", "0", "--eps-max", "-inf", "--out", "rob.csv"],
+     "argument --eps-max: expected one argument (give a value that starts with '-' as "
+     "--eps-max=<value>)", True),
+    *((["calibrate", "--objective", objective, "--records", "records.csv", "--out", "cal.csv"],
+       f"objective '{objective}' was retired: the fidelity variance of one clone leaves an "
+       "efficiency undetermined; use 'sum'", False) for objective in "ab"),
 ])
 def test_rejected_command_line_is_a_config_error(tmp_path, monkeypatch, capsys, argv, message,
                                                  usage):
@@ -206,7 +212,7 @@ def test_help_exits_0(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     # the allowed values of the two choice flags are in the help text
-    assert "calibration objective: a, b, sum" in out and "table format: csv, json" in out
+    assert "calibration objective: sum" in out and "table format: csv, json" in out
 
 
 def test_option_table():
@@ -227,7 +233,7 @@ SETTINGS = [
     ("counts", "1e3", ["--counts", "1e3"]),
     ("seed", "7", ["--seed", "7"]),
     ("noiseless", "true", ["--noiseless"]),
-    ("objective", "a", ["--objective", "a"]),
+    ("objective", "sum", ["--objective", "sum"]),
     ("pooled", "yes", ["--pooled"]),
     ("out", "x.csv", ["--out", "x.csv"]),
     ("records", "r.csv", ["--records", "r.csv"]),
@@ -248,8 +254,11 @@ def test_config_file_and_flags_build_the_same_config(tmp_path):
     flags = [arg for _, _, args in SETTINGS for arg in args]
     from_flags = build_config(parser.parse_args(["simulate", *flags]))
     assert from_file == from_flags
+    # every value but the objective's, which has only the one, is off its default
     default = RunConfig()
-    assert all(getattr(from_file, key) != getattr(default, key) for key in OPTIONS)
+    assert [key for key in OPTIONS if getattr(from_file, key) == getattr(default, key)] == [
+        "objective"
+    ]
 
 
 def test_simulate_without_counts_is_a_data_error(tmp_path, capsys):
@@ -517,20 +526,23 @@ def test_default_calibration_stays_inside_the_box(tmp_path):
 
 
 def test_strict_boundary_hit_exits_3_and_writes_both_tables(tmp_path):
-    # on the default noisy run the single-clone objective `b` pushes some
-    # eta to the edge of the box; `sum` does not
-    recs = tmp_path / "records.csv"
-    assert main(["simulate", "--out", str(tmp_path / "sim.csv"), "--records", str(recs)]) == EXIT_OK
-    out = tmp_path / "b.csv"
-    calibrate = ["calibrate", "--strict", "--records", str(recs)]
-    rc = main([*calibrate, "--objective", "b", "--out", str(out)])
+    # noiseless counts at eta_a = 5 calibrate to eta_a = 5, on the edge of
+    # the box; the default noisy run stays inside it
+    edge = tmp_path / "edge_records.csv"
+    assert main(["simulate", "--noiseless", "--eta-a", "5", "--out", str(tmp_path / "edge.csv"),
+                 "--records", str(edge)]) == EXIT_OK
+    out = tmp_path / "cal.csv"
+    calibrate = ["calibrate", "--strict", "--objective", "sum"]
+    rc = main([*calibrate, "--records", str(edge), "--out", str(out)])
     assert rc == EXIT_BOUNDARY
     _, rows = read_csv(out)
     assert len(rows) == 6 and "true" in [r[5] for r in rows]
-    _, states = read_csv(tmp_path / "b_states.csv")
+    _, states = read_csv(tmp_path / "cal_states.csv")
     assert len(states) == 36
+    recs = tmp_path / "records.csv"
+    assert main(["simulate", "--out", str(tmp_path / "sim.csv"), "--records", str(recs)]) == EXIT_OK
     out = tmp_path / "sum.csv"
-    rc = main([*calibrate, "--objective", "sum", "--out", str(out)])
+    rc = main([*calibrate, "--records", str(recs), "--out", str(out)])
     assert rc == EXIT_OK
     assert (tmp_path / "sum_states.csv").exists()
 
@@ -653,6 +665,7 @@ def command_lines(draw):
 @example((["simulate", "--eta-a=abc"], [], EXIT_CONFIG))
 @example((["robustness", "--t=0.5", "--eps-points=2.5"], [], EXIT_CONFIG))
 @example((["simulate", "--objective=c"], [], EXIT_CONFIG))
+@example((["calibrate", "--objective=a"], [], EXIT_CONFIG))
 @example((["simulate", "--bogus=1"], [], EXIT_CONFIG))
 @example((["simulate"], ["eta_a = abc"], EXIT_CONFIG))
 @example((["robustness"], ["triple = 0.9,0.7", "eps_points = 3"], EXIT_CONFIG))
