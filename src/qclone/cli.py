@@ -25,11 +25,14 @@ from .labels import (
     ROLE_PSI,
     EfficiencyPair,
     MachineTriple,
+    linspace,
+    write_atomic,
 )
 
-# The numeric modules (numpy, cloner, detection, estimation, robustness) are
-# imported inside the subcommands that use them, so parsing, validation,
-# `schema` and every config error run on the standard library alone.
+# The modules of the commands (cloner, robustness, and detection and
+# estimation, which load numpy) are imported inside the subcommands that use
+# them.  Parsing, validation, `schema`, every config error, `analytic` and
+# `robustness` run on the standard library alone.
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -289,8 +292,6 @@ def write_table(columns, rows, path: str, fmt: str, config: dict | None = None) 
     if path == "-":
         _dump_table(columns, rows, sys.stdout, fmt, config)
         return
-    from .detection import write_atomic
-
     try:
         write_atomic(path, lambda fh: _dump_table(columns, rows, fh, fmt, config))
     except OSError as exc:
@@ -312,17 +313,14 @@ def _echo_config(cfg: RunConfig) -> None:
 # --- subcommands ------------------------------------------------------------
 
 def cmd_analytic(cfg: RunConfig) -> int:
-    import numpy as np
-
     from .cloner import clone_fidelities, machine_triple, success_probability, tradeoff_residual
 
     rows = []
-    for kind, ts in (("grid", cfg.t_values), ("curve", np.linspace(0.0, 1.0, 200))):
+    for kind, ts in (("grid", cfg.t_values), ("curve", linspace(0.0, 1.0, 200))):
         for t in ts:
-            fa, fb = clone_fidelities(float(t))
-            m = machine_triple(float(t))
+            fa, fb = clone_fidelities(t)
             rows.append(
-                (kind, float(t), fa, fb, m.p, success_probability(float(t)),
+                (kind, t, fa, fb, machine_triple(t).p, success_probability(t),
                  tradeoff_residual(fa, fb))
             )
     write_table(SCHEMAS["analytic"], rows, cfg.out, cfg.format, cfg.resolved())
@@ -442,40 +440,16 @@ def _machine_from_config(cfg: RunConfig) -> MachineTriple:
 
 def cmd_robustness(cfg: RunConfig) -> int:
     m = _machine_from_config(cfg)
-    import numpy as np
+    from .robustness import sweep_rows, taylor_form, taylor_form_b
 
-    from .robustness import (
-        biased_mean,
-        biased_mean_b,
-        error_bound,
-        eta_from_mismatch,
-        taylor_form,
-        taylor_form_b,
-    )
-
-    form_a = taylor_form(m)
-    form_b = taylor_form_b(m)
-    for clone, form in (("A", form_a), ("B", form_b)):
+    for clone, form in (("A", taylor_form(m)), ("B", taylor_form_b(m))):
         print(
             f"# clone {clone} quadratic coefficients: "
             f"{form.coeff_aa:.12g}, {form.coeff_ab:.12g}, {form.coeff_bb:.12g}; "
             f"bound factor {form.max_eigenvalue():.12g}",
             file=sys.stderr,
         )
-    eps = np.linspace(-cfg.eps_max, cfg.eps_max, cfg.eps_points)
-    # eps_a outer, eps_b inner: the row order of the table
-    ea, eb = (g.ravel() for g in np.meshgrid(eps, eps, indexing="ij"))
-    eta = eta_from_mismatch(ea, eb)
-    columns = (
-        ea, eb,
-        biased_mean(m, eta) - m.fid_a,
-        form_a.evaluate(ea, eb),
-        error_bound(form_a, ea, eb),
-        biased_mean_b(m, eta) - m.fid_b,
-        form_b.evaluate(ea, eb),
-        error_bound(form_b, ea, eb),
-    )
-    rows = zip(*(c.tolist() for c in columns))
+    rows = sweep_rows(m, cfg.eps_max, cfg.eps_points)
     write_table(SCHEMAS["robustness"], rows, cfg.out, cfg.format, cfg.resolved())
     return EXIT_OK
 

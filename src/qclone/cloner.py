@@ -4,14 +4,19 @@ The channel attenuates the antisymmetric (singlet) component of the joint
 state of a maximally mixed blank copy (arm A) and the signal (arm B) by an
 amplitude factor t, then post-selects on coincidence.  Clone A is the
 blank-copy arm, clone B the signal arm; for t > 0 clone B is the better one.
+
+The closed forms are float arithmetic; only the matrix channel
+(`symmetrizer`, `apply_cloner`, `clone_states`) imports numpy, when called.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .labels import MachineTriple
-from .states import SINGLET, partial_trace, projector, tensor
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _check_t(t: float) -> None:
@@ -21,6 +26,10 @@ def _check_t(t: float) -> None:
 
 def symmetrizer(t: float) -> np.ndarray:
     """The filtration operator I - (1 - t)|singlet><singlet| (eigenvalues 1,1,1,t)."""
+    import numpy as np
+
+    from .states import SINGLET, projector
+
     _check_t(t)
     return np.eye(4, dtype=complex) - (1.0 - t) * projector(SINGLET)
 
@@ -31,6 +40,10 @@ def apply_cloner(psi: np.ndarray, t: float) -> tuple[np.ndarray, float]:
     Returns the unnormalized post-selected two-clone state (arm A first) and
     the success probability (its trace).
     """
+    import numpy as np
+
+    from .states import projector, tensor
+
     _check_t(t)
     vs = symmetrizer(t)
     rho_in = tensor(0.5 * np.eye(2, dtype=complex), projector(psi))
@@ -40,6 +53,8 @@ def apply_cloner(psi: np.ndarray, t: float) -> tuple[np.ndarray, float]:
 
 def clone_states(psi: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Normalized reduced states of the two clones for input ket psi."""
+    from .states import partial_trace
+
     rho_out, prob = apply_cloner(psi, t)
     rho_a = partial_trace(rho_out, "A") / prob
     rho_b = partial_trace(rho_out, "B") / prob

@@ -10,10 +10,8 @@ for both input roles.
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 from dataclasses import dataclass
-from typing import Callable, Iterable, TextIO
+from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -28,6 +26,7 @@ from .labels import (
     ROLE_PERP,
     ROLE_PSI,
     EfficiencyPair,
+    write_atomic,
 )
 
 
@@ -149,27 +148,6 @@ def run_experiment(
 def format_record(rec: MeasurementRecord) -> str:
     nums = ",".join(f"{c:.12g}" for c in rec.counts)
     return f"{rec.t:.12g},{rec.state_label},{rec.basis_label},{rec.role},{nums}"
-
-
-def write_atomic(path, dump: Callable[[TextIO], None]) -> None:
-    """Write a text file through ``dump(fh)`` and move it into place whole.
-
-    The file is written under a temporary name in the target directory and
-    renamed over `path` only once complete; on any error the temporary file
-    is removed, an existing `path` is left unchanged and the error is raised.
-    """
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".qclone-")
-    try:
-        # mkstemp creates the file 0600; give it the mode open(path, "w") would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        with os.fdopen(fd, "w") as fh:
-            dump(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def write_records(records: Iterable[MeasurementRecord], path) -> None:

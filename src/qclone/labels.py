@@ -2,15 +2,17 @@
 
 The six preparation states and their analysis bases, the role of each state,
 the record-file columns, the calibration objectives, the efficiency search
-box and the machine triple.  This module imports nothing but the standard
-library, so the command line can parse and validate a run without loading
-numpy.
+box and the machine triple; also the two helpers every table command needs,
+`linspace` and `write_atomic`.  This module imports nothing but the standard
+library, so the command line can parse and validate a run, and compute the
+closed-form tables, without loading numpy.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+import os
+from typing import Callable, NamedTuple, TextIO
 
 CATALOG_LABELS = ("H", "V", "D", "A", "R", "L")
 BASIS_LABELS = ("HV", "DA", "RL")
@@ -80,3 +82,46 @@ class MachineTriple(NamedTuple):
     def swapped(self) -> MachineTriple:
         """The same machine with the clone labels interchanged."""
         return MachineTriple(self.fid_b, self.fid_a, self.p)
+
+
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """``np.linspace(start, stop, num).tolist()`` for floats, bit for bit.
+
+    numpy's arithmetic in numpy's order: point i is ``i*step + start``, or
+    ``i/div*delta + start`` where the step rounds to zero, and the last
+    point is `stop` itself.
+    """
+    div = num - 1
+    delta = stop - start
+    if div > 0:
+        step = delta / div
+        points = [i / div * delta for i in range(num)] if step == 0 else [i * step for i in range(num)]
+    else:
+        points = [i * delta for i in range(num)]
+    points = [x + start for x in points]
+    if num > 1:
+        points[-1] = stop
+    return points
+
+
+def write_atomic(path, dump: Callable[[TextIO], None]) -> None:
+    """Write a text file through ``dump(fh)`` and move it into place whole.
+
+    The file is written under a temporary name in the target directory and
+    renamed over `path` only once complete; on any error the temporary file
+    is removed, an existing `path` is left unchanged and the error is raised.
+    """
+    import tempfile  # here, so that commands that write no file do not load it
+
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".qclone-")
+    try:
+        # mkstemp creates the file 0600; give it the mode open(path, "w") would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        with os.fdopen(fd, "w") as fh:
+            dump(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -565,10 +565,11 @@ def _subprocess_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(tmp_path):
     # neither the package, nor the cli module, nor the commands that need no
-    # numbers (schema, --help, config errors) load numpy or scipy; the
-    # -X importtime trace names every module the process imports
+    # numbers (schema, --help, config errors), nor the closed-form tables
+    # (analytic, robustness) load numpy or scipy; the -X importtime trace
+    # names every module the process imports
     env = _subprocess_env()
     cases = [
         (["-c", "import qclone"], EXIT_OK),
@@ -581,6 +582,12 @@ def test_cli_import_loads_no_scipy():
         (["-m", "qclone.cli", "calibrate"], EXIT_CONFIG),
         (["-m", "qclone.cli", "robustness", "--t", "0,1"], EXIT_CONFIG),
         (["-m", "qclone.cli", "robustness", "--triple", "0.9,0.9,0.95"], EXIT_CONFIG),
+        (["-m", "qclone.cli", "analytic"], EXIT_OK),
+        (["-m", "qclone.cli", "analytic", "--format", "json"], EXIT_OK),
+        (["-m", "qclone.cli", "robustness", "--t", "0"], EXIT_OK),
+        (["-m", "qclone.cli", "robustness", "--triple", "0.9,0.7,0.6", "--format", "json"], EXIT_OK),
+        (["-m", "qclone.cli", "robustness", "--t", "0", "--out", str(tmp_path / "sweep.csv")],
+         EXIT_OK),
     ]
     for args, code in cases:
         proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,

@@ -442,6 +442,20 @@ def test_batched_terms_and_seeds_match_the_oracle():
     np.testing.assert_array_equal(_ratio_seed(rows), [calibration_oracle.ratio_seed(c) for c in rows])
 
 
+def _assert_rows_descend_alone(row_fun, x0, lower, upper):
+    """`minimize` of the rows x0 in one batch gives each row bit for bit the
+    endpoint of its scalar descent; ``row_fun(k)`` is row k's objective."""
+    def fun(x, rows):
+        values = [row_fun(k)(xk) for k, xk in zip(rows, x)]
+        return tuple(np.array(v) for v in zip(*values))
+
+    res = minimize(fun, x0, lower, upper)
+    for k in range(len(x0)):
+        x, f, _, _, success = calibration_oracle.minimize(row_fun(k), x0[k], lower, upper)
+        np.testing.assert_array_equal(res.x[k], x)
+        assert res.fun[k] == f and res.success[k] == success
+
+
 def test_minimize_rows_descend_as_they_would_alone():
     # rows that stop at different steps: bound-held, flat and curved objectives
     centers = np.array([[2.0, -1.0], [0.3, 0.2], [-0.4, 0.6], [0.1, 0.1]])
@@ -457,16 +471,38 @@ def test_minimize_rows_descend_as_they_would_alone():
 
         return fun
 
-    def fun(x, rows):
-        values = [row_fun(k)(xk) for k, xk in zip(rows, x)]
-        return tuple(np.array(v) for v in zip(*values))
-
     x0 = np.array([[0.5, 0.5], [0.9, 0.7], [-0.9, -0.9], [0.1, 0.1]])
-    res = minimize(fun, x0, -1.0, 1.0)
-    for k in range(len(x0)):
-        x, f, _, _, success = calibration_oracle.minimize(row_fun(k), x0[k], -1.0, 1.0)
-        np.testing.assert_array_equal(res.x[k], x)
-        assert res.fun[k] == f and res.success[k] == success
+    _assert_rows_descend_alone(row_fun, x0, -1.0, 1.0)
+
+
+def test_minimize_batch_rows_equal_their_scalar_descents():
+    # Seeded descents down curved valleys c*u**4 + b*(v - u**2)**2, damped
+    # where the Hessian is indefinite or a step fails. Near the degenerate
+    # minimum at the origin they creep (each one ends at the iteration cap),
+    # so a one-ulp change in the damping early in a descent still shows at
+    # its end. A damping factor cubed by numpy's array power, which misses
+    # Python's float power by an ulp in about 3% of elements, changes 12 of
+    # these 64 endpoints; numpy's array power is the same at every array
+    # length, so a batch of one would not show it.
+    rng = np.random.default_rng(0)
+    n = 64
+    c, b = rng.uniform(0.01, 0.1, n), rng.uniform(100.0, 1000.0, n)
+    x0 = rng.uniform(-2.0, 2.0, size=(n, 2))
+
+    def row_fun(k):
+        def fun(x):
+            u, v = x
+            uu = u * u
+            s = v - uu
+            grad = np.array([4.0 * c[k] * uu * u - 4.0 * b[k] * u * s, 2.0 * b[k] * s])
+            off = -4.0 * b[k] * u
+            hess = np.array([[12.0 * c[k] * uu - 4.0 * b[k] * s + 8.0 * b[k] * uu, off],
+                             [off, 2.0 * b[k]]])
+            return c[k] * (uu * uu) + b[k] * (s * s), grad, hess
+
+        return fun
+
+    _assert_rows_descend_alone(row_fun, x0, -2.0, 2.0)
 
 
 def test_noiseless_calibration_matches_the_oracle(tmp_path):

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import robustness_oracle as oracle
 from channel_oracle import channel_probabilities
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
@@ -7,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from qclone.cloner import MachineTriple, machine_triple
 from qclone.detection import EfficiencyPair, bias_counts
 from qclone.estimation import fidelities_from_counts
+from qclone.labels import linspace
 from qclone.robustness import (
     QuadraticErrorForm,
     biased_fidelity_psi,
@@ -15,6 +19,7 @@ from qclone.robustness import (
     biased_mean_b,
     error_bound,
     eta_from_mismatch,
+    sweep_rows,
     taylor_form,
     taylor_form_b,
 )
@@ -218,7 +223,7 @@ def test_mismatch_validation():
     with pytest.raises(ValueError):
         eta_from_mismatch(-1.0, 0.0)
     with pytest.raises(ValueError):
-        eta_from_mismatch(np.array([0.0, 0.5]), np.array([0.1, -1.2]))
+        oracle.eta_from_mismatch(np.array([0.0, 0.5]), np.array([0.1, -1.2]))
 
 
 @st.composite
@@ -256,15 +261,15 @@ def test_linear_terms_cancel_property(m, angle):
 @example(MachineTriple(1.0, 1.0, 1.0), np.array([0.0]), np.array([-0.9999999999999999]))
 @given(machines(), MISMATCHES, MISMATCHES)
 def test_array_calls_equal_scalar_calls(m, eps_a, eps_b):
-    # the sweep's one call per column must give the per-point floats exactly
+    # the oracle's one call per column must give the per-point floats exactly
     n = min(len(eps_a), len(eps_b))
     eps_a, eps_b = eps_a[:n], eps_b[:n]
     form_a, form_b = taylor_form(m), taylor_form_b(m)
-    eta = eta_from_mismatch(eps_a, eps_b)
+    eta = oracle.eta_from_mismatch(eps_a, eps_b)
     columns = [
-        biased_mean(m, eta), biased_mean_b(m, eta),
-        form_a.evaluate(eps_a, eps_b), error_bound(form_a, eps_a, eps_b),
-        form_b.evaluate(eps_a, eps_b), error_bound(form_b, eps_a, eps_b),
+        oracle.biased_mean(m, eta), oracle.biased_mean_b(m, eta),
+        oracle.evaluate(form_a, eps_a, eps_b), oracle.error_bound(form_a, eps_a, eps_b),
+        oracle.evaluate(form_b, eps_a, eps_b), oracle.error_bound(form_b, eps_a, eps_b),
     ]
     for i, (ea, eb) in enumerate(zip(eps_a.tolist(), eps_b.tolist())):
         eta_i = eta_from_mismatch(ea, eb)
@@ -274,3 +279,77 @@ def test_array_calls_equal_scalar_calls(m, eps_a, eps_b):
             form_b.evaluate(ea, eb), error_bound(form_b, ea, eb),
         ]
         assert [c[i] for c in columns] == scalars
+
+
+def _bits(rows):
+    # repr tells -0.0 from 0.0, which == does not and a table prints apart
+    return [repr(row) for row in rows]
+
+
+# the three cases above as sweeps: eps_max 0.343805606955381 squared, and an
+# efficiency of 1.1e-16 (the three-point grid holds -eps_max, 0 and eps_max)
+@example(SYMMETRIC, 0.343805606955381, 2)
+@example(MachineTriple(1.0, 0.0, 0.0), 0.9999999999999999, 3)
+@example(MachineTriple(1.0, 1.0, 1.0), 0.9999999999999999, 3)
+@given(machines(), st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 41))
+def test_sweep_rows_equal_the_oracle(m, eps_max, eps_points):
+    rows, expected = list(sweep_rows(m, eps_max, eps_points)), oracle.sweep_rows(m, eps_max, eps_points)
+    assert len(rows) == eps_points**2
+    assert rows == expected
+    assert _bits(rows) == _bits(expected)
+
+
+def test_sweep_rows_reject_a_mismatch_of_minus_one():
+    with pytest.raises(ValueError):
+        next(sweep_rows(SYMMETRIC, 1.0, 3))
+
+
+@given(machines())
+def test_max_eigenvalue_equals_eigvalsh(m):
+    for form in (taylor_form(m), taylor_form_b(m)):
+        assert form.max_eigenvalue() == oracle.max_eigenvalue(form)
+
+
+@pytest.mark.parametrize("form", [
+    QuadraticErrorForm(0.0, 0.0, 0.0),
+    QuadraticErrorForm(-0.3, 0.0, 0.1),  # coeff_ab == 0: the diagonal
+    QuadraticErrorForm(0.1, 0.2, 0.1),  # coeff_aa == coeff_bb
+    QuadraticErrorForm(-0.1, 0.2, -0.1),
+    QuadraticErrorForm(0.1, -0.2, -0.1),  # coeff_aa == -coeff_bb
+    QuadraticErrorForm(1e-17, 1.0, 1e-17),
+    # an off-diagonal entry that LAPACK's dsterf neglects, where dlae2 would
+    # give one ulp more: by its first test alone, then by its second alone
+    QuadraticErrorForm(1.7315213382920627, 2 * 1.922374857401613e-16, -1.731521338292063),
+    QuadraticErrorForm(*(float.fromhex(x) for x in (
+        "0x1.d9f21f378763ap+0", "0x1.d9f21f378763ap-52", "0x1.d9f21f378763ap+0"))),
+    # eigenvalues of nearly opposite sign, where dlae2's second one is the
+    # larger in magnitude by one ulp
+    QuadraticErrorForm(0.8232217538370984, 0.01569672166469764, -0.8232217538370983),
+    # beyond LAPACK's scaling thresholds, 2**485 above, 2**-405 and 2**-485
+    # below: scaled in and out (the last two each tell one scaling missed)
+    QuadraticErrorForm(3e300, -7e299, 1e299),
+    QuadraticErrorForm(3e-130, 7e-131, -2e-130),
+    QuadraticErrorForm(3e-300, -7e-301, 5e-324),
+    QuadraticErrorForm(5e-324, 1e-323, 5e-324),
+    QuadraticErrorForm(1.4455012634517346e-286, -0.0, 3.4512079561628115e-286),
+    QuadraticErrorForm(6.955260898434175e-251, 6.179050823583781e-253, 1.7572216087129635e-251),
+])
+def test_max_eigenvalue_pinned_forms(form):
+    assert form.max_eigenvalue() == oracle.max_eigenvalue(form)
+
+
+@pytest.mark.parametrize("t", [math.sqrt(n / 5.0) for n in range(6)])
+def test_max_eigenvalue_on_the_paper_grid(t):
+    m = machine_triple(t)
+    for form in (taylor_form(m), taylor_form_b(m)):
+        assert form.max_eigenvalue() == oracle.max_eigenvalue(form)
+
+
+@pytest.mark.parametrize("num", [1, 2, 3, 21, 200, 201, 501])
+@pytest.mark.parametrize("eps_max", [0.0, 0.2, 0.9999999999999999])
+def test_linspace_equals_numpy(num, eps_max):
+    for start, stop in ((-eps_max, eps_max), (0.0, 1.0)):
+        points = linspace(start, stop, num)
+        expected = np.linspace(start, stop, num).tolist()
+        assert points == expected
+        assert list(map(float.hex, points)) == list(map(float.hex, expected))
