@@ -29,10 +29,10 @@ from .labels import (
     write_atomic,
 )
 
-# The modules of the commands (cloner, robustness, and detection and
-# estimation, which load numpy) are imported inside the subcommands that use
-# them.  Parsing, validation, `schema`, every config error, `analytic` and
-# `robustness` run on the standard library alone.
+# The modules of the commands (cloner, robustness, detection, and estimation,
+# which loads numpy) are imported inside the subcommands that use them.  Every
+# command but `calibrate`, and every config error, runs on the standard
+# library alone.
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -48,7 +48,8 @@ STATE_COLUMNS = tuple(
 )
 
 # Caps on the run sizes. At COUNTS_MAX the largest Poisson rate, about
-# counts * 25 * 2/3 at eta = 5, stays far below numpy's limit (about 9.2e18);
+# counts * 25 * 2/3 at eta = 5, stays far below the sampler's limit
+# (detection.POISSON_LAM_MAX, about 9.2e18, numpy's);
 # EPS_POINTS_MAX**2 is the row count of the largest robustness table.
 COUNTS_MAX = 1e15
 EPS_POINTS_MAX = 501
@@ -331,22 +332,22 @@ def cmd_simulate(cfg: RunConfig) -> int:
     records_path = cfg.records or _sibling_path(cfg.out, "records")
     if records_path == "-":
         raise ConfigError("simulate cannot write the record file to stdout; give --records <path>")
-    from .detection import run_experiment, write_records
-    from .estimation import NoDataError, batch_report, stacked_counts
+    from .detection import NoDataError, run_experiment, six_state_report, write_records
 
     groups = [
         run_experiment(t, cfg.eta, cfg.counts, seed=cfg.seed + i, noiseless=cfg.noiseless)
         for i, t in enumerate(cfg.t_values)
     ]
-    try:
-        rep = batch_report(stacked_counts(groups))
-    except NoDataError as exc:
-        raise DataError(f"{exc}; raise --counts")
-    f_a, f_b, *stats = (v.tolist() for v in rep)
+    reports = []
+    for t, recs in zip(cfg.t_values, groups):
+        try:
+            reports.append(six_state_report([rec.counts for rec in recs]))
+        except NoDataError as exc:
+            raise DataError(f"t = {t}: {exc}; raise --counts")
     rows = (
-        (t, *columns, fa, fb, *group_stats)
-        for t, fa_g, fb_g, *group_stats in zip(cfg.t_values, f_a, f_b, *stats)
-        for columns, fa, fb in zip(STATE_COLUMNS, fa_g, fb_g)
+        (t, *columns, fa, fb, rep.mean_a, rep.mean_b, rep.variance_a, rep.variance_b)
+        for t, rep in zip(cfg.t_values, reports)
+        for columns, (fa, fb) in zip(STATE_COLUMNS, rep.per_state)
     )
     try:
         write_records((rec for recs in groups for rec in recs), records_path)
@@ -367,10 +368,14 @@ def _grouped_by_t(records):
 def cmd_calibrate(cfg: RunConfig) -> int:
     if not cfg.records:
         raise ConfigError("calibrate requires --records <record file>")
-    from .detection import read_records
-    from .estimation import (
-        NoDataError, batch_report, calibrate_each, calibrate_pooled, stacked_counts,
-    )
+    if cfg.format == "json" and cfg.out == "-":
+        # two JSON tables back to back on stdout would not be one JSON value
+        raise ConfigError(
+            "calibrate --format json writes a summary and a per-state table; "
+            "give --out <path>, the per-state table goes next to it"
+        )
+    from .detection import NoDataError, read_records, six_state_report
+    from .estimation import calibrate_each, calibrate_pooled, stacked_counts
 
     try:
         records = read_records(cfg.records)
@@ -388,10 +393,10 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     try:
         counts = stacked_counts(list(groups.values()))
         by_t = counts[order]
-        before = batch_report(by_t).split()
+        before = [six_state_report(c) for c in by_t.tolist()]
         if cfg.pooled:
             results = [calibrate_pooled(counts)] * len(ts)
-            after = batch_report(by_t, results[0].eta).split()
+            after = [six_state_report(c, results[0].eta) for c in by_t.tolist()]
         else:
             results = calibrate_each(by_t)
             after = [res.report for res in results]

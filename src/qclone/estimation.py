@@ -8,7 +8,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .detection import MeasurementRecord
+# the six-state report lives in detection, which needs no numpy; it is
+# re-exported here with its result and error types
+from .detection import FidelityReport, MeasurementRecord, NoDataError, six_state_report
 from .labels import (
     CATALOG_LABELS,
     CATALOG_ROLES,
@@ -18,21 +20,6 @@ from .labels import (
     ROLE_PSI,
     EfficiencyPair,
 )
-
-
-class NoDataError(ValueError):
-    """A record carries zero total counts; fidelities are undefined."""
-
-
-@dataclass(frozen=True)
-class FidelityReport:
-    """Per-state clone fidelities with their six-state means and variances."""
-
-    per_state: list[tuple[float, float]]  # (f_A, f_B) in catalog order
-    mean_a: float
-    mean_b: float
-    variance_a: float
-    variance_b: float
 
 
 @dataclass(frozen=True)
@@ -61,8 +48,8 @@ def fidelities_from_counts(counts: np.ndarray, role: str) -> tuple[float, float]
     raise ValueError(f"unknown role {role!r}")
 
 
-def _ordered_counts(records: list[MeasurementRecord]) -> np.ndarray:
-    """Counts (6, 4) of one six-state group in catalog order; validates coverage."""
+def _ordered_counts(records: list[MeasurementRecord]) -> list[tuple[float, ...]]:
+    """Counts of one six-state group in catalog order; validates coverage."""
     by_state = {}
     for rec in records:
         if rec.state_label in by_state:
@@ -71,7 +58,7 @@ def _ordered_counts(records: list[MeasurementRecord]) -> np.ndarray:
     missing = [s for s in CATALOG_LABELS if s not in by_state]
     if missing:
         raise ValueError(f"missing records for states: {missing}")
-    return np.array([by_state[s].counts for s in CATALOG_LABELS], dtype=float)
+    return [by_state[s].counts for s in CATALOG_LABELS]
 
 
 def stacked_counts(groups: list[list[MeasurementRecord]]) -> np.ndarray:
@@ -80,7 +67,7 @@ def stacked_counts(groups: list[list[MeasurementRecord]]) -> np.ndarray:
     Raises `NoDataError`, naming the t of the first such group, when a
     record holds no count at all.
     """
-    counts = np.stack([_ordered_counts(records) for records in groups])
+    counts = np.array([_ordered_counts(records) for records in groups], dtype=float)
     empty = (counts.sum(axis=-1) <= 0).any(axis=-1)
     if empty.any():
         t = groups[int(empty.argmax())][0].t
@@ -91,59 +78,13 @@ def stacked_counts(groups: list[list[MeasurementRecord]]) -> np.ndarray:
 _PSI_ROWS = np.array(CATALOG_ROLES) == ROLE_PSI
 
 
-class BatchReport(NamedTuple):
-    """Six-state reports of G groups: per-state fidelities (G, 6) in catalog
-    order, and their means and population variances (G,)."""
-
-    f_a: np.ndarray
-    f_b: np.ndarray
-    mean_a: np.ndarray
-    mean_b: np.ndarray
-    variance_a: np.ndarray
-    variance_b: np.ndarray
-
-    def split(self) -> list[FidelityReport]:
-        """One `FidelityReport` of Python floats per group."""
-        f_a, f_b, *stats = (v.tolist() for v in self)
-        return [FidelityReport(list(zip(a, b)), *s) for a, b, *s in zip(f_a, f_b, *stats)]
-
-
-def batch_report(counts: np.ndarray, eta=None) -> BatchReport:
-    """Six-state reports of counts (G, 6, 4) in catalog order, rescaled first
-    by the efficiencies eta, (G, 2) or (2,), when given.
-
-    Row g is bit for bit the report of group g alone: the arithmetic is
-    elementwise, and every sum runs along a contiguous trailing axis of at
-    most six terms, which numpy adds in the order of a sum of that group.
-    """
-    counts = np.asarray(counts, dtype=float)
-    if eta is not None:
-        eta_a, eta_b = np.moveaxis(np.asarray(eta, dtype=float), -1, 0)
-        scale = np.stack([eta_a * eta_b, eta_a, eta_b, np.ones_like(eta_a)], axis=-1)
-        counts = counts * scale[..., None, :]
-    total = counts.sum(axis=-1)
-    if np.any(total <= 0):
-        raise NoDataError("all four coincidence counts are zero")
-    c_pp, c_pm, c_mp, c_mm = np.moveaxis(counts, -1, 0)
-    f_a = np.where(_PSI_ROWS, c_pp + c_pm, c_mm + c_mp) / total
-    f_b = np.where(_PSI_ROWS, c_pp + c_mp, c_mm + c_pm) / total
-    mean_a, mean_b = f_a.mean(axis=-1), f_b.mean(axis=-1)
-    # population (divide-by-6) variance in centered form: the mean-of-squares
-    # expression loses everything below ~1e-16 to cancellation
-    return BatchReport(
-        f_a, f_b, mean_a, mean_b,
-        ((f_a - mean_a[:, None]) ** 2).mean(axis=-1),
-        ((f_b - mean_b[:, None]) ** 2).mean(axis=-1),
-    )
-
-
 def report(
     records: list[MeasurementRecord],
     eta_correction: EfficiencyPair | None = None,
 ) -> FidelityReport:
     """Six-state fidelity report, optionally after efficiency rescaling:
-    `batch_report` of one group."""
-    return batch_report(stacked_counts([records]), eta_correction).split()[0]
+    `six_state_report` of the group's counts."""
+    return six_state_report(_ordered_counts(records), eta_correction)
 
 
 # --- calibration --------------------------------------------------------------
@@ -355,12 +296,12 @@ def calibrate(records: list[MeasurementRecord]) -> CalibrationResult:
 
 def calibrate_each(groups: list[list[MeasurementRecord]] | np.ndarray) -> list[CalibrationResult]:
     """`calibrate` of every six-state group: one batched descent of all groups
-    from their ratio seeds and one batched report.  Each result is bit for
+    from their ratio seeds, then each group's report.  Each result is bit for
     bit the one the group calibrated alone gets.  `groups` may also be their
     counts (G, 6, 4) from `stacked_counts`."""
     counts = groups if isinstance(groups, np.ndarray) else stacked_counts(groups)
     etas, values = _calibrate_rows(counts[:, None])
-    reports = batch_report(counts, etas).split()
+    reports = [six_state_report(c, eta) for c, eta in zip(counts.tolist(), etas.tolist())]
     return [_result(*args) for args in zip(etas, values, reports)]
 
 
@@ -372,7 +313,7 @@ def calibrate_pooled(groups: list[list[MeasurementRecord]] | np.ndarray) -> Cali
     (G, 6, 4) from `stacked_counts`."""
     counts = groups if isinstance(groups, np.ndarray) else stacked_counts(groups)
     (eta,), (value,) = _calibrate_rows(counts[None])
-    return _result(eta, value, batch_report(counts[:1], eta).split()[0])
+    return _result(eta, value, six_state_report(counts[0].tolist(), eta.tolist()))
 
 
 def _calibrate_rows(counts: np.ndarray):

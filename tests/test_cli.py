@@ -278,6 +278,16 @@ def test_calibrate_requires_records():
     assert main(["calibrate"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("out", [[], ["--out", "-"]])
+def test_calibrate_json_to_stdout_is_a_config_error(tmp_path, capsys, out):
+    # refused before the record file is read: a missing one would be exit 2
+    rc = main(["calibrate", "--format", "json", "--records", str(tmp_path / "nope.csv"), *out])
+    assert rc == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "give --out <path>" in captured.err
+
+
 def test_robustness_table(tmp_path):
     out = tmp_path / "rob.csv"
     rc = main(["robustness", "--t", "0", "--eps-max", "0.1",
@@ -384,7 +394,9 @@ def test_robustness_table_bytes_unchanged(capfd, name, args):
 
 # Tables whose rows mix strings, bools and numpy floats, written by the
 # commit before rows of floats were formatted by one template. Relative
-# --records paths keep the embedded config the same in any directory.
+# --records and --out paths keep the embedded config the same in any
+# directory. A table without --out goes to stdout; calibrate's JSON tables go
+# to the --out file and its _states sibling, each checked against its own file.
 SIMULATE = ["simulate", "--t", "0,0.6324555320336759,1", "--seed", "7", "--records", "records.csv"]
 CALIBRATE = ["calibrate", "--records", "records.csv"]
 MIXED_GOLDEN = [
@@ -393,9 +405,10 @@ MIXED_GOLDEN = [
     ("simulate.csv", SIMULATE),
     ("simulate.json", [*SIMULATE, "--format", "json"]),
     ("calibrate.csv", CALIBRATE),
-    ("calibrate.json", [*CALIBRATE, "--format", "json"]),
+    ("calibrate.json", [*CALIBRATE, "--format", "json", "--out", "calibrate.json"]),
     ("calibrate_pooled.csv", [*CALIBRATE, "--pooled"]),
-    ("calibrate_pooled.json", [*CALIBRATE, "--pooled", "--format", "json"]),
+    ("calibrate_pooled.json",
+     [*CALIBRATE, "--pooled", "--format", "json", "--out", "calibrate_pooled.json"]),
 ]
 
 
@@ -405,8 +418,15 @@ def test_mixed_tables_bytes_unchanged(tmp_path, monkeypatch, capfd, name, argv):
     if argv[0] == "calibrate":
         assert main([*SIMULATE, "--out", "-"]) == EXIT_OK
         capfd.readouterr()
-    assert main([*argv, "--out", "-"]) == EXIT_OK
-    assert capfd.readouterr().out.encode() == (DATA / name).read_bytes()
+    if "--out" not in argv:
+        assert main([*argv, "--out", "-"]) == EXIT_OK
+        assert capfd.readouterr().out.encode() == (DATA / name).read_bytes()
+        return
+    assert main(argv) == EXIT_OK
+    assert capfd.readouterr().out == ""
+    stem, ext = os.path.splitext(name)
+    for written in (name, f"{stem}_states{ext}"):
+        assert (tmp_path / written).read_bytes() == (DATA / written).read_bytes(), written
 
 
 @pytest.mark.parametrize("args", [[], ["--out", "report.csv", "--records", "-"]])
@@ -568,8 +588,8 @@ def _subprocess_env():
 def test_cli_import_loads_no_scipy(tmp_path):
     # neither the package, nor the cli module, nor the commands that need no
     # numbers (schema, --help, config errors), nor the closed-form tables
-    # (analytic, robustness) load numpy or scipy; the -X importtime trace
-    # names every module the process imports
+    # (analytic, robustness), nor the simulation load numpy or scipy; the
+    # -X importtime trace names every module the process imports
     env = _subprocess_env()
     cases = [
         (["-c", "import qclone"], EXIT_OK),
@@ -587,6 +607,11 @@ def test_cli_import_loads_no_scipy(tmp_path):
         (["-m", "qclone.cli", "robustness", "--t", "0"], EXIT_OK),
         (["-m", "qclone.cli", "robustness", "--triple", "0.9,0.7,0.6", "--format", "json"], EXIT_OK),
         (["-m", "qclone.cli", "robustness", "--t", "0", "--out", str(tmp_path / "sweep.csv")],
+         EXIT_OK),
+        (["-m", "qclone.cli", "simulate", "--records", str(tmp_path / "r.csv")], EXIT_OK),
+        (["-m", "qclone.cli", "simulate", "--format", "json", "--records", str(tmp_path / "r.csv")],
+         EXIT_OK),
+        (["-m", "qclone.cli", "simulate", "--noiseless", "--records", str(tmp_path / "r.csv")],
          EXIT_OK),
     ]
     for args, code in cases:
@@ -676,10 +701,13 @@ def command_lines(draw):
 @example((["simulate", "--bogus=1"], [], EXIT_CONFIG))
 @example((["simulate"], ["eta_a = abc"], EXIT_CONFIG))
 @example((["robustness"], ["triple = 0.9,0.7", "eps_points = 3"], EXIT_CONFIG))
+@example((["calibrate", "--format=json", "--out=-"], [], EXIT_CONFIG))
 def test_exit_code_is_documented(tmp_path_factory, run):
     argv, lines, expected = run
     folder = tmp_path_factory.mktemp("run")
-    argv = [*argv, "--out", str(folder / "table.csv"), "--records", str(folder / "records.csv")]
+    # the default paths go before the drawn flags, which may override them
+    argv = [argv[0], "--out", str(folder / "table.csv"), "--records", str(folder / "records.csv"),
+            *argv[1:]]
     if lines:
         (folder / "run.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
         argv += ["--config", str(folder / "run.cfg")]

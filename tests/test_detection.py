@@ -1,12 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+import sampling_oracle
 from channel_oracle import channel_probabilities
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qclone.cli import COUNTS_MAX
 from qclone.cloner import machine_triple
 from qclone.detection import (
     CATALOG_ROLES,
+    POISSON_LAM_MAX,
+    PCG64,
     ROLE_PERP,
     ROLE_PSI,
     EfficiencyPair,
@@ -18,6 +24,8 @@ from qclone.detection import (
     rescale_counts,
     run_experiment,
     sample_counts,
+    seed_sequence_pool,
+    spawned_streams,
     write_records,
 )
 from qclone.estimation import fidelities_from_counts
@@ -44,7 +52,7 @@ def test_ideal_probabilities_identity_channel():
 def test_ideal_probabilities_normalized():
     for t in T_ORACLE:
         for role in (ROLE_PSI, ROLE_PERP):
-            probs = ideal_probabilities(t, role)
+            probs = np.array(ideal_probabilities(t, role))
             assert abs(probs.sum() - 1.0) < 1e-15
             assert probs.min() >= 0
 
@@ -86,8 +94,9 @@ def test_model_zero_outcomes_are_exact_zeros():
         for i, psi in enumerate(catalog_states()):
             forbidden = channel_probabilities(psi, mub_bases()[i // 2], t) < 1e-12
             assert forbidden.any()
-            assert np.all(ideal_probabilities(t, CATALOG_ROLES[i])[forbidden] == 0.0), (t, i)
-            assert np.all(noiseless[i].counts[forbidden] == 0.0), (t, i)
+            probs = np.array(ideal_probabilities(t, CATALOG_ROLES[i]))
+            assert np.all(probs[forbidden] == 0.0), (t, i)
+            assert np.all(np.array(noiseless[i].counts)[forbidden] == 0.0), (t, i)
 
 
 def test_ideal_probabilities_rejects_unknown_role():
@@ -157,6 +166,93 @@ def test_sample_counts_mean():
 def test_sample_counts_variance_matches_mean():
     draws = np.array([sample_counts(np.array([1000.0]), s)[0] for s in range(10_000)])
     assert abs(draws.var() / 1000.0 - 1.0) < 0.05
+
+
+# the largest Poisson rate a run can ask for: the perp-role C-- at eta = 5
+LAM_AT_COUNTS_MAX = bias_counts(ideal_probabilities(0.0, ROLE_PERP), EfficiencyPair(5.0, 5.0),
+                                COUNTS_MAX)[3]
+# seeds of one, two, three and five 32-bit words
+WIDE_SEEDS = [0, 1, 911, 12345, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 3, 2**128 + 7, 2**150 - 1]
+
+
+@pytest.mark.parametrize("seed", WIDE_SEEDS)
+def test_seed_sequence_pool_equals_numpy(seed):
+    for key in [(), (0,), (5,), (3, 2**40)]:
+        pool = np.random.SeedSequence(seed, spawn_key=key).pool.tolist()
+        assert seed_sequence_pool(seed, key) == pool, key
+
+
+@pytest.mark.parametrize("seed", WIDE_SEEDS)
+def test_pcg64_words_equal_numpy(seed):
+    expected = np.random.PCG64(seed).random_raw(1000).tolist()
+    stream = PCG64(seed_sequence_pool(seed))
+    assert [stream.next_uint64() for _ in range(1000)] == expected
+    for stream, child in zip(spawned_streams(seed, 6), np.random.SeedSequence(seed).spawn(6)):
+        expected = np.random.PCG64(child).random_raw(1000).tolist()
+        assert [stream.next_uint64() for _ in range(1000)] == expected
+    doubles = np.random.Generator(np.random.PCG64(seed)).random(100).tolist()
+    stream = PCG64(seed_sequence_pool(seed))
+    assert [stream.next_double() for _ in range(100)] == doubles
+
+
+# rates at the sampler's switches: zero, the smallest subnormal, the double
+# below 10 (multiplication method) and 10 (PTRS), and the cap's largest rate
+PINNED_RATES = [0.0, 5e-324, 9.999999999999998, 10.0, LAM_AT_COUNTS_MAX, POISSON_LAM_MAX]
+
+
+@pytest.mark.parametrize("lam", PINNED_RATES)
+def test_sample_counts_equal_numpy_at_the_switches(lam):
+    for seed in [*range(200), 2**32 + 1, 2**64 + 1]:
+        rates = [lam, 10.0, lam, 3.5]
+        expected = tuple(sampling_oracle.sample_counts(rates, seed).tolist())
+        assert sample_counts(rates, seed) == expected
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.just(0.0) | st.floats(0.0, 10.0) | st.floats(10.0, 1e3)
+             | st.floats(0.0, 16.0).map(lambda e: 10.0**e), min_size=1, max_size=8),
+    st.integers(0, 2**140),
+)
+def test_sample_counts_equal_numpy(rates, seed):
+    assert sample_counts(rates, seed) == tuple(sampling_oracle.sample_counts(rates, seed).tolist())
+
+
+@settings(deadline=None)
+@given(
+    st.floats(0.0, 1.0),
+    st.floats(0.2, 5.0),
+    st.floats(0.2, 5.0),
+    st.floats(1.0, COUNTS_MAX) | st.floats(0.0, 15.0).map(lambda e: 10.0**e),
+    st.integers(0, 2**140),
+    st.booleans(),
+)
+@example(0.0, 5.0, 5.0, COUNTS_MAX, 2**32, False)
+@example(1.0, 0.2, 0.2, 1.0, 2**64, False)
+@example(0.5, 1.046, 0.84, 1e5, 12345, True)
+def test_run_experiment_equals_numpy(t, eta_a, eta_b, counts, seed, noiseless):
+    eta = EfficiencyPair(eta_a, eta_b)
+    expected = sampling_oracle.run_experiment(t, eta, counts, seed=seed, noiseless=noiseless)
+    assert run_experiment(t, eta, counts, seed=seed, noiseless=noiseless) == expected
+
+
+@pytest.mark.parametrize("lam", [-1.0, -5e-324, math.nan, math.nextafter(POISSON_LAM_MAX, math.inf),
+                                 math.inf])
+def test_sample_counts_rejects_what_numpy_rejects(lam):
+    with pytest.raises(ValueError, match="lam"):
+        np.random.default_rng(1).poisson([1.0, lam])
+    with pytest.raises(ValueError, match="lam"):
+        sample_counts([1.0, lam], 1)
+
+
+def test_negative_seed_is_rejected_as_numpy_does():
+    with pytest.raises(ValueError, match="non-negative"):
+        np.random.SeedSequence(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_counts([1.0], -1)
+    for noiseless in (False, True):
+        with pytest.raises(ValueError, match="non-negative"):
+            run_experiment(0.5, UNIT, 1e3, seed=-1, noiseless=noiseless)
 
 
 def test_run_experiment_shape():

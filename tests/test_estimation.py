@@ -2,6 +2,7 @@ import calibration_oracle
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from report_oracle import batch_report
 
 from qclone.cloner import machine_triple
 from qclone.detection import (
@@ -18,13 +19,13 @@ from qclone.estimation import (
     NoDataError,
     _objective_terms,
     _ratio_seed,
-    batch_report,
     calibrate,
     calibrate_each,
     calibrate_pooled,
     fidelities_from_counts,
     minimize,
     report,
+    six_state_report,
     stacked_counts,
 )
 from qclone.labels import CATALOG_ROLES, ETA_MAX, ETA_MIN
@@ -106,7 +107,7 @@ def test_report_correction_removes_bias():
 def test_report_scale_invariance():
     recs = run_experiment(T_MID, ETA_PAPER, 1e4, noiseless=True)
     scaled = [
-        MeasurementRecord(r.t, r.state_label, r.basis_label, r.role, 7.5 * r.counts)
+        MeasurementRecord(r.t, r.state_label, r.basis_label, r.role, 7.5 * np.array(r.counts))
         for r in recs
     ]
     rep_a, rep_b = report(recs), report(scaled)
@@ -168,6 +169,8 @@ def test_batch_report_equals_the_report_of_each_group(counts, correction, seed):
         per_state, *stats = _group_report(counts[g], eta_g)
         assert rep.per_state == per_state
         assert [rep.mean_a, rep.mean_b, rep.variance_a, rep.variance_b] == stats
+        # the standard-library report of the group alone, from Python floats
+        assert six_state_report(counts[g].tolist(), eta_g) == rep
 
 
 def test_calibrate_noiseless_round_trip():
