@@ -29,10 +29,10 @@ from .labels import (
     write_atomic,
 )
 
-# The modules of the commands (cloner, robustness, detection, and estimation,
-# which loads numpy) are imported inside the subcommands that use them.  Every
-# command but `calibrate`, and every config error, runs on the standard
-# library alone.
+# The modules of the commands (cloner, robustness, detection, estimation) are
+# imported inside the subcommands that use them.  Every command, and every
+# config error, runs on the standard library alone; numpy serves only the
+# matrix channel of `cloner` and `states`, which no command calls.
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -392,11 +392,11 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     ts = [file_ts[i] for i in order]
     try:
         counts = stacked_counts(list(groups.values()))
-        by_t = counts[order]
-        before = [six_state_report(c) for c in by_t.tolist()]
+        by_t = [counts[i] for i in order]
+        before = [six_state_report(c) for c in by_t]
         if cfg.pooled:
             results = [calibrate_pooled(counts)] * len(ts)
-            after = [six_state_report(c, results[0].eta) for c in by_t.tolist()]
+            after = [six_state_report(c, results[0].eta) for c in by_t]
         else:
             results = calibrate_each(by_t)
             after = [res.report for res in results]

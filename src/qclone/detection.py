@@ -36,6 +36,13 @@ from .labels import (
 )
 
 
+# The largest count a record may hold.  The count-ratio seed multiplies two
+# counts (at most 1e300), and a report rescales a count by up to
+# eta_a * eta_b = 25 and sums four, so every product stays finite; `simulate`
+# writes counts of about 1.7e16 at most (COUNTS_MAX = 1e15 counts at eta = 5).
+RECORD_COUNT_MAX = 1e150
+
+
 @dataclass(frozen=True)
 class MeasurementRecord:
     """One measurement setting: input state, analysis basis and the four counts."""
@@ -71,6 +78,8 @@ class MeasurementRecord:
         object.__setattr__(self, "counts", counts)
         if len(counts) != 4 or not all(0.0 <= c < math.inf for c in counts):
             raise ValueError("counts must be four finite nonnegative numbers")
+        if max(counts) > RECORD_COUNT_MAX:
+            raise ValueError(f"count {max(counts):g} above the cap {RECORD_COUNT_MAX:g}")
 
 
 def ideal_probabilities(t: float, role: str) -> tuple[float, float, float, float]:

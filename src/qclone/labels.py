@@ -63,20 +63,15 @@ class MachineTriple(NamedTuple):
     fid_b: float
     p: float
 
-    def diagonal(self):
-        """The joint diagonal as a numpy array; this call imports numpy."""
-        import numpy as np
-
-        return np.array(self._entries())
-
-    def _entries(self) -> tuple[float, float, float, float]:
+    def diagonal(self) -> tuple[float, float, float, float]:
+        """The joint diagonal (p, fid_a - p, fid_b - p, 1 + p - fid_a - fid_b)."""
         fa, fb, p = self
         return p, fa - p, fb - p, 1.0 + p - fa - fb
 
     def validate(self, atol: float = 1e-12) -> None:
         if not all(math.isfinite(v) for v in self):
             raise ValueError(f"invalid machine triple {self}: entries must be finite")
-        if min(self._entries()) < -atol:
+        if min(self.diagonal()) < -atol:
             raise ValueError(f"invalid machine triple {self}: negative diagonal element")
 
     def swapped(self) -> MachineTriple:

@@ -1,7 +1,7 @@
-"""Per-group calibration with a scalar Newton descent, the oracle the batched
+"""Calibration with a numpy Newton descent, the oracle the standard-library
 `estimation.calibrate_each` and `estimation.calibrate_pooled` are tested
 against: the count-ratio seed and one descent per call, on the counts of
-that call alone."""
+that call alone, with the eigendecomposition of `np.linalg.eigh`."""
 
 import numpy as np
 
@@ -9,14 +9,15 @@ from qclone.estimation import (
     _FLAT_RCOND,
     _LOG_BOUNDS,
     _MAXITER,
-    _PSI_ROWS,
-    _ROLE_SIGN,
     _XTOL,
     CalibrationResult,
     report,
     stacked_counts,
 )
-from qclone.labels import ETA_MAX, ETA_MIN, EfficiencyPair
+from qclone.labels import CATALOG_ROLES, ETA_MAX, ETA_MIN, ROLE_PSI, EfficiencyPair
+
+_PSI_ROWS = np.array(CATALOG_ROLES) == ROLE_PSI
+_ROLE_SIGN = np.where(_PSI_ROWS, 1.0, -1.0)
 
 
 def _rescaled_fidelities(counts, eta_a, eta_b):
@@ -116,7 +117,7 @@ def minimize(fun, x0, lower, upper):
 def calibrate_groups(groups):
     """One efficiency pair for the summed variance of `groups`: the descent
     from the ratio seed."""
-    counts = stacked_counts(groups)
+    counts = np.array(stacked_counts(groups))
     x, value, *_ = minimize(
         lambda log_eta: objective_terms(counts, log_eta), ratio_seed(counts), *_LOG_BOUNDS
     )

@@ -354,6 +354,61 @@ def test_calibrate_rejects_nonfinite_counts(tmp_path, capsys):
     assert not (tmp_path / "cal.csv").exists()
 
 
+def _calibrate_edited_counts(tmp_path, capsys, pooled, edit):
+    """`calibrate` of a simulated t = 0.5 group whose count fields go
+    through edit(state, list of four strings); returns the exit code and
+    stderr."""
+    recs = tmp_path / "records.csv"
+    assert main(["simulate", "--t", "0.5", "--out", str(tmp_path / "sim.csv"),
+                 "--records", str(recs)]) == EXIT_OK
+    lines = recs.read_text().splitlines()
+    fields = [line.split(",") for line in lines[1:]]
+    lines[1:] = [",".join(f[:4] + edit(f[1], f[4:])) for f in fields]
+    recs.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["calibrate", *pooled, "--records", str(recs), "--out", str(tmp_path / "cal.csv")])
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pooled", [[], ["--pooled"]])
+@pytest.mark.parametrize("cells", [["1e308"] * 4, ["1e307", "2e307", "3e307", "1e306"]])
+def test_calibrate_rejects_counts_above_the_cap(tmp_path, capsys, pooled, cells):
+    # before the cap these calibrated to a table of nan with exit 0
+    rc, err = _calibrate_edited_counts(tmp_path, capsys, pooled, lambda state, counts: cells)
+    assert rc == EXIT_DATA
+    assert f"records.csv:2: count {max(map(float, cells)):g} above the cap 1e+150" in err
+    assert not (tmp_path / "cal.csv").exists()
+
+
+@pytest.mark.parametrize("pooled", [[], ["--pooled"]])
+def test_calibrate_counts_near_the_cap(tmp_path, capsys, pooled):
+    # counts times 1e145 (the largest near 1e150) calibrate as the counts do
+    assert _calibrate_edited_counts(tmp_path, capsys, pooled, lambda state, c: c)[0] == EXIT_OK
+    plain = (tmp_path / "cal.csv").read_text().splitlines()
+    rc, _ = _calibrate_edited_counts(
+        tmp_path, capsys, pooled, lambda state, c: [f"{float(v) * 1e145:.12g}" for v in c])
+    assert rc == EXIT_OK
+    scaled = (tmp_path / "cal.csv").read_text().splitlines()
+    assert len(scaled) == len(plain) and scaled[0] == plain[0]
+    for row, expected in zip(scaled[1:], plain[1:]):
+        # every column but the objective name and boundary_hit is a number
+        values, expected = ([float(v) for k, v in enumerate(line.split(",")) if k not in (3, 5)]
+                            for line in (row, expected))
+        assert all(math.isfinite(v) for v in values)
+        np.testing.assert_allclose(values, expected, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("pooled", [[], ["--pooled"]])
+def test_calibrate_a_lone_subnormal_count(tmp_path, capsys, pooled):
+    # V's only count, 5e-324, rescaled by eta_b < 1 would round to a zero
+    # total; counts scaled per state keep every report defined
+    rc, err = _calibrate_edited_counts(
+        tmp_path, capsys, pooled, lambda state, c: ["0", "0", "5e-324", "0"] if state == "V" else c)
+    assert rc == EXIT_OK, err
+    rows = (tmp_path / "cal_states.csv").read_text().splitlines()
+    assert rows[2].startswith("0.5,V,HV,perp,1,0")
+
+
 @pytest.mark.parametrize("fields, message", [
     ("H,RL", "state H belongs to basis HV, got RL"),
     ("X,HV", "unknown state 'X'"),
@@ -588,9 +643,11 @@ def _subprocess_env():
 def test_cli_import_loads_no_scipy(tmp_path):
     # neither the package, nor the cli module, nor the commands that need no
     # numbers (schema, --help, config errors), nor the closed-form tables
-    # (analytic, robustness), nor the simulation load numpy or scipy; the
-    # -X importtime trace names every module the process imports
+    # (analytic, robustness), nor the simulation, nor the calibration load
+    # numpy or scipy; the -X importtime trace names every module the process
+    # imports
     env = _subprocess_env()
+    records, edge = str(tmp_path / "r.csv"), str(tmp_path / "edge.csv")
     cases = [
         (["-c", "import qclone"], EXIT_OK),
         (["-c", "import qclone.cli"], EXIT_OK),
@@ -608,11 +665,17 @@ def test_cli_import_loads_no_scipy(tmp_path):
         (["-m", "qclone.cli", "robustness", "--triple", "0.9,0.7,0.6", "--format", "json"], EXIT_OK),
         (["-m", "qclone.cli", "robustness", "--t", "0", "--out", str(tmp_path / "sweep.csv")],
          EXIT_OK),
-        (["-m", "qclone.cli", "simulate", "--records", str(tmp_path / "r.csv")], EXIT_OK),
-        (["-m", "qclone.cli", "simulate", "--format", "json", "--records", str(tmp_path / "r.csv")],
+        (["-m", "qclone.cli", "simulate", "--records", records], EXIT_OK),
+        (["-m", "qclone.cli", "simulate", "--format", "json", "--records", records], EXIT_OK),
+        (["-m", "qclone.cli", "simulate", "--noiseless", "--records", records], EXIT_OK),
+        (["-m", "qclone.cli", "calibrate", "--records", records], EXIT_OK),
+        (["-m", "qclone.cli", "calibrate", "--pooled", "--records", records], EXIT_OK),
+        (["-m", "qclone.cli", "calibrate", "--format", "json", "--out", str(tmp_path / "cal.json"),
+          "--records", records], EXIT_OK),
+        # noiseless counts at eta_a = 5 calibrate onto the search box
+        (["-m", "qclone.cli", "simulate", "--noiseless", "--eta-a", "5", "--records", edge],
          EXIT_OK),
-        (["-m", "qclone.cli", "simulate", "--noiseless", "--records", str(tmp_path / "r.csv")],
-         EXIT_OK),
+        (["-m", "qclone.cli", "calibrate", "--strict", "--records", edge], EXIT_BOUNDARY),
     ]
     for args, code in cases:
         proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,

@@ -164,7 +164,7 @@ def test_machine_triple_values():
 
 def test_machine_diagonal_sums_to_one():
     for t in np.linspace(0, 1, 20):
-        assert abs(machine_triple(t).diagonal().sum() - 1.0) < 1e-14
+        assert abs(np.array(machine_triple(t).diagonal()).sum() - 1.0) < 1e-14
 
 
 def test_machine_diagonal_matches_rotated_output():

@@ -13,6 +13,7 @@ from qclone.detection import (
     CATALOG_ROLES,
     POISSON_LAM_MAX,
     PCG64,
+    RECORD_COUNT_MAX,
     ROLE_PERP,
     ROLE_PSI,
     EfficiencyPair,
@@ -325,7 +326,8 @@ RECORDS = st.lists(
         _record,
         st.floats(0.0, 1.0),
         st.integers(0, len(CATALOG_LABELS) - 1),
-        st.lists(st.floats(0.0, 1e300) | st.integers(0, 10**15).map(float), min_size=4, max_size=4),
+        st.lists(st.floats(0.0, RECORD_COUNT_MAX) | st.integers(0, 10**15).map(float),
+                 min_size=4, max_size=4),
     ),
     max_size=12,
 )
@@ -372,6 +374,19 @@ def test_record_rejects_bad_t(t):
 def test_record_rejects_nonfinite_or_negative_counts(bad):
     with pytest.raises(ValueError, match="finite nonnegative"):
         MeasurementRecord(0.5, "H", "HV", ROLE_PSI, [1.0, bad, 1.0, 1.0])
+
+
+def test_record_count_cap():
+    # the largest rate simulate draws from, at COUNTS_MAX and eta = 5, lies
+    # far below the cap; a count at the cap is a count, one above it is not
+    eta = EfficiencyPair(ETA_MAX, ETA_MAX)
+    largest = max(max(bias_counts(ideal_probabilities(t, role), eta, COUNTS_MAX))
+                  for t in (0.0, 0.5, 1.0) for role in (ROLE_PSI, ROLE_PERP))
+    assert 2.0 * largest < RECORD_COUNT_MAX
+    MeasurementRecord(0.5, "H", "HV", ROLE_PSI, [RECORD_COUNT_MAX, 0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="above the cap 1e"):
+        above = math.nextafter(RECORD_COUNT_MAX, math.inf)
+        MeasurementRecord(0.5, "H", "HV", ROLE_PSI, [1.0, above, 0.0, 0.0])
 
 
 def test_read_records_names_the_bad_line(tmp_path):
