@@ -9,11 +9,10 @@ calibration hit the search boundary and --strict was given.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .labels import (
     BASIS_LABELS,
@@ -83,8 +82,7 @@ class DataError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     t_values: tuple = DEFAULT_T_VALUES
     eta_a: float = 1.046
     eta_b: float = 0.840
@@ -147,11 +145,9 @@ class RunConfig:
         return EfficiencyPair(self.eta_a, self.eta_b)
 
     def resolved(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
+        return {
+            name: list(v) if isinstance(v, tuple) else v for name, v in zip(self._fields, self)
+        }
 
 
 def _boolean(val) -> bool:
@@ -247,6 +243,8 @@ def _dump_table(columns, rows, fh, fmt: str, config: dict | None) -> None:
     # formatted by one %-template; any other row goes value by value.
     width = len(columns)
     if fmt == "json":
+        import json  # here, so that a CSV run does not load it
+
         payload = {"columns": list(columns), "rows": []}
         if config is not None:
             payload["config"] = config

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 # defined in labels; callers may import them from here too
 from .labels import (
@@ -43,43 +42,51 @@ from .labels import (
 RECORD_COUNT_MAX = 1e150
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One measurement setting: input state, analysis basis and the four counts."""
-
+class _RecordFields(NamedTuple):
     t: float
     state_label: str
     basis_label: str
     role: str  # ROLE_PSI or ROLE_PERP
     counts: tuple[float, float, float, float]
 
-    def __post_init__(self):
-        if self.role not in (ROLE_PSI, ROLE_PERP):
-            raise ValueError(f"unknown role {self.role!r}")
-        if self.state_label not in CATALOG_LABELS:
-            raise ValueError(f"unknown state {self.state_label!r}")
-        index = CATALOG_LABELS.index(self.state_label)
+
+class MeasurementRecord(_RecordFields):
+    """One measurement setting: input state, analysis basis and the four counts.
+
+    Immutable and equal by value; the counts are kept as a tuple of floats.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, t, state_label, basis_label, role, counts):
+        if role not in (ROLE_PSI, ROLE_PERP):
+            raise ValueError(f"unknown role {role!r}")
+        if state_label not in CATALOG_LABELS:
+            raise ValueError(f"unknown state {state_label!r}")
+        index = CATALOG_LABELS.index(state_label)
         expected_role = CATALOG_ROLES[index]
-        if self.role != expected_role:
-            raise ValueError(
-                f"state {self.state_label} has role {expected_role}, got {self.role}"
-            )
+        if role != expected_role:
+            raise ValueError(f"state {state_label} has role {expected_role}, got {role}")
         # the catalog pairs each basis's two states: H,V in HV, D,A in DA, R,L in RL
         expected_basis = BASIS_LABELS[index // 2]
-        if self.basis_label != expected_basis:
+        if basis_label != expected_basis:
             raise ValueError(
-                f"state {self.state_label} belongs to basis {expected_basis}, "
-                f"got {self.basis_label}"
+                f"state {state_label} belongs to basis {expected_basis}, got {basis_label}"
             )
         # the chained comparisons are false for nan as well
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"t = {self.t} outside [0, 1]")
-        counts = tuple(map(float, self.counts))
-        object.__setattr__(self, "counts", counts)
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"t = {t} outside [0, 1]")
+        counts = tuple(map(float, counts))
         if len(counts) != 4 or not all(0.0 <= c < math.inf for c in counts):
             raise ValueError("counts must be four finite nonnegative numbers")
         if max(counts) > RECORD_COUNT_MAX:
             raise ValueError(f"count {max(counts):g} above the cap {RECORD_COUNT_MAX:g}")
+        return tuple.__new__(cls, (t, state_label, basis_label, role, counts))
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through here; it validates as the constructor does
+        return cls(*iterable)
 
 
 def ideal_probabilities(t: float, role: str) -> tuple[float, float, float, float]:
@@ -378,8 +385,7 @@ class NoDataError(ValueError):
     """A record carries zero total counts; fidelities are undefined."""
 
 
-@dataclass(frozen=True)
-class FidelityReport:
+class FidelityReport(NamedTuple):
     """Per-state clone fidelities with their six-state means and variances."""
 
     per_state: list[tuple[float, float]]  # (f_A, f_B) in catalog order

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 # the six-state report lives in detection; it is re-exported here with its
@@ -26,8 +25,7 @@ from .robustness import _eigvalsh2
 Group = Sequence[Sequence[float]]
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
+class CalibrationResult(NamedTuple):
     eta: EfficiencyPair
     report: FidelityReport
     objective_value: float
@@ -188,9 +186,11 @@ def _ratio_seed(counts: Sequence[Group]) -> tuple[float, float]:
     Per basis, with psi-role counts C_psi and perp-role counts C_perp,
     eta_a^2 = (C-+_psi C--_perp) / (C++_psi C+-_perp) and
     eta_b^2 = (C+-_psi C--_perp) / (C++_psi C-+_perp): the machine parameters
-    cancel.  Log-mean over the bases and groups, skipping zero counts; an
-    efficiency without a usable ratio is seeded at 1.  Clipped to the search
-    box.  On counts from `stacked_counts`, below 1, no ratio rounds to zero.
+    cancel.  Log-mean over the bases and groups, skipping zero counts and
+    ratios beyond the float range (raw counts near 1e150 against subnormal
+    ones); an efficiency without a usable ratio is seeded at 1.  Clipped to
+    the search box.  On counts from `stacked_counts`, below 1, no ratio
+    rounds to zero.
     """
     logs = ([], [])
     for group in counts:
@@ -199,8 +199,9 @@ def _ratio_seed(counts: Sequence[Group]) -> tuple[float, float]:
                 (psi[2] * perp[3], psi[0] * perp[1]),
                 (psi[1] * perp[3], psi[0] * perp[2]),
             )):
-                if num > 0.0 and den > 0.0:
-                    logs[k].append(math.log(num / den))
+                ratio = num / den if den > 0.0 else 0.0
+                if 0.0 < ratio < math.inf:
+                    logs[k].append(math.log(ratio))
     lower, upper = _LOG_BOUNDS
     return tuple(
         min(max(0.5 * (_total(z) / len(z)) if z else 0.0, lower), upper) for z in logs

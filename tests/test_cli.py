@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -217,7 +216,7 @@ def test_help_exits_0(capsys):
 
 def test_option_table():
     # one entry per RunConfig field, in field order, and one flag per entry
-    assert list(OPTIONS) == [f.name for f in dataclasses.fields(RunConfig)]
+    assert list(OPTIONS) == list(RunConfig._fields)
     assert [flag for flag, _, _ in OPTIONS.values()] == [
         "--t", "--eta-a", "--eta-b", "--counts", "--seed", "--noiseless", "--objective",
         "--pooled", "--out", "--records", "--format", "--strict", "--eps-max", "--eps-points",
@@ -685,6 +684,14 @@ def test_cli_import_loads_no_scipy(tmp_path):
                     if line.startswith("import time:")]
         assert "qclone" in imported, args
         assert not [m for m in imported if m.split(".")[0] in ("numpy", "scipy")], args
+        # nor dataclasses and its inspect, on any path; json only for a JSON table
+        top = {m.split(".")[0] for m in imported}
+        if "json" in args:
+            out = args[args.index("--out") + 1] if "--out" in args else None
+            json.loads(Path(out).read_text() if out else proc.stdout)
+            assert not top & {"dataclasses", "inspect"}, args
+        else:
+            assert not top & {"dataclasses", "inspect", "json"}, args
 
 
 def test_closed_stdout_is_a_data_error():

@@ -302,6 +302,22 @@ def test_record_role_consistency():
         MeasurementRecord(0.5, "V", "HV", ROLE_PSI, np.ones(4))
 
 
+def test_record_is_immutable_and_equal_by_value():
+    rec = MeasurementRecord(0.5, "H", "HV", ROLE_PSI, np.array([1, 2, 3, 4]))
+    assert rec.counts == (1.0, 2.0, 3.0, 4.0)
+    assert all(type(c) is float for c in rec.counts)
+    assert rec == MeasurementRecord(0.5, "H", "HV", ROLE_PSI, [1.0, 2.0, 3.0, 4.0])
+    assert rec != MeasurementRecord(0.5, "H", "HV", ROLE_PSI, [1.0, 2.0, 3.0, 5.0])
+    assert hash(rec) == hash(MeasurementRecord(0.5, "H", "HV", ROLE_PSI, (1, 2, 3, 4)))
+    for name, value in (("t", 0.6), ("counts", (0.0, 0.0, 0.0, 1.0)), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, value)
+    assert rec.t == 0.5 and rec.counts == (1.0, 2.0, 3.0, 4.0)
+    # a copy with a field replaced is validated like a new record
+    with pytest.raises(ValueError, match="outside"):
+        rec._replace(t=1.5)
+
+
 def test_record_file_round_trip(tmp_path):
     recs = run_experiment(np.sqrt(0.4), EfficiencyPair(1.1, 0.9), 1e4, seed=5)
     path = tmp_path / "records.csv"

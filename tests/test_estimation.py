@@ -29,7 +29,7 @@ from qclone.estimation import (
     six_state_report,
     stacked_counts,
 )
-from qclone.labels import CATALOG_ROLES, ETA_MAX, ETA_MIN
+from qclone.labels import BASIS_LABELS, CATALOG_LABELS, CATALOG_ROLES, ETA_MAX, ETA_MIN
 from qclone.robustness import error_bound, taylor_form, taylor_form_b
 
 UNIT = EfficiencyPair(1.0, 1.0)
@@ -286,6 +286,21 @@ def test_ratio_seed_skips_zero_counts():
     seed = np.exp(_ratio_seed(counts))
     assert abs(seed[0] - ETA_PAPER.eta_a) < 1e-12
     assert seed[1] == 1.0
+
+
+def test_ratio_seed_skips_ratios_beyond_the_float_range():
+    # raw counts, not through stacked_counts: the eta_a ratio of each basis,
+    # 1e-320 over 1e300, underflows to zero and is skipped as a zero count is
+    psi, perp = (1e150, 1e150, 1e-160, 1e150), (1e150, 1e150, 1e150, 1e-160)
+    group = [psi, perp] * 3
+    assert _ratio_seed([group])[0] == 0.0  # no usable ratio: eta_a seeded at 1
+    (res,) = calibrate_each([group])
+    assert np.isfinite([*res.eta, res.objective_value]).all()
+    # the same counts as records, which go through stacked_counts
+    states = zip(CATALOG_LABELS, CATALOG_ROLES, group)
+    records = [MeasurementRecord(0.5, label, BASIS_LABELS[i // 2], role, counts)
+               for i, (label, role, counts) in enumerate(states)]
+    assert res == calibrate(records)
 
 
 def test_minimize_holds_coordinates_on_their_bounds():
