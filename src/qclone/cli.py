@@ -6,13 +6,12 @@ included), 2 data error (a stdout closed by its reader included), 3
 calibration hit the search boundary and --strict was given.
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import os
 import sys
-from typing import NamedTuple
+from itertools import repeat
+from typing import Iterable, Iterator, NamedTuple
 
 from .labels import (
     BASIS_LABELS,
@@ -235,13 +234,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
-_FLOAT = {float}
+class Grid(NamedTuple):
+    """A table of Python floats over a square grid: block i of `blocks`
+    holds the value columns at the first key keys[i], each over the second
+    key, so the rows are ``(keys[i], keys[j], *(c[j] for c in block_i))``."""
+
+    keys: list
+    blocks: Iterable
+
+
+def _grid_texts(grid: Grid, key_text, template: str, sep: str) -> Iterator[str]:
+    # the rows of a block, by one %-template apiece and one join; a key's
+    # text is made once per table
+    keys = list(map(key_text, grid.keys))
+    for key, block in zip(keys, grid.blocks):
+        yield sep.join(map(template.__mod__, zip(repeat(key), keys, *block)))
 
 
 def _dump_table(columns, rows, fh, fmt: str, config: dict | None) -> None:
-    # A row of exact Python floats, the bulk of a robustness sweep, is
-    # formatted by one %-template; any other row goes value by value.
-    width = len(columns)
+    grid = isinstance(rows, Grid)
+    values = len(columns) - 2  # the value columns of a grid
     if fmt == "json":
         import json  # here, so that a CSV run does not load it
 
@@ -250,43 +262,44 @@ def _dump_table(columns, rows, fh, fmt: str, config: dict | None) -> None:
             payload["config"] = config
         # json escapes every quote inside a string, so the first match is the key
         head, _, tail = json.dumps(payload, indent=2, default=_fmt).partition('"rows": []')
-        template = "[\n      " + ",\n      ".join(["%r"] * width) + "\n    ]"
+        if grid:
+            template = "[\n      %s,\n      %s" + ",\n      %r" * values + "\n    ]"
+            # a float's repr holds an "n" only as nan or inf: json's NaN, Infinity
+            texts = (
+                text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
+                for text in _grid_texts(rows, repr, template, ",\n    ")
+            )
+        else:
+            texts = (json.dumps(row, indent=2, default=_fmt).replace("\n", "\n    ") for row in rows)
         fh.write(head + '"rows": [')
         sep, close = "\n    ", "]"
-        for row in rows:
-            text = None
-            if set(map(type, row)) == _FLOAT and len(row) == width:
-                text = template % tuple(row)
-                if "n" in text:  # nan or inf, which json writes NaN or Infinity
-                    text = None
-            if text is None:
-                text = json.dumps(row, indent=2, default=_fmt).replace("\n", "\n    ")
+        for text in texts:
             fh.write(sep + text)
             sep, close = ",\n    ", "\n  ]"
         fh.write(close + tail + "\n")
     else:
-        template = ",".join(["%.12g"] * width) + "\n"
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            if set(map(type, row)) == _FLOAT and len(row) == width:
-                fh.write(template % tuple(row))
-            else:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        if grid:
+            texts = _grid_texts(rows, "%.12g".__mod__, "%s,%s" + ",%.12g" * values, "\n")
+        else:
+            texts = (",".join(map(_fmt, row)) for row in rows)
+        for text in texts:
+            fh.write(text + "\n")
 
 
 def write_table(columns, rows, path: str, fmt: str, config: dict | None = None) -> None:
     """Atomically write a table; path '-' means stdout.
 
-    CSV writes a float as ``%.12g``, a bool as ``true``/``false`` and any
-    other value as ``str``. JSON is what ``json.dump(..., indent=2)`` writes:
-    a float as its shortest ``repr`` (``NaN``, ``Infinity``), a bool as
-    ``true``/``false``, a string with json's ASCII escapes. A row of Python
-    floats costs one formatting operation; other rows are formatted value by
-    value.
+    `rows` is an iterable of rows or a `Grid`.  CSV writes a float as
+    ``%.12g``, a bool as ``true``/``false`` and any other value as ``str``.
+    JSON is what ``json.dump(..., indent=2)`` writes: a float as its shortest
+    ``repr`` (``NaN``, ``Infinity``), a bool as ``true``/``false``, a string
+    with json's ASCII escapes.  A `Grid` is written a block at a time, each
+    key's text made once; other rows are formatted value by value.
 
-    The table is streamed into the file (or stdout) row by row, never built
-    as one string; a file is written by `write_atomic`, so on any error an
-    existing `path` is left unchanged.
+    The table is streamed into the file (or stdout) row by row, or block by
+    block, never built as one string; a file is written by `write_atomic`,
+    so on any error an existing `path` is left unchanged.
     """
     if path == "-":
         _dump_table(columns, rows, sys.stdout, fmt, config)
@@ -443,7 +456,7 @@ def _machine_from_config(cfg: RunConfig) -> MachineTriple:
 
 def cmd_robustness(cfg: RunConfig) -> int:
     m = _machine_from_config(cfg)
-    from .robustness import sweep_rows, taylor_form, taylor_form_b
+    from .robustness import sweep_blocks, taylor_form, taylor_form_b
 
     for clone, form in (("A", taylor_form(m)), ("B", taylor_form_b(m))):
         print(
@@ -452,7 +465,7 @@ def cmd_robustness(cfg: RunConfig) -> int:
             f"bound factor {form.max_eigenvalue():.12g}",
             file=sys.stderr,
         )
-    rows = sweep_rows(m, cfg.eps_max, cfg.eps_points)
+    rows = Grid(*sweep_blocks(m, cfg.eps_max, cfg.eps_points))
     write_table(SCHEMAS["robustness"], rows, cfg.out, cfg.format, cfg.resolved())
     return EXIT_OK
 

@@ -9,8 +9,6 @@ The closed forms are float arithmetic; only the matrix channel
 (`symmetrizer`, `apply_cloner`, `clone_states`) imports numpy, when called.
 """
 
-from __future__ import annotations
-
 from typing import TYPE_CHECKING
 
 from .labels import MachineTriple
@@ -24,7 +22,7 @@ def _check_t(t: float) -> None:
         raise ValueError(f"transmittance t must be in [0, 1], got {t}")
 
 
-def symmetrizer(t: float) -> np.ndarray:
+def symmetrizer(t: float) -> "np.ndarray":
     """The filtration operator I - (1 - t)|singlet><singlet| (eigenvalues 1,1,1,t)."""
     import numpy as np
 
@@ -34,7 +32,7 @@ def symmetrizer(t: float) -> np.ndarray:
     return np.eye(4, dtype=complex) - (1.0 - t) * projector(SINGLET)
 
 
-def apply_cloner(psi: np.ndarray, t: float) -> tuple[np.ndarray, float]:
+def apply_cloner(psi: "np.ndarray", t: float) -> "tuple[np.ndarray, float]":
     """Run the channel on input ket psi.
 
     Returns the unnormalized post-selected two-clone state (arm A first) and
@@ -51,7 +49,7 @@ def apply_cloner(psi: np.ndarray, t: float) -> tuple[np.ndarray, float]:
     return rho_out, float(np.trace(rho_out).real)
 
 
-def clone_states(psi: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+def clone_states(psi: "np.ndarray", t: float) -> "tuple[np.ndarray, np.ndarray]":
     """Normalized reduced states of the two clones for input ket psi."""
     from .states import partial_trace
 

@@ -14,8 +14,6 @@ SeedSequence's entropy mixing, the PCG64 bit generator and
 it; `tests/sampling_oracle.py` holds the numpy path the tests compare with.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 from typing import Iterable, NamedTuple, Sequence, TextIO

@@ -1,8 +1,6 @@
 """Fidelity estimators, six-state reports and variance-minimizing detector
 calibration, on the standard library alone."""
 
-from __future__ import annotations
-
 import math
 import sys
 from typing import NamedTuple, Sequence
@@ -19,7 +17,7 @@ from .labels import (
     ROLE_PSI,
     EfficiencyPair,
 )
-from .robustness import _eigvalsh2
+from .eigen2 import _eigvalsh2
 
 # the counts of one six-state group: four floats per state, in catalog order
 Group = Sequence[Sequence[float]]
@@ -321,8 +319,18 @@ def calibrate_pooled(counts: Sequence[Group]) -> CalibrationResult:
 def _calibrate(counts: Sequence[Group]) -> CalibrationResult:
     """`minimize` of the summed variance of the groups `counts` from their
     ratio seed.  Where the data leave an efficiency undetermined (at t = 1,
-    eta_b), the descent does not move it off its closed-form seed."""
-    res = minimize(lambda z: _objective_terms(counts, z), _ratio_seed(counts), *_LOG_BOUNDS)
+    eta_b), the descent does not move it off its closed-form seed.
+
+    Raises ValueError where a state's rescaled counts sum to 0: a state
+    whose only count is subnormal, at an efficiency below 0.5.  Counts from
+    `stacked_counts` never do.
+    """
+    try:
+        res = minimize(lambda z: _objective_terms(counts, z), _ratio_seed(counts), *_LOG_BOUNDS)
+    except ZeroDivisionError:
+        raise ValueError(
+            "a state's rescaled counts sum to zero; pass the counts through stacked_counts"
+        ) from None
     eta = EfficiencyPair(math.exp(res.x[0]), math.exp(res.x[1]))
     return CalibrationResult(
         eta=eta,

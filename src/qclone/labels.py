@@ -8,8 +8,6 @@ library, so the command line can parse and validate a run, and compute the
 closed-form tables, without loading numpy.
 """
 
-from __future__ import annotations
-
 import math
 import os
 from typing import Callable, NamedTuple, TextIO
@@ -74,7 +72,7 @@ class MachineTriple(NamedTuple):
         if min(self.diagonal()) < -atol:
             raise ValueError(f"invalid machine triple {self}: negative diagonal element")
 
-    def swapped(self) -> MachineTriple:
+    def swapped(self) -> "MachineTriple":
         """The same machine with the clone labels interchanged."""
         return MachineTriple(self.fid_b, self.fid_a, self.p)
 

@@ -6,69 +6,18 @@ fidelity depends on the efficiency mismatch.
 
 Everything here is float arithmetic on the standard library; the module
 imports no numpy.  The functions take one mismatch pair at a time.
-`sweep_rows` streams a whole (eps_a, eps_b) grid: it repeats the operations
-of the per-point functions in their order, so every row holds exactly the
-floats of the per-point calls.  Squares are written as products because
-``x**2`` on a Python float calls the C ``pow``, which is not always correctly
-rounded.  The tests check the sweep bit for bit against the vectorized numpy
-sweep of `tests/robustness_oracle.py`.
+`sweep_blocks` computes a whole (eps_a, eps_b) grid, a block of columns per
+eps_a: it repeats the operations of the per-point functions in their order,
+so every value is exactly the float of the per-point call.  Squares are
+written as products because ``x**2`` on a Python float calls the C ``pow``,
+which is not always correctly rounded.  The tests check the sweep bit for
+bit against the vectorized numpy sweep of `tests/robustness_oracle.py`.
 """
 
-from __future__ import annotations
-
-import math
 from typing import Iterator, NamedTuple
 
+from .eigen2 import _eigvalsh2
 from .labels import EfficiencyPair, MachineTriple, linspace
-
-# LAPACK's eps (dlamch) and the scaling thresholds that dsyevd and dsterf
-# derive from it and from the safe minimum 2**-1022
-_EPS = 2.0**-53
-_RMIN, _RMAX = 2.0**-485, 2.0**485  # dsyevd: sqrt(safmin / (2 eps)), its inverse
-_SSFMIN = 2.0**-405  # dsterf: sqrt(safmin) / eps**2
-
-
-def _dlae2(a: float, b: float, c: float) -> tuple[float, float]:
-    """Eigenvalues of [[a, b], [b, c]], as LAPACK's dlae2 computes them."""
-    sm, adf, ab = a + c, abs(a - c), abs(b + b)
-    acmx, acmn = (a, c) if abs(a) > abs(c) else (c, a)
-    if adf > ab:
-        ratio = ab / adf
-        rt = adf * math.sqrt(1.0 + ratio * ratio)
-    elif adf < ab:
-        ratio = adf / ab
-        rt = ab * math.sqrt(1.0 + ratio * ratio)
-    else:
-        rt = ab * math.sqrt(2.0)
-    if sm == 0.0:
-        return 0.5 * rt, -0.5 * rt
-    rt1 = 0.5 * (sm - rt) if sm < 0.0 else 0.5 * (sm + rt)
-    return rt1, (acmx / rt1) * acmn - (b / rt1) * b
-
-
-def _eigvalsh2(a: float, b: float, c: float) -> tuple[float, float]:
-    """Eigenvalues of the finite symmetric [[a, b], [b, c]], computed as
-    ``np.linalg.eigvalsh`` computes them: LAPACK's dsyevd scales the matrix
-    into range and hands it to dsterf, which returns the diagonal where the
-    off-diagonal entry is negligible and otherwise calls dlae2, on a matrix
-    scaled up once more if it is below 2**-405.  (dsterf's scaling of a
-    matrix above 2**511 / 3 cannot follow dsyevd's.)"""
-    norm = max(abs(a), abs(b), abs(c))
-    sigma = _RMIN / norm if 0.0 < norm < _RMIN else _RMAX / norm if norm > _RMAX else 1.0
-    a, b, c = a * sigma, b * sigma, c * sigma
-    if abs(b) <= math.sqrt(abs(a)) * math.sqrt(abs(c)) * _EPS:
-        w = (a, c)
-    else:
-        norm = max(abs(a), abs(b), abs(c))
-        mul = _SSFMIN / norm if norm < _SSFMIN else 1.0
-        a, b, c = a * mul, b * mul, c * mul
-        b2 = b * b
-        w = (a, c) if b2 <= _EPS * _EPS * abs(a * c) else _dlae2(a, math.sqrt(b2), c)
-        if mul != 1.0:
-            w = (w[0] * (norm / _SSFMIN), w[1] * (norm / _SSFMIN))
-    if sigma != 1.0:
-        w = (w[0] * (1.0 / sigma), w[1] * (1.0 / sigma))
-    return w
 
 
 class QuadraticErrorForm(NamedTuple):
@@ -157,17 +106,21 @@ def taylor_form_b(machine: MachineTriple) -> QuadraticErrorForm:
     return QuadraticErrorForm(form.coeff_bb, form.coeff_ab, form.coeff_aa)
 
 
-def sweep_rows(machine: MachineTriple, eps_max: float, eps_points: int) -> Iterator[tuple]:
-    """The rows of the robustness table over the grid of mismatches
-    ``linspace(-eps_max, eps_max, eps_points)`` on each axis, eps_a outer and
-    eps_b inner: (eps_a, eps_b, exact_a, quad_a, bound_a, exact_b, quad_b,
-    bound_b), where exact is the biased mean minus the clone's fidelity,
-    quad the quadratic form and bound the eigenvalue bound.
+def sweep_blocks(
+    machine: MachineTriple, eps_max: float, eps_points: int
+) -> tuple[list, Iterator[tuple]]:
+    """The robustness table over the grid of mismatches
+    ``eps = linspace(-eps_max, eps_max, eps_points)`` on each axis, as
+    ``(eps, blocks)``.  Block i holds the columns (exact_a, quad_a, bound_a,
+    exact_b, quad_b, bound_b) at eps_a = eps[i], each over eps_b = eps:
+    exact is the biased mean minus the clone's fidelity, quad the quadratic
+    form and bound the eigenvalue bound.  The blocks are computed as they
+    are read.
 
     Each value is what `biased_mean`, `biased_mean_b`, `evaluate` and
-    `error_bound` give for that point, bit for bit: the loop performs their
-    operations in their order, with the terms that do not change along a
-    loop computed once outside it.
+    `error_bound` give for that point, bit for bit: the columns perform
+    their operations in their order, with the terms that depend on one
+    mismatch alone computed once.
     """
     eps = linspace(-eps_max, eps_max, eps_points)
     if eps and eps[0] <= -1.0:
@@ -179,40 +132,34 @@ def sweep_rows(machine: MachineTriple, eps_max: float, eps_points: int) -> Itera
     aa_a, ab_a, bb_a = form_a
     aa_b, ab_b, bb_b = form_b
     lam_a, lam_b = form_a.max_eigenvalue(), form_b.max_eigenvalue()
-    # per eps_b: (eps_b, its square, its efficiency and the terms of the
-    # biased fidelities that depend on eps_b alone)
-    inner = []
-    for eb in eps:
-        xb, sq_b = 1.0 + eb, eb * eb
-        inner.append((
-            eb, sq_b, xb, p + fa_p * xb, fb_p * xb, p * xb, fa_p * xb, rest_b * xb,
-            bb_a * sq_b, bb_b * sq_b,
-        ))
-    for ea in eps:
-        xa = 1.0 + ea
-        sq_a = ea * ea
-        fb_p_xa, fa_p_xa, rest_a_xa, p_xa = fb_p * xa, fa_p * xa, rest_a * xa, p * xa
-        num_b_psi = p + fb_p_xa
-        quad_a_aa, quad_a_ab = aa_a * sq_a, ab_a * ea
-        quad_b_aa, quad_b_ab = aa_b * sq_a, ab_b * ea
-        for eb, sq_b, xb, num_a_psi, fb_p_xb, p_xb, fa_p_xb, rest_b_xb, quad_a_bb, quad_b_bb in inner:
-            # clone A: biased_fidelity_psi and biased_fidelity_psi_perp at (xa, xb)
-            den = num_a_psi + fb_p_xa + rest_a_xa * xb
-            num = p_xa * xb + fa_p_xa
-            den_perp = num + fb_p_xb + 1.0 + p - fa - fb
-            if den_perp == 0.0:
-                den_perp = num + fb_p_xb + rest_a
-            exact_a = 0.5 * (num_a_psi / den + num / den_perp) - fa
-            # clone B: the same with the clone labels and efficiencies interchanged
-            den = num_b_psi + fa_p_xb + rest_b_xb * xa
-            num = p_xb * xa + fb_p_xb
-            den_perp = num + fa_p_xa + 1.0 + p - fb - fa
-            if den_perp == 0.0:
-                den_perp = num + fa_p_xa + rest_b
-            exact_b = 0.5 * (num_b_psi / den + num / den_perp) - fb
-            sq = sq_a + sq_b
-            yield (
-                ea, eb,
-                exact_a, quad_a_aa + quad_a_ab * eb + quad_a_bb, lam_a * sq,
-                exact_b, quad_b_aa + quad_b_ab * eb + quad_b_bb, lam_b * sq,
-            )
+    # per mismatch: its efficiency, its square and the terms of the biased
+    # fidelities and quadratic forms that depend on it alone
+    xs, sqs = [1.0 + e for e in eps], [e * e for e in eps]
+    fa_p_x, fb_p_x, p_x, rest_b_x = ([c * x for x in xs] for c in (fa_p, fb_p, p, rest_b))
+    num_a_psi = [p + v for v in fa_p_x]
+    bb_a_sq, bb_b_sq = [bb_a * v for v in sqs], [bb_b * v for v in sqs]
+
+    def block(ea, xa, sq_a, fa_p_xa, fb_p_xa):
+        rest_a_xa, p_xa, num_b_psi = rest_a * xa, p * xa, p + fb_p_xa
+        quad_a_aa, quad_a_ab, quad_b_aa, quad_b_ab = aa_a * sq_a, ab_a * ea, aa_b * sq_a, ab_b * ea
+        sq = [sq_a + v for v in sqs]
+        # exact_a and exact_b: `biased_fidelity_psi` and
+        # `biased_fidelity_psi_perp` at (xa, xb), clone B's with the clone
+        # labels and efficiencies interchanged; `x or y` takes the grouped
+        # denominator y where x rounds to 0, as `biased_fidelity_psi_perp` does
+        return (
+            [0.5 * (num / (num + fb_p_xa + rest_a_xa * xb)
+                    + (perp := p_xa * xb + fa_p_xa)
+                    / (perp + fb_p_xb + 1.0 + p - fa - fb or perp + fb_p_xb + rest_a)) - fa
+             for xb, num, fb_p_xb in zip(xs, num_a_psi, fb_p_x)],
+            [quad_a_aa + quad_a_ab * eb + quad_a_bb for eb, quad_a_bb in zip(eps, bb_a_sq)],
+            [lam_a * v for v in sq],
+            [0.5 * (num_b_psi / (num_b_psi + fa_p_xb + rest_b_xb * xa)
+                    + (perp := p_xb * xa + fb_p_xb)
+                    / (perp + fa_p_xa + 1.0 + p - fb - fa or perp + fa_p_xa + rest_b)) - fb
+             for fa_p_xb, fb_p_xb, p_xb, rest_b_xb in zip(fa_p_x, fb_p_x, p_x, rest_b_x)],
+            [quad_b_aa + quad_b_ab * eb + quad_b_bb for eb, quad_b_bb in zip(eps, bb_b_sq)],
+            [lam_b * v for v in sq],
+        )
+
+    return eps, map(block, eps, xs, sqs, fa_p_x, fb_p_x)

@@ -1,5 +1,5 @@
 """The vectorized numpy robustness sweep: the test oracle of
-`qclone.robustness.sweep_rows` and of the per-point robustness functions.
+`qclone.robustness.sweep_blocks` and of the per-point robustness functions.
 
 Each function broadcasts over numpy arrays of mismatches and gives, element
 by element, what the per-point function of `qclone.robustness` gives for one

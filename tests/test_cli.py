@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import robustness_oracle
 from hypothesis import example, given, settings, strategies as st
 from table_oracle import dump_table
 
@@ -21,13 +22,15 @@ from qclone.cli import (
     OPTIONS,
     SCHEMAS,
     DataError,
+    Grid,
     RunConfig,
     build_config,
     build_parser,
     main,
     write_table,
 )
-from qclone.labels import OBJECTIVES
+from qclone.cloner import machine_triple
+from qclone.labels import OBJECTIVES, MachineTriple
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -575,6 +578,61 @@ def test_write_table_matches_oracle(tmp_path_factory, table):
     assert out.read_bytes() == expected.read_bytes()
 
 
+@st.composite
+def grids(draw):
+    """A Grid of Python floats, its rows as a list, and a format."""
+    keys = draw(st.lists(PY_FLOATS, max_size=3))
+    values = draw(st.integers(0, 3))
+    column = st.lists(PY_FLOATS, min_size=len(keys), max_size=len(keys))
+    blocks = [draw(st.lists(column, min_size=values, max_size=values)) for _ in keys]
+    rows = [(key, other, *(c[j] for c in block))
+            for key, block in zip(keys, blocks) for j, other in enumerate(keys)]
+    return values, Grid(keys, iter(blocks)), rows, draw(st.sampled_from(FORMATS))
+
+
+@settings(deadline=None)
+@given(grids())
+@example((1, Grid([-0.0, math.nan], iter([[[math.inf, -math.inf]], [[5e-324, 1e16]]])),
+          [(-0.0, -0.0, math.inf), (-0.0, math.nan, -math.inf),
+           (math.nan, -0.0, 5e-324), (math.nan, math.nan, 1e16)], "json"))
+@example((2, Grid([], iter([])), [], "json"))
+def test_write_grid_matches_oracle(tmp_path_factory, grid):
+    # a grid is written block by block, each key's text made once: the bytes
+    # are those of its rows written value by value
+    values, rows, expected_rows, fmt = grid
+    columns = ["key", "other", *(f"v{i}" for i in range(values))]
+    folder = tmp_path_factory.mktemp("grids")
+    out, expected = folder / "table", folder / "expected"
+    write_table(columns, rows, str(out), fmt, {"seed": 1})
+    with open(expected, "w") as fh:
+        dump_table(columns, expected_rows, fh, fmt, {"seed": 1})
+    assert out.read_bytes() == expected.read_bytes()
+
+
+MACHINES = [["--t", "0.6324555320336759"], ["--triple", "0.9,0.7,0.6", "--eps-max", "0.9"]]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("machine", MACHINES)
+@pytest.mark.parametrize("eps_points", [1, 2, 3, 21, 201])
+def test_robustness_bytes_equal_the_oracle(tmp_path, capfd, machine, eps_points, fmt):
+    # the table of `qclone robustness`, to a file and to stdout, is the
+    # value-by-value formatting of the numpy sweep's rows
+    flag, value, *eps_max = machine
+    m = (machine_triple(float(value)) if flag == "--t"
+         else MachineTriple(*map(float, value.split(","))))
+    rows = robustness_oracle.sweep_rows(m, float(eps_max[1]) if eps_max else 0.2, eps_points)
+    for out in (str(tmp_path / f"sweep.{fmt}"), "-"):
+        argv = ["robustness", *machine, "--eps-points", str(eps_points), "--format", fmt,
+                "--out", out]
+        config = build_config(build_parser().parse_args(argv)).resolved()
+        assert main(argv) == EXIT_OK
+        with open(tmp_path / "expected", "w") as fh:
+            dump_table(SCHEMAS["robustness"], rows, fh, fmt, config)
+        written = capfd.readouterr().out.encode() if out == "-" else Path(out).read_bytes()
+        assert written == (tmp_path / "expected").read_bytes(), out
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--eps-points", "-3", "eps_points must be at least 1"),
     ("--eps-points", "0", "eps_points must be at least 1"),
@@ -686,6 +744,11 @@ def test_cli_import_loads_no_scipy(tmp_path):
         assert not [m for m in imported if m.split(".")[0] in ("numpy", "scipy")], args
         # nor dataclasses and its inspect, on any path; json only for a JSON table
         top = {m.split(".")[0] for m in imported}
+        # nor __future__; the calibration takes its eigenvalues from eigen2,
+        # not from robustness
+        assert "__future__" not in top, args
+        if "calibrate" in args:
+            assert "qclone.robustness" not in imported, args
         if "json" in args:
             out = args[args.index("--out") + 1] if "--out" in args else None
             json.loads(Path(out).read_text() if out else proc.stdout)

@@ -10,6 +10,8 @@ from qclone.detection import (
     ROLE_PSI,
     EfficiencyPair,
     MeasurementRecord,
+    bias_counts,
+    ideal_probabilities,
     read_records,
     rescale_counts,
     run_experiment,
@@ -301,6 +303,23 @@ def test_ratio_seed_skips_ratios_beyond_the_float_range():
     records = [MeasurementRecord(0.5, label, BASIS_LABELS[i // 2], role, counts)
                for i, (label, role, counts) in enumerate(states)]
     assert res == calibrate(records)
+
+
+def test_subnormal_raw_counts_are_a_value_error_that_names_stacked_counts():
+    # raw counts, not through stacked_counts: the last state's only count is
+    # the smallest subnormal, which eta_b <= 0.5 rescales to a zero total
+    # (a ZeroDivisionError inside the descent before)
+    group = [bias_counts(ideal_probabilities(0.5, role), EfficiencyPair(1.0, 0.5), 1e4)
+             for role in CATALOG_ROLES]
+    group[5] = (0.0, 0.0, 5e-324, 0.0)
+    for calibrate_counts in (calibrate_each, calibrate_pooled):
+        with pytest.raises(ValueError, match="stacked_counts"):
+            calibrate_counts([group])
+    # the same counts as records go through stacked_counts and calibrate
+    states = zip(CATALOG_LABELS, CATALOG_ROLES, group)
+    records = [MeasurementRecord(0.5, label, BASIS_LABELS[i // 2], role, counts)
+               for i, (label, role, counts) in enumerate(states)]
+    assert np.isfinite([*calibrate(records).eta]).all()
 
 
 def test_minimize_holds_coordinates_on_their_bounds():

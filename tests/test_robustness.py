@@ -19,7 +19,7 @@ from qclone.robustness import (
     biased_mean_b,
     error_bound,
     eta_from_mismatch,
-    sweep_rows,
+    sweep_blocks,
     taylor_form,
     taylor_form_b,
 )
@@ -286,6 +286,12 @@ def _bits(rows):
     return [repr(row) for row in rows]
 
 
+def sweep_rows(machine, eps_max, eps_points):
+    """The rows of `sweep_blocks`' grid, eps_a outer and eps_b inner."""
+    eps, blocks = sweep_blocks(machine, eps_max, eps_points)
+    return [(ea, eb, *values) for ea, block in zip(eps, blocks) for eb, *values in zip(eps, *block)]
+
+
 # the three cases above as sweeps: eps_max 0.343805606955381 squared, and an
 # efficiency of 1.1e-16 (the three-point grid holds -eps_max, 0 and eps_max)
 @example(SYMMETRIC, 0.343805606955381, 2)
@@ -293,7 +299,7 @@ def _bits(rows):
 @example(MachineTriple(1.0, 1.0, 1.0), 0.9999999999999999, 3)
 @given(machines(), st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 41))
 def test_sweep_rows_equal_the_oracle(m, eps_max, eps_points):
-    rows, expected = list(sweep_rows(m, eps_max, eps_points)), oracle.sweep_rows(m, eps_max, eps_points)
+    rows, expected = sweep_rows(m, eps_max, eps_points), oracle.sweep_rows(m, eps_max, eps_points)
     assert len(rows) == eps_points**2
     assert rows == expected
     assert _bits(rows) == _bits(expected)
@@ -301,7 +307,7 @@ def test_sweep_rows_equal_the_oracle(m, eps_max, eps_points):
 
 def test_sweep_rows_reject_a_mismatch_of_minus_one():
     with pytest.raises(ValueError):
-        next(sweep_rows(SYMMETRIC, 1.0, 3))
+        sweep_blocks(SYMMETRIC, 1.0, 3)
 
 
 @given(machines())
