@@ -17,7 +17,6 @@ from .labels import (
     BASIS_LABELS,
     CATALOG_LABELS,
     CATALOG_ROLES,
-    OBJECTIVES,
     RECORD_FIELDS,
     ROLE_PERP,
     ROLE_PSI,
@@ -62,7 +61,7 @@ SCHEMAS = {
     ),
     "records": RECORD_FIELDS,
     "calibrate_summary": (
-        "t", "eta_a", "eta_b", "objective", "objective_value", "boundary_hit",
+        "t", "eta_a", "eta_b", "objective_value", "boundary_hit",
         "mean_a_before", "mean_b_before", "mean_a_after", "mean_b_after",
     ),
     "calibrate_states": ("t", "state", "basis", "role", "f_a", "f_b"),
@@ -88,7 +87,6 @@ class RunConfig(NamedTuple):
     counts: float = 1e5
     seed: int = 12345
     noiseless: bool = False
-    objective: str = "sum"
     pooled: bool = False
     out: str = "-"
     records: str | None = None
@@ -122,13 +120,6 @@ class RunConfig(NamedTuple):
             raise ConfigError(str(exc))
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if self.objective in ("a", "b"):
-            raise ConfigError(
-                f"objective {self.objective!r} was retired: the fidelity variance of "
-                "one clone leaves an efficiency undetermined; use 'sum'"
-            )
-        if self.objective not in OBJECTIVES:
-            raise ConfigError(f"objective must be one of {OBJECTIVES}")
         if self.format not in FORMATS:
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
         if not 1 <= self.eps_points <= EPS_POINTS_MAX:
@@ -143,10 +134,10 @@ class RunConfig(NamedTuple):
     def eta(self) -> EfficiencyPair:
         return EfficiencyPair(self.eta_a, self.eta_b)
 
-    def resolved(self) -> dict:
-        return {
-            name: list(v) if isinstance(v, tuple) else v for name, v in zip(self._fields, self)
-        }
+    def resolved(self, fields: tuple) -> dict:
+        """The values of `fields`, tuples as lists."""
+        values = {name: getattr(self, name) for name in fields}
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in values.items()}
 
 
 def _boolean(val) -> bool:
@@ -170,7 +161,6 @@ OPTIONS = {
     "counts": ("--counts", float, "mean coincidence counts per state"),
     "seed": ("--seed", int, "root seed of the simulated counts"),
     "noiseless": ("--noiseless", _boolean, "expected counts, no Poisson noise"),
-    "objective": ("--objective", str, f"calibration objective: {', '.join(OBJECTIVES)}"),
     "pooled": ("--pooled", _boolean, "calibrate one efficiency pair for all t values"),
     "out": ("--out", str, "output path, '-' for stdout"),
     "records": ("--records", str, "record file (simulate: write, calibrate: read)"),
@@ -181,6 +171,12 @@ OPTIONS = {
     "triple": ("--triple", _floats, "explicit machine f_a,f_b,p (robustness)"),
 }
 
+# What a config error says of an `objective` flag or key, which no command takes.
+NO_OBJECTIVE = (
+    "calibration always minimises the fidelity variance of both clones ('sum'); "
+    "the single-clone objectives 'a' and 'b' were retired"
+)
+
 
 def _parse_value(key: str, val, where: str):
     _, parse, _ = OPTIONS[key]
@@ -190,9 +186,14 @@ def _parse_value(key: str, val, where: str):
         raise ConfigError(f"{where}: {exc}")
 
 
-def parse_config_file(path: str) -> dict:
-    """Flat key=value config; '#' starts a comment."""
-    values = {}
+def parse_config_file(path: str, command: str) -> dict:
+    """Flat key=value config; '#' starts a comment.
+
+    One file can serve every command: a key of another command is dropped
+    unparsed, and one stderr line names the dropped keys.
+    """
+    fields = COMMANDS[command][1]
+    values, foreign = {}, []
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -206,19 +207,27 @@ def parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if key == "objective":
+            raise ConfigError(f"{path}:{lineno}: unknown key 'objective': {NO_OBJECTIVE}")
         if key not in OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _parse_value(key, val, f"{path}:{lineno}: field {key!r}")
+        if key in fields:
+            values[key] = _parse_value(key, val, f"{path}:{lineno}: field {key!r}")
+        elif key not in foreign:
+            foreign.append(key)
+    if foreign:
+        print(f"# config keys {command} does not read: {', '.join(foreign)}", file=sys.stderr)
     return values
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults < config file < CLI flags."""
-    values = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, (flag, _, _) in OPTIONS.items():
-        val = getattr(args, key, None)
+    """Merge defaults < config file < CLI flags, over the command's fields;
+    the other fields keep their defaults."""
+    values = parse_config_file(args.config, args.command) if getattr(args, "config", None) else {}
+    for key in COMMANDS[args.command][1]:
+        val = getattr(args, key)
         if val is not None:
-            values[key] = _parse_value(key, val, flag)
+            values[key] = _parse_value(key, val, OPTIONS[key][0])
     cfg = RunConfig(**values)
     cfg.validate()
     return cfg
@@ -317,14 +326,9 @@ def _sibling_path(path: str, suffix: str) -> str:
     return f"{stem}_{suffix}{ext or '.csv'}"
 
 
-def _echo_config(cfg: RunConfig) -> None:
-    resolved = " ".join(f"{k}={v}" for k, v in cfg.resolved().items())
-    print(f"# resolved config: {resolved}", file=sys.stderr)
-
-
 # --- subcommands ------------------------------------------------------------
 
-def cmd_analytic(cfg: RunConfig) -> int:
+def cmd_analytic(cfg: RunConfig, config: dict) -> int:
     from .cloner import clone_fidelities, machine_triple, success_probability, tradeoff_residual
 
     rows = []
@@ -335,11 +339,11 @@ def cmd_analytic(cfg: RunConfig) -> int:
                 (kind, t, fa, fb, machine_triple(t).p, success_probability(t),
                  tradeoff_residual(fa, fb))
             )
-    write_table(SCHEMAS["analytic"], rows, cfg.out, cfg.format, cfg.resolved())
+    write_table(SCHEMAS["analytic"], rows, cfg.out, cfg.format, config)
     return EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: RunConfig, config: dict) -> int:
     records_path = cfg.records or _sibling_path(cfg.out, "records")
     if records_path == "-":
         raise ConfigError("simulate cannot write the record file to stdout; give --records <path>")
@@ -364,7 +368,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         write_records((rec for recs in groups for rec in recs), records_path)
     except OSError as exc:
         raise DataError(f"cannot write records to {records_path}: {exc}")
-    write_table(SCHEMAS["simulate_report"], rows, cfg.out, cfg.format, cfg.resolved())
+    write_table(SCHEMAS["simulate_report"], rows, cfg.out, cfg.format, config)
     print(f"# records written to {records_path}", file=sys.stderr)
     return EXIT_OK
 
@@ -376,13 +380,13 @@ def _grouped_by_t(records):
     return groups
 
 
-def cmd_calibrate(cfg: RunConfig) -> int:
+def cmd_calibrate(cfg: RunConfig, config: dict) -> int:
     if not cfg.records:
         raise ConfigError("calibrate requires --records <record file>")
-    if cfg.format == "json" and cfg.out == "-":
-        # two JSON tables back to back on stdout would not be one JSON value
+    if cfg.out == "-":
+        # two tables back to back on stdout would not be one table
         raise ConfigError(
-            "calibrate --format json writes a summary and a per-state table; "
+            "calibrate writes a summary and a per-state table; "
             "give --out <path>, the per-state table goes next to it"
         )
     from .detection import NoDataError, read_records, six_state_report
@@ -414,7 +418,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     except (NoDataError, ValueError) as exc:
         raise DataError(str(exc))
     summary_rows = [
-        (t, res.eta.eta_a, res.eta.eta_b, cfg.objective, res.objective_value,
+        (t, res.eta.eta_a, res.eta.eta_b, res.objective_value,
          res.boundary_hit, b.mean_a, b.mean_b, a.mean_a, a.mean_b)
         for t, res, b, a in zip(ts, results, before, after)
     ]
@@ -425,11 +429,10 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     ]
     boundary = any(res.boundary_hit for res in results)
 
-    write_table(SCHEMAS["calibrate_summary"], summary_rows, cfg.out, cfg.format, cfg.resolved())
+    write_table(SCHEMAS["calibrate_summary"], summary_rows, cfg.out, cfg.format, config)
     states_path = _sibling_path(cfg.out, "states")
     write_table(SCHEMAS["calibrate_states"], state_rows, states_path, cfg.format)
-    if states_path != "-":
-        print(f"# calibrated per-state table written to {states_path}", file=sys.stderr)
+    print(f"# calibrated per-state table written to {states_path}", file=sys.stderr)
     if boundary:
         print("# warning: calibration hit the search-domain boundary", file=sys.stderr)
         if cfg.strict:
@@ -454,7 +457,7 @@ def _machine_from_config(cfg: RunConfig) -> MachineTriple:
     return m
 
 
-def cmd_robustness(cfg: RunConfig) -> int:
+def cmd_robustness(cfg: RunConfig, config: dict) -> int:
     m = _machine_from_config(cfg)
     from .robustness import sweep_blocks, taylor_form, taylor_form_b
 
@@ -466,11 +469,11 @@ def cmd_robustness(cfg: RunConfig) -> int:
             file=sys.stderr,
         )
     rows = Grid(*sweep_blocks(m, cfg.eps_max, cfg.eps_points))
-    write_table(SCHEMAS["robustness"], rows, cfg.out, cfg.format, cfg.resolved())
+    write_table(SCHEMAS["robustness"], rows, cfg.out, cfg.format, config)
     return EXIT_OK
 
 
-def cmd_schema(_cfg: RunConfig) -> int:
+def cmd_schema(_cfg: RunConfig, _config: dict) -> int:
     for name, cols in SCHEMAS.items():
         print(f"{name}: {','.join(cols)}")
     print("record file: one record per line, fields as 'records' above;")
@@ -479,17 +482,30 @@ def cmd_schema(_cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+# Each command and the RunConfig fields it reads, in field order: its only
+# flags and config keys.
 COMMANDS = {
-    "analytic": cmd_analytic,
-    "simulate": cmd_simulate,
-    "calibrate": cmd_calibrate,
-    "robustness": cmd_robustness,
-    "schema": cmd_schema,
+    "analytic": (cmd_analytic, ("t_values", "out", "format")),
+    "simulate": (
+        cmd_simulate,
+        ("t_values", "eta_a", "eta_b", "counts", "seed", "noiseless", "out", "records", "format"),
+    ),
+    "calibrate": (cmd_calibrate, ("pooled", "out", "records", "format", "strict")),
+    "robustness": (cmd_robustness, ("t_values", "out", "format", "eps_max", "eps_points", "triple")),
+    "schema": (cmd_schema, ()),
 }
 
 
 class _Parser(argparse.ArgumentParser):
     """An argparse parser whose rejections are config errors, not exit 2."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        # a command's parser rejects what it does not know itself, so the
+        # usage line of a foreign flag is the command's
+        args, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args, extra
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -497,6 +513,8 @@ class _Parser(argparse.ArgumentParser):
             # argparse takes a value that starts with '-' (`-inf`) for a flag
             flag = message.split(":")[0].split()[-1]
             message += f" (give a value that starts with '-' as {flag}=<value>)"
+        elif "--objective" in message:
+            message += f"; {NO_OBJECTIVE}"
         raise ConfigError(message)
 
 
@@ -506,10 +524,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Asymmetric qubit-cloner simulation, calibration and robustness tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, fields) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", help=f"key=value config file; keys: {', '.join(OPTIONS)}")
-        for key, (flag, parse, text) in OPTIONS.items():
+        if fields:
+            p.add_argument(
+                "--config",
+                help=f"key=value config file; keys: {', '.join(fields)} "
+                "(the other commands' keys are named on stderr and ignored)",
+            )
+        for key in fields:
+            flag, parse, text = OPTIONS[key]
             switch = {"action": "store_true", "default": None} if parse is _boolean else {}
             p.add_argument(flag, dest=key, help=text, **switch)
     return parser
@@ -519,8 +543,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = build_config(args)
-        _echo_config(cfg)
-        code = COMMANDS[args.command](cfg)
+        command, fields = COMMANDS[args.command]
+        config = cfg.resolved(fields)
+        print("# resolved config:", *(f"{k}={v}" for k, v in config.items()), file=sys.stderr)
+        code = command(cfg, config)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
     except ConfigError as exc:

@@ -1,9 +1,9 @@
 """Names shared by the record files, the tables and the command line.
 
 The six preparation states and their analysis bases, the role of each state,
-the record-file columns, the calibration objectives, the efficiency search
-box and the machine triple; also the two helpers every table command needs,
-`linspace` and `write_atomic`.  This module imports nothing but the standard
+the record-file columns, the efficiency search box and the machine triple;
+also the two helpers every table command needs, `linspace` and
+`write_atomic`.  This module imports nothing but the standard
 library, so the command line can parse and validate a run, and compute the
 closed-form tables, without loading numpy.
 """
@@ -22,11 +22,6 @@ CATALOG_ROLES = tuple(ROLE_PSI if i % 2 == 0 else ROLE_PERP for i in range(len(C
 
 # One record per line: t, state_label, basis_label, role, c_pp, c_pm, c_mp, c_mm
 RECORD_FIELDS = ("t", "state", "basis", "role", "c_pp", "c_pm", "c_mp", "c_mm")
-
-# `sum`, the fidelity variance of both clones, is the one calibration
-# objective; the `objective` key, flag and table column keep it by name, so
-# config files and tables name what the calibration minimized.
-OBJECTIVES = ("sum",)
 
 ETA_MIN = 0.2
 ETA_MAX = 5.0

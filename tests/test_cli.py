@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from table_oracle import dump_table
 
 from qclone.cli import (
+    COMMANDS,
     COUNTS_MAX,
     EPS_POINTS_MAX,
     EXIT_BOUNDARY,
@@ -19,6 +21,7 @@ from qclone.cli import (
     EXIT_DATA,
     EXIT_OK,
     FORMATS,
+    NO_OBJECTIVE,
     OPTIONS,
     SCHEMAS,
     DataError,
@@ -30,7 +33,7 @@ from qclone.cli import (
     write_table,
 )
 from qclone.cloner import machine_triple
-from qclone.labels import OBJECTIVES, MachineTriple
+from qclone.labels import MachineTriple
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -109,8 +112,8 @@ def test_simulate_calibrate_round_trip(tmp_path):
         assert abs(float(r[1]) - 1.046) < 1e-6
         assert abs(float(r[2]) - 0.840) < 1e-6
         # mean fidelities barely move under calibration
+        assert abs(float(r[5]) - float(r[7])) < 0.005
         assert abs(float(r[6]) - float(r[8])) < 0.005
-        assert abs(float(r[7]) - float(r[9])) < 0.005
     # calibrated per-state table is flat
     _, state_rows = read_csv(tmp_path / "cal_states.csv")
     for t in set(r[0] for r in state_rows):
@@ -136,7 +139,10 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert rc == EXIT_OK
     payload = json.loads(out.read_text())
     assert payload["config"]["t_values"] == [0.0]  # flag wins
-    assert payload["config"]["seed"] == 3  # file wins over default
+    assert payload["config"]["format"] == "json"  # file wins over default
+    # analytic reads no seed: the key is named and ignored
+    assert "seed" not in payload["config"]
+    assert "# config keys analytic does not read: seed\n" in capsys.readouterr().err
 
 
 def test_config_parse_error(tmp_path, capsys):
@@ -145,7 +151,7 @@ def test_config_parse_error(tmp_path, capsys):
     assert main(["analytic", "--config", str(cfg)]) == EXIT_CONFIG
     assert "bad.cfg:1" in capsys.readouterr().err
     cfg.write_text("seed = 3\neta_a = abc\n")
-    assert main(["analytic", "--config", str(cfg)]) == EXIT_CONFIG
+    assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
     assert "bad.cfg:2: field 'eta_a': could not convert" in capsys.readouterr().err
     cfg.write_bytes(b"seed = \xff\n")  # not text
     assert main(["analytic", "--config", str(cfg)]) == EXIT_CONFIG
@@ -182,9 +188,10 @@ PATHS = ["--out", "sim.csv", "--records", "records.csv"]
 @pytest.mark.parametrize("argv, message, usage", [
     (["simulate", "--eta-a", "abc", *PATHS], "--eta-a: could not convert string to float: 'abc'",
      False),
-    (["robustness", "--eps-points", "2.5", *PATHS], "--eps-points: invalid literal for int()",
-     False),
-    (["simulate", "--objective", "c", *PATHS], "objective must be one of", False),
+    (["robustness", "--eps-points", "2.5", "--out", "rob.csv"],
+     "--eps-points: invalid literal for int()", False),
+    (["simulate", "--objective", "c", *PATHS],
+     f"unrecognized arguments: --objective c; {NO_OBJECTIVE}", True),
     (["simulate", "--format", "xml", *PATHS], "format must be csv or json", False),
     # argparse's own rejections also print the usage line
     (["simulate", "--bogus", *PATHS], "unrecognized arguments: --bogus", True),
@@ -194,8 +201,14 @@ PATHS = ["--out", "sim.csv", "--records", "records.csv"]
      "argument --eps-max: expected one argument (give a value that starts with '-' as "
      "--eps-max=<value>)", True),
     *((["calibrate", "--objective", objective, "--records", "records.csv", "--out", "cal.csv"],
-       f"objective '{objective}' was retired: the fidelity variance of one clone leaves an "
-       "efficiency undetermined; use 'sum'", False) for objective in "ab"),
+       f"unrecognized arguments: --objective {objective}; {NO_OBJECTIVE}", True)
+      for objective in "ab"),
+    # a flag of another command is the command's own parser's rejection
+    (["calibrate", "--records", "records.csv", "--out", "cal.csv", "--eta-a", "2"],
+     "unrecognized arguments: --eta-a 2", True),
+    (["analytic", "--records", "nope.csv", "--pooled", "--strict"],
+     "unrecognized arguments: --records nope.csv --pooled --strict", True),
+    (["schema", "--out", "s.csv"], "unrecognized arguments: --out s.csv", True),
 ])
 def test_rejected_command_line_is_a_config_error(tmp_path, monkeypatch, capsys, argv, message,
                                                  usage):
@@ -204,6 +217,8 @@ def test_rejected_command_line_is_a_config_error(tmp_path, monkeypatch, capsys, 
     err = capsys.readouterr().err
     assert f"config error: {message}" in err
     assert err.startswith("usage: qclone") == usage
+    if usage and "unrecognized arguments" in message:
+        assert err.startswith(f"usage: qclone {argv[0]} ")  # the usage of the command
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
@@ -213,18 +228,41 @@ def test_help_exits_0(capsys):
         main(["simulate", "--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    # the allowed values of the two choice flags are in the help text
-    assert "calibration objective: sum" in out and "table format: csv, json" in out
+    # the allowed values of the choice flag are in the help text
+    assert "table format: csv, json" in out
 
 
-def test_option_table():
-    # one entry per RunConfig field, in field order, and one flag per entry
+# The flags of each command, besides --config (every command but schema).
+COMMAND_FLAGS = {
+    "analytic": "--t --out --format",
+    "simulate": "--t --eta-a --eta-b --counts --seed --noiseless --out --records --format",
+    "calibrate": "--records --out --format --pooled --strict",
+    "robustness": "--t --triple --eps-max --eps-points --out --format",
+    "schema": "",
+}
+
+
+def test_option_table(capsys):
+    # one entry per RunConfig field, in field order
     assert list(OPTIONS) == list(RunConfig._fields)
-    assert [flag for flag, _, _ in OPTIONS.values()] == [
-        "--t", "--eta-a", "--eta-b", "--counts", "--seed", "--noiseless", "--objective",
-        "--pooled", "--out", "--records", "--format", "--strict", "--eps-max", "--eps-points",
-        "--triple",
-    ]
+    # each command registers its own flags and no other
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert list(commands) == list(COMMAND_FLAGS)
+    registered = 0
+    for name, parser in commands.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        own = set(COMMAND_FLAGS[name].split()) | ({"--config"} if COMMAND_FLAGS[name] else set())
+        assert flags == own | {"-h", "--help"}, name
+        assert {OPTIONS[key][0] for key in COMMANDS[name][1]} == own - {"--config"}, name
+        registered += len(own)
+    assert registered == 27
+    # every field is read by some command
+    assert set().union(*(fields for _, fields in COMMANDS.values())) == set(RunConfig._fields)
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    out = capsys.readouterr().out
+    assert not [flag for flag in ("--pooled", "--strict", "--eps-max", "--triple") if flag in out]
 
 
 # key, a config-file value away from the default, the same value as flags
@@ -235,7 +273,6 @@ SETTINGS = [
     ("counts", "1e3", ["--counts", "1e3"]),
     ("seed", "7", ["--seed", "7"]),
     ("noiseless", "true", ["--noiseless"]),
-    ("objective", "sum", ["--objective", "sum"]),
     ("pooled", "yes", ["--pooled"]),
     ("out", "x.csv", ["--out", "x.csv"]),
     ("records", "r.csv", ["--records", "r.csv"]),
@@ -252,15 +289,43 @@ def test_config_file_and_flags_build_the_same_config(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("".join(f"{key} = {val}  # comment\n" for key, val, _ in SETTINGS))
     parser = build_parser()
-    from_file = build_config(parser.parse_args(["simulate", "--config", str(cfg_file)]))
-    flags = [arg for _, _, args in SETTINGS for arg in args]
-    from_flags = build_config(parser.parse_args(["simulate", *flags]))
-    assert from_file == from_flags
-    # every value but the objective's, which has only the one, is off its default
     default = RunConfig()
-    assert [key for key in OPTIONS if getattr(from_file, key) == getattr(default, key)] == [
-        "objective"
-    ]
+    for command, (_, fields) in COMMANDS.items():
+        if not fields:
+            continue
+        from_file = build_config(parser.parse_args([command, "--config", str(cfg_file)]))
+        flags = [arg for key, _, args in SETTINGS if key in fields for arg in args]
+        from_flags = build_config(parser.parse_args([command, *flags]))
+        assert from_file == from_flags, command
+        # the command's values are off their defaults; the others keep them
+        changed = [key for key in OPTIONS if getattr(from_file, key) != getattr(default, key)]
+        assert changed == list(fields), command
+
+
+def test_shared_config_file_names_and_ignores_foreign_keys(tmp_path, monkeypatch, capfd):
+    # one lab-session file can serve every command: a command given the whole
+    # file writes what it writes given its own keys alone, and one stderr line
+    # names the keys it ignored
+    lines = {key: f"{key} = {val}\n" for key, val, _ in SETTINGS}
+    for command, (_, fields) in COMMANDS.items():
+        if not fields:
+            continue
+        runs = {}
+        for name, keys in (("own", fields), ("shared", OPTIONS)):
+            folder = tmp_path / name
+            folder.mkdir(exist_ok=True)
+            monkeypatch.chdir(folder)
+            (folder / "run.cfg").write_text("".join(lines[key] for key in keys))
+            code = main([command, "--config", "run.cfg"])
+            captured = capfd.readouterr()
+            written = {p.name: p.read_bytes() for p in folder.iterdir()}
+            del written["run.cfg"]
+            runs[name] = code, captured.out, captured.err, written
+        (code, out, err, written), shared = runs["own"], runs["shared"]
+        assert written, command
+        foreign = ", ".join(key for key in OPTIONS if key not in fields)
+        assert shared == (code, out, f"# config keys {command} does not read: {foreign}\n" + err,
+                          written), command
 
 
 def test_simulate_without_counts_is_a_data_error(tmp_path, capsys):
@@ -272,7 +337,7 @@ def test_simulate_without_counts_is_a_data_error(tmp_path, capsys):
 
 
 def test_calibrate_missing_file(tmp_path):
-    rc = main(["calibrate", "--records", str(tmp_path / "nope.csv")])
+    rc = main(["calibrate", "--records", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "c.csv")])
     assert rc == EXIT_DATA
 
 
@@ -282,12 +347,14 @@ def test_calibrate_requires_records():
 
 @pytest.mark.parametrize("out", [[], ["--out", "-"]])
 def test_calibrate_json_to_stdout_is_a_config_error(tmp_path, capsys, out):
-    # refused before the record file is read: a missing one would be exit 2
-    rc = main(["calibrate", "--format", "json", "--records", str(tmp_path / "nope.csv"), *out])
-    assert rc == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "give --out <path>" in captured.err
+    # refused before the record file is read: a missing one would be exit 2;
+    # CSV too, whose two tables back to back are not one table either
+    for fmt in FORMATS:
+        rc = main(["calibrate", "--format", fmt, "--records", str(tmp_path / "nope.csv"), *out])
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "give --out <path>" in captured.err
 
 
 def test_robustness_table(tmp_path):
@@ -327,7 +394,7 @@ SCHEMA_STDOUT = """\
 analytic: kind,t,f_a,f_b,p,success_prob,tradeoff_residual
 simulate_report: t,state,basis,role,f_a,f_b,mean_a,mean_b,variance_a,variance_b
 records: t,state,basis,role,c_pp,c_pm,c_mp,c_mm
-calibrate_summary: t,eta_a,eta_b,objective,objective_value,boundary_hit,\
+calibrate_summary: t,eta_a,eta_b,objective_value,boundary_hit,\
 mean_a_before,mean_b_before,mean_a_after,mean_b_after
 calibrate_states: t,state,basis,role,f_a,f_b
 robustness: eps_a,eps_b,exact_a,quad_a,bound_a,exact_b,quad_b,bound_b
@@ -393,8 +460,8 @@ def test_calibrate_counts_near_the_cap(tmp_path, capsys, pooled):
     scaled = (tmp_path / "cal.csv").read_text().splitlines()
     assert len(scaled) == len(plain) and scaled[0] == plain[0]
     for row, expected in zip(scaled[1:], plain[1:]):
-        # every column but the objective name and boundary_hit is a number
-        values, expected = ([float(v) for k, v in enumerate(line.split(",")) if k not in (3, 5)]
+        # every column but boundary_hit is a number
+        values, expected = ([float(v) for k, v in enumerate(line.split(",")) if k != 4]
                             for line in (row, expected))
         assert all(math.isfinite(v) for v in values)
         np.testing.assert_allclose(values, expected, rtol=1e-9, atol=1e-12)
@@ -450,10 +517,11 @@ def test_robustness_table_bytes_unchanged(capfd, name, args):
 
 
 # Tables whose rows mix strings, bools and numpy floats, written by the
-# commit before rows of floats were formatted by one template. Relative
-# --records and --out paths keep the embedded config the same in any
-# directory. A table without --out goes to stdout; calibrate's JSON tables go
-# to the --out file and its _states sibling, each checked against its own file.
+# commit before rows of floats were formatted by one template, then cut to
+# each command's own config fields and without the objective column.
+# Relative --records and --out paths keep the embedded config the same in any
+# directory. A table without --out goes to stdout; calibrate's tables go to
+# the --out file and its _states sibling, each checked against its own file.
 SIMULATE = ["simulate", "--t", "0,0.6324555320336759,1", "--seed", "7", "--records", "records.csv"]
 CALIBRATE = ["calibrate", "--records", "records.csv"]
 MIXED_GOLDEN = [
@@ -461,9 +529,9 @@ MIXED_GOLDEN = [
     ("analytic.json", ["analytic", "--format", "json"]),
     ("simulate.csv", SIMULATE),
     ("simulate.json", [*SIMULATE, "--format", "json"]),
-    ("calibrate.csv", CALIBRATE),
+    ("calibrate.csv", [*CALIBRATE, "--out", "calibrate.csv"]),
     ("calibrate.json", [*CALIBRATE, "--format", "json", "--out", "calibrate.json"]),
-    ("calibrate_pooled.csv", [*CALIBRATE, "--pooled"]),
+    ("calibrate_pooled.csv", [*CALIBRATE, "--pooled", "--out", "calibrate_pooled.csv"]),
     ("calibrate_pooled.json",
      [*CALIBRATE, "--pooled", "--format", "json", "--out", "calibrate_pooled.json"]),
 ]
@@ -625,7 +693,7 @@ def test_robustness_bytes_equal_the_oracle(tmp_path, capfd, machine, eps_points,
     for out in (str(tmp_path / f"sweep.{fmt}"), "-"):
         argv = ["robustness", *machine, "--eps-points", str(eps_points), "--format", fmt,
                 "--out", out]
-        config = build_config(build_parser().parse_args(argv)).resolved()
+        config = build_config(build_parser().parse_args(argv)).resolved(COMMANDS["robustness"][1])
         assert main(argv) == EXIT_OK
         with open(tmp_path / "expected", "w") as fh:
             dump_table(SCHEMAS["robustness"], rows, fh, fmt, config)
@@ -654,7 +722,7 @@ def test_default_calibration_stays_inside_the_box(tmp_path):
     out = tmp_path / "cal.csv"
     assert main(["calibrate", "--strict", "--records", str(recs), "--out", str(out)]) == EXIT_OK
     _, rows = read_csv(out)
-    assert [r[5] for r in rows] == ["false"] * 6
+    assert [r[4] for r in rows] == ["false"] * 6
 
 
 def test_strict_boundary_hit_exits_3_and_writes_both_tables(tmp_path):
@@ -664,11 +732,11 @@ def test_strict_boundary_hit_exits_3_and_writes_both_tables(tmp_path):
     assert main(["simulate", "--noiseless", "--eta-a", "5", "--out", str(tmp_path / "edge.csv"),
                  "--records", str(edge)]) == EXIT_OK
     out = tmp_path / "cal.csv"
-    calibrate = ["calibrate", "--strict", "--objective", "sum"]
+    calibrate = ["calibrate", "--strict"]
     rc = main([*calibrate, "--records", str(edge), "--out", str(out)])
     assert rc == EXIT_BOUNDARY
     _, rows = read_csv(out)
-    assert len(rows) == 6 and "true" in [r[5] for r in rows]
+    assert len(rows) == 6 and "true" in [r[4] for r in rows]
     _, states = read_csv(tmp_path / "cal_states.csv")
     assert len(states) == 36
     recs = tmp_path / "records.csv"
@@ -725,14 +793,17 @@ def test_cli_import_loads_no_scipy(tmp_path):
         (["-m", "qclone.cli", "simulate", "--records", records], EXIT_OK),
         (["-m", "qclone.cli", "simulate", "--format", "json", "--records", records], EXIT_OK),
         (["-m", "qclone.cli", "simulate", "--noiseless", "--records", records], EXIT_OK),
-        (["-m", "qclone.cli", "calibrate", "--records", records], EXIT_OK),
-        (["-m", "qclone.cli", "calibrate", "--pooled", "--records", records], EXIT_OK),
+        (["-m", "qclone.cli", "calibrate", "--records", records, "--out", str(tmp_path / "c.csv")],
+         EXIT_OK),
+        (["-m", "qclone.cli", "calibrate", "--pooled", "--records", records,
+          "--out", str(tmp_path / "p.csv")], EXIT_OK),
         (["-m", "qclone.cli", "calibrate", "--format", "json", "--out", str(tmp_path / "cal.json"),
           "--records", records], EXIT_OK),
         # noiseless counts at eta_a = 5 calibrate onto the search box
         (["-m", "qclone.cli", "simulate", "--noiseless", "--eta-a", "5", "--records", edge],
          EXIT_OK),
-        (["-m", "qclone.cli", "calibrate", "--strict", "--records", edge], EXIT_BOUNDARY),
+        (["-m", "qclone.cli", "calibrate", "--strict", "--records", edge,
+          "--out", str(tmp_path / "e.csv")], EXIT_BOUNDARY),
     ]
     for args, code in cases:
         proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
@@ -797,7 +868,6 @@ FLAG_VALUES = {
     "--eps-max": _floats_or_in(0.0, 0.99),
     "--triple": (st.lists(_floats_or_in(0.0, 1.0), min_size=1, max_size=4).map(",".join)
                  | st.text()),
-    "--objective": st.sampled_from(OBJECTIVES) | st.text(),
     "--format": st.sampled_from(FORMATS) | st.text(),
 }
 KEYS = {flag: key for key, (flag, _, _) in OPTIONS.items()}
@@ -806,18 +876,29 @@ KEYS = {flag: key for key, (flag, _, _) in OPTIONS.items()}
 @st.composite
 def command_lines(draw):
     """A command, its flags and the lines of a config file: each drawn value
-    is given either as a flag or as a `key = value` line. The last item is
-    the exit code the run must end in, None where any documented one will do."""
+    of the command's own is given either as a flag or as a `key = value`
+    line, any other one as a line, which the command ignores; schema takes
+    neither. One flag of another command may be added, which makes the run a
+    config error. The last item is the exit code the run must end in, None
+    where any documented one will do."""
+    command = draw(st.sampled_from(["analytic", "simulate", "robustness", "schema"]))
+    fields = COMMANDS[command][1]
     flags, lines = [], []
-    for flag, values in FLAG_VALUES.items():
+    for flag, values in FLAG_VALUES.items() if fields else ():
         if draw(st.booleans()):
             value = draw(values)
-            if draw(st.booleans()):
+            if KEYS[flag] in fields and draw(st.booleans()):
                 flags.append(f"{flag}={value}")
             else:
                 lines.append(f"{KEYS[flag]} = {value}")
-    command = draw(st.sampled_from(["analytic", "simulate", "robustness", "schema"]))
-    return [command, *flags], lines, None
+    if not draw(st.booleans()):
+        return [command, *flags], lines, None
+    foreign = [flag for key, (flag, _, _) in OPTIONS.items() if key not in fields]
+    foreign += ["--objective"] + ([] if fields else ["--config"])
+    flag = draw(st.sampled_from(foreign))
+    value = draw(FLAG_VALUES.get(flag, st.sampled_from(["sum", "x.csv", "1"])))
+    flags.insert(draw(st.integers(0, len(flags))), f"{flag}={value}")
+    return [command, *flags], lines, EXIT_CONFIG
 
 
 @settings(deadline=None)
@@ -834,13 +915,22 @@ def command_lines(draw):
 @example((["simulate", "--bogus=1"], [], EXIT_CONFIG))
 @example((["simulate"], ["eta_a = abc"], EXIT_CONFIG))
 @example((["robustness"], ["triple = 0.9,0.7", "eps_points = 3"], EXIT_CONFIG))
-@example((["calibrate", "--format=json", "--out=-"], [], EXIT_CONFIG))
+@example((["calibrate", "--records=nope.csv", "--format=json", "--out=-"], [], EXIT_CONFIG))
+@example((["calibrate", "--records=nope.csv", "--out=-"], [], EXIT_CONFIG))
+@example((["analytic", "--pooled"], [], EXIT_CONFIG))
+@example((["robustness", "--t=0", "--seed=3"], [], EXIT_CONFIG))
+@example((["schema", "--config=run.cfg"], [], EXIT_CONFIG))
+@example((["schema"], [], EXIT_OK))
+@example((["analytic"], ["counts = abc", "objective_value = 1"], EXIT_CONFIG))
+@example((["analytic"], ["counts = abc", "eta_a = 9"], EXIT_OK))
 def test_exit_code_is_documented(tmp_path_factory, run):
     argv, lines, expected = run
     folder = tmp_path_factory.mktemp("run")
-    # the default paths go before the drawn flags, which may override them
-    argv = [argv[0], "--out", str(folder / "table.csv"), "--records", str(folder / "records.csv"),
-            *argv[1:]]
+    # the default paths go before the drawn flags, which may override them:
+    # --out to every command but schema, --records to simulate alone
+    paths = {"simulate": ["--out", str(folder / "table.csv"), "--records", str(folder / "records.csv")],
+             "schema": []}
+    argv = [argv[0], *paths.get(argv[0], ["--out", str(folder / "table.csv")]), *argv[1:]]
     if lines:
         (folder / "run.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
         argv += ["--config", str(folder / "run.cfg")]

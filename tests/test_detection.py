@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,6 +210,16 @@ def test_sample_counts_equal_numpy_at_the_switches(lam):
         rates = [lam, 10.0, lam, 3.5]
         expected = tuple(sampling_oracle.sample_counts(rates, seed).tolist())
         assert sample_counts(rates, seed) == expected
+
+
+def test_sampler_vector_digests_equal_numpy():
+    # the digests of data/sampler_vectors.json, which pin qclone's own
+    # stream, are those of numpy's draws too
+    vectors = json.loads((Path(__file__).parent / "data" / "sampler_vectors.json").read_text())
+    for case in vectors["poisson"]:
+        draws = sampling_oracle.sample_counts([case["lam"]] * vectors["digest_draws"], case["seed"])
+        text = ",".join(map(repr, draws.tolist()))
+        assert hashlib.sha256(text.encode()).hexdigest() == case["sha256"], case
 
 
 @settings(deadline=None)
