@@ -173,8 +173,8 @@ OPTIONS = {
 
 # What a config error says of an `objective` flag or key, which no command takes.
 NO_OBJECTIVE = (
-    "calibration always minimises the fidelity variance of both clones ('sum'); "
-    "the single-clone objectives 'a' and 'b' were retired"
+    "calibration is the count-ratio closed form of the bias model, with no objective "
+    "to choose; the single-clone objectives 'a' and 'b' were retired"
 )
 
 
@@ -319,11 +319,27 @@ def write_table(columns, rows, path: str, fmt: str, config: dict | None = None) 
         raise DataError(f"cannot write {path}: {exc}")
 
 
-def _sibling_path(path: str, suffix: str) -> str:
+def _sibling_path(path: str, suffix: str, fmt: str = "csv") -> str:
+    """`path` with `_suffix` before its extension; without one, the
+    extension of the format `fmt`."""
     if path == "-":
         return "-"
     stem, ext = os.path.splitext(path)
-    return f"{stem}_{suffix}{ext or '.csv'}"
+    return f"{stem}_{suffix}{ext or '.' + fmt}"
+
+
+def _distinct_files(*named: tuple[str, str]) -> None:
+    """Raise ConfigError when two of a command's (name, path) files are one
+    file, so that no command writes over its own input or output; '-' is
+    stdout, never a file."""
+    seen = {}
+    for name, path in named:
+        if path == "-":
+            continue
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"{seen[real]} and {name} are the same file {path}")
+        seen[real] = name
 
 
 # --- subcommands ------------------------------------------------------------
@@ -347,6 +363,7 @@ def cmd_simulate(cfg: RunConfig, config: dict) -> int:
     records_path = cfg.records or _sibling_path(cfg.out, "records")
     if records_path == "-":
         raise ConfigError("simulate cannot write the record file to stdout; give --records <path>")
+    _distinct_files(("--out", cfg.out), ("the record file", records_path))
     from .detection import NoDataError, run_experiment, six_state_report, write_records
 
     groups = [
@@ -389,6 +406,9 @@ def cmd_calibrate(cfg: RunConfig, config: dict) -> int:
             "calibrate writes a summary and a per-state table; "
             "give --out <path>, the per-state table goes next to it"
         )
+    states_path = _sibling_path(cfg.out, "states", cfg.format)
+    _distinct_files(("--records", cfg.records), ("--out", cfg.out),
+                    ("the per-state table", states_path))
     from .detection import NoDataError, read_records, six_state_report
     from .estimation import calibrate_each, calibrate_pooled, stacked_counts
 
@@ -430,7 +450,6 @@ def cmd_calibrate(cfg: RunConfig, config: dict) -> int:
     boundary = any(res.boundary_hit for res in results)
 
     write_table(SCHEMAS["calibrate_summary"], summary_rows, cfg.out, cfg.format, config)
-    states_path = _sibling_path(cfg.out, "states")
     write_table(SCHEMAS["calibrate_states"], state_rows, states_path, cfg.format)
     print(f"# calibrated per-state table written to {states_path}", file=sys.stderr)
     if boundary:

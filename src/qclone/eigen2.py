@@ -1,8 +1,8 @@
 """Eigenvalues of a symmetric 2x2 matrix as LAPACK computes them.
 
 The robustness bound (`robustness.QuadraticErrorForm.max_eigenvalue`) and
-the calibration descent (`estimation.minimize`) both use them; kept apart
-from both, so that `calibrate` does not load `robustness`.
+the reference descent `estimation.minimize`, which no command runs, both
+use them; kept apart from both, so that `calibrate` loads neither.
 """
 
 import math

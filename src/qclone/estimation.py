@@ -1,5 +1,5 @@
-"""Fidelity estimators, six-state reports and variance-minimizing detector
-calibration, on the standard library alone."""
+"""Fidelity estimators, six-state reports and detector calibration by the
+count-ratio closed form of the bias model, on the standard library alone."""
 
 import math
 import sys
@@ -17,7 +17,6 @@ from .labels import (
     ROLE_PSI,
     EfficiencyPair,
 )
-from .eigen2 import _eigvalsh2
 
 # the counts of one six-state group: four floats per state, in catalog order
 Group = Sequence[Sequence[float]]
@@ -103,10 +102,12 @@ def report(
 # d c = c (1 - 2 f_A, 1 - 2 f_B).  A perp-role fidelity is one minus the same
 # expression.  The psi-role rows are H, D, R; the perp-role rows V, A, L.
 #
-# A calibration is one descent over the groups its efficiency pair must fit:
-# `calibrate_each` runs one per group, `calibrate_pooled` one over all
-# groups.  Sums run in order from 0.0; `tests/calibration_oracle.py` holds
-# the numpy descent the tests compare with.
+# A calibration is the count-ratio closed form `_ratio_seed` of the groups its
+# efficiency pair must fit: `calibrate_each` takes it per group,
+# `calibrate_pooled` over all groups.  No command runs `minimize` on
+# `_objective_terms`: that descent to the variance minimum is the reference
+# the tests measure the closed form against, and `tests/calibration_oracle.py`
+# holds its numpy twin.  Sums run in order from 0.0.
 
 _ROLE_SIGN = tuple(1.0 if role == ROLE_PSI else -1.0 for role in CATALOG_ROLES)
 _LOG_BOUNDS = (math.log(ETA_MIN), math.log(ETA_MAX))
@@ -179,16 +180,17 @@ def _rounding(value: float) -> float:
 
 
 def _ratio_seed(counts: Sequence[Group]) -> tuple[float, float]:
-    """Closed-form ln(eta) from count ratios of the bias model.
+    """Closed-form ln(eta) from count ratios of the bias model: the
+    calibration, and the start of the reference descent `minimize`.
 
     Per basis, with psi-role counts C_psi and perp-role counts C_perp,
     eta_a^2 = (C-+_psi C--_perp) / (C++_psi C+-_perp) and
     eta_b^2 = (C+-_psi C--_perp) / (C++_psi C-+_perp): the machine parameters
     cancel.  Log-mean over the bases and groups, skipping zero counts and
     ratios beyond the float range (raw counts near 1e150 against subnormal
-    ones); an efficiency without a usable ratio is seeded at 1.  Clipped to
-    the search box.  On counts from `stacked_counts`, below 1, no ratio
-    rounds to zero.
+    ones); an efficiency without a usable ratio is 1.  Clipped to the
+    efficiency box [0.2, 5]^2.  On counts from `stacked_counts`, below 1, no
+    ratio rounds to zero.
     """
     logs = ([], [])
     for group in counts:
@@ -241,6 +243,8 @@ def minimize(fun, x0: Sequence[float], lower: float, upper: float) -> NewtonResu
     step is below ``_XTOL``, when a step lowers the value by no more than
     ``_rounding`` of it, or after ``_MAXITER`` steps.
     """
+    from .eigen2 import _eigvalsh2  # here, so that a calibration does not load it
+
     x = tuple(min(max(v, lower), upper) for v in x0)
     f, g, h = fun(x)
     nfev, nit, damping, growth, success = 1, 0, 0.0, 2.0, False
@@ -291,50 +295,49 @@ def minimize(fun, x0: Sequence[float], lower: float, upper: float) -> NewtonResu
 
 
 def calibrate(records: list[MeasurementRecord]) -> CalibrationResult:
-    """Recover the relative detector efficiencies minimizing the summed
-    fidelity variance of both clones.
-
-    One damped Newton descent within [0.2, 5]^2 starts from the count-ratio
-    closed form (`_ratio_seed`); the returned report is computed at its
-    endpoint.  This is `calibrate_each` of the group's counts.
+    """Recover the relative detector efficiencies of one six-state group
+    from its count ratios (`_ratio_seed`), within [0.2, 5]^2; the returned
+    report is computed at them.  This is `calibrate_each` of the group's
+    counts.
     """
     return calibrate_each(stacked_counts([records]))[0]
 
 
 def calibrate_each(counts: Sequence[Group]) -> list[CalibrationResult]:
     """`calibrate` of every six-state group, given their counts from
-    `stacked_counts`: one descent per group from its ratio seed, then the
-    group's report."""
+    `stacked_counts`: each group's closed form and report."""
     return [_calibrate([group]) for group in counts]
 
 
 def calibrate_pooled(counts: Sequence[Group]) -> CalibrationResult:
-    """Single efficiency pair minimizing the variance summed over several
-    six-state groups (one per asymmetry setting), given their counts from
-    `stacked_counts`: one descent over every group, in the order given.  The
-    returned report is for the first group."""
+    """Single efficiency pair of several six-state groups (one per asymmetry
+    setting), given their counts from `stacked_counts`: the closed form over
+    the count ratios of every group.  The returned report is for the first
+    group."""
     return _calibrate(counts)
 
 
 def _calibrate(counts: Sequence[Group]) -> CalibrationResult:
-    """`minimize` of the summed variance of the groups `counts` from their
-    ratio seed.  Where the data leave an efficiency undetermined (at t = 1,
-    eta_b), the descent does not move it off its closed-form seed.
+    """The efficiencies exp(`_ratio_seed`) of the groups `counts`, the first
+    group's report at them, and the objective: the fidelity variance of
+    both clones at them, summed over the groups in order.  An efficiency
+    without a usable count ratio (at t = 1, eta_b) is 1.
 
     Raises ValueError where a state's rescaled counts sum to 0: a state
     whose only count is subnormal, at an efficiency below 0.5.  Counts from
     `stacked_counts` never do.
     """
+    log_a, log_b = _ratio_seed(counts)
+    eta = EfficiencyPair(math.exp(log_a), math.exp(log_b))
     try:
-        res = minimize(lambda z: _objective_terms(counts, z), _ratio_seed(counts), *_LOG_BOUNDS)
-    except ZeroDivisionError:
+        reports = [six_state_report(group, eta) for group in counts]
+    except NoDataError:
         raise ValueError(
             "a state's rescaled counts sum to zero; pass the counts through stacked_counts"
         ) from None
-    eta = EfficiencyPair(math.exp(res.x[0]), math.exp(res.x[1]))
     return CalibrationResult(
         eta=eta,
-        report=six_state_report(counts[0], eta),
-        objective_value=res.fun,
+        report=reports[0],
+        objective_value=_total(rep.variance_a + rep.variance_b for rep in reports),
         boundary_hit=any(min(e - ETA_MIN, ETA_MAX - e) < 1e-6 for e in eta),
     )

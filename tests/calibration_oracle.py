@@ -1,7 +1,10 @@
-"""Calibration with a numpy Newton descent, the oracle the standard-library
-`estimation.calibrate_each` and `estimation.calibrate_pooled` are tested
-against: the count-ratio seed and one descent per call, on the counts of
-that call alone, with the eigendecomposition of `np.linalg.eigh`."""
+"""The variance minimum by a numpy Newton descent, the oracle the
+standard-library reference descent `estimation.minimize` of
+`estimation._objective_terms` is tested against, and the numpy count-ratio
+closed form that `estimation.calibrate_each` and
+`estimation.calibrate_pooled` take: one descent per call from the closed
+form, on the counts of that call alone, with the eigendecomposition of
+`np.linalg.eigh`."""
 
 import numpy as np
 

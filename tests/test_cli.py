@@ -554,6 +554,91 @@ def test_mixed_tables_bytes_unchanged(tmp_path, monkeypatch, capfd, name, argv):
         assert (tmp_path / written).read_bytes() == (DATA / written).read_bytes(), written
 
 
+# Two paths of one command that name one file: simulate's table and its record
+# file, calibrate's input records and either table.  Each is refused before
+# anything is read or written.
+SAME_FILE = [
+    (["simulate", "--out", "r.csv", "--records", "r.csv"], "--out and the record file"),
+    (["simulate", "--out", "r.csv", "--records", "./r.csv"], "--out and the record file"),
+    (["calibrate", "--records", "rec.csv", "--out", "rec.csv"], "--records and --out"),
+    (["calibrate", "--records", "c_states.csv", "--out", "c.csv"],
+     "--records and the per-state table"),
+    (["calibrate", "--records", "c_states.json", "--format", "json", "--out", "c"],
+     "--records and the per-state table"),
+    (["calibrate", "--records", "link.csv", "--out", "rec.csv"], "--records and --out"),
+]
+
+
+@pytest.mark.parametrize("argv, names", SAME_FILE)
+def test_a_command_does_not_write_over_its_own_files(tmp_path, monkeypatch, capsys, argv, names):
+    monkeypatch.chdir(tmp_path)
+    simulate = ["simulate", "--t", "0.5", "--records", "sim_records.csv", "--out", "sim.csv"]
+    assert main(simulate) == EXIT_OK
+    for name in ("r.csv", "rec.csv", "c_states.csv", "c_states.json"):
+        (tmp_path / name).write_bytes((tmp_path / "sim_records.csv").read_bytes())
+    (tmp_path / "link.csv").symlink_to(tmp_path / "rec.csv")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: {names} are the same file" in captured.err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("fmt, out, states", [
+    ("json", "cal", "cal_states.json"),
+    ("csv", "cal", "cal_states.csv"),
+    ("json", "cal.txt", "cal_states.txt"),
+])
+def test_per_state_table_is_named_after_its_format(tmp_path, monkeypatch, fmt, out, states):
+    # without an extension on --out the per-state table takes its format's;
+    # simulate's record file stays .csv
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--t", "0.5", "--format", fmt, "--out", "sim"]) == EXIT_OK
+    assert (tmp_path / "sim_records.csv").exists()
+    argv = ["calibrate", "--format", fmt, "--records", "sim_records.csv", "--out", out]
+    assert main(argv) == EXIT_OK
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(["sim", "sim_records.csv", out, states])
+    if fmt == "json":
+        assert json.loads((tmp_path / states).read_text())["columns"] == list(
+            SCHEMAS["calibrate_states"])
+
+
+@pytest.mark.parametrize("pooled", [[], ["--pooled"]])
+def test_calibrate_runs_no_descent(tmp_path, monkeypatch, pooled):
+    # with the reference descent gone, calibrate still exits 0, and each
+    # row's eta is exp(_ratio_seed) of its groups bit for bit (JSON keeps a
+    # float's repr): per group, or over every group in file order
+    from qclone import estimation
+    from qclone.detection import read_records
+
+    def refuse(*args):
+        raise AssertionError("calibrate ran the reference descent")
+
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--t", "0.9,0,0.5,1", "--counts", "1e3", "--records", "r.csv",
+                 "--out", "sim.csv"]) == EXIT_OK
+    monkeypatch.setattr(estimation, "minimize", refuse)
+    monkeypatch.setattr(estimation, "_objective_terms", refuse)
+    assert main(["calibrate", *pooled, "--format", "json", "--records", "r.csv",
+                 "--out", "cal.json"]) == EXIT_OK
+    table = json.loads((tmp_path / "cal.json").read_text())
+    columns = table["columns"]
+    groups = {}
+    for rec in read_records("r.csv"):
+        groups.setdefault(rec.t, []).append(rec)
+    counts = estimation.stacked_counts(list(groups.values()))
+    ts = list(groups)
+    rows = sorted(table["rows"], key=lambda row: ts.index(row[0]))
+    assert [row[0] for row in rows] == ts
+    for row, group in zip(rows, counts):
+        log_eta = estimation._ratio_seed(counts if pooled else [group])
+        eta = [row[columns.index("eta_a")], row[columns.index("eta_b")]]
+        assert eta == [math.exp(log_eta[0]), math.exp(log_eta[1])]
+
+
 @pytest.mark.parametrize("args", [[], ["--out", "report.csv", "--records", "-"]])
 def test_simulate_records_need_a_path(tmp_path, monkeypatch, capsys, args):
     monkeypatch.chdir(tmp_path)
@@ -771,55 +856,62 @@ def test_cli_import_loads_no_scipy(tmp_path):
     # (analytic, robustness), nor the simulation, nor the calibration load
     # numpy or scipy; the -X importtime trace names every module the process
     # imports
+    # (`-m qclone.cli` runs the cli as __main__, so qclone.cli is not among
+    # the imports); each case names the exact set of qclone modules it loads
     env = _subprocess_env()
     records, edge = str(tmp_path / "r.csv"), str(tmp_path / "edge.csv")
+    light = {"qclone", "qclone.labels"}
+    analytic = light | {"qclone.cloner"}
+    robustness = analytic | {"qclone.robustness", "qclone.eigen2"}
+    simulate = light | {"qclone.detection"}
+    calibrate = simulate | {"qclone.estimation"}
     cases = [
-        (["-c", "import qclone"], EXIT_OK),
-        (["-c", "import qclone.cli"], EXIT_OK),
-        (["-m", "qclone.cli", "schema"], EXIT_OK),
-        (["-m", "qclone.cli", "--help"], EXIT_OK),
-        (["-m", "qclone.cli", "simulate", "--t", "2"], EXIT_CONFIG),
-        (["-m", "qclone.cli", "simulate", "--eta-a", "abc"], EXIT_CONFIG),
-        (["-m", "qclone.cli", "simulate", "--out", "-"], EXIT_CONFIG),
-        (["-m", "qclone.cli", "calibrate"], EXIT_CONFIG),
-        (["-m", "qclone.cli", "robustness", "--t", "0,1"], EXIT_CONFIG),
-        (["-m", "qclone.cli", "robustness", "--triple", "0.9,0.9,0.95"], EXIT_CONFIG),
-        (["-m", "qclone.cli", "analytic"], EXIT_OK),
-        (["-m", "qclone.cli", "analytic", "--format", "json"], EXIT_OK),
-        (["-m", "qclone.cli", "robustness", "--t", "0"], EXIT_OK),
-        (["-m", "qclone.cli", "robustness", "--triple", "0.9,0.7,0.6", "--format", "json"], EXIT_OK),
+        (["-c", "import qclone"], EXIT_OK, {"qclone"}),
+        (["-c", "import qclone.cli"], EXIT_OK, light | {"qclone.cli"}),
+        (["-m", "qclone.cli", "schema"], EXIT_OK, light),
+        (["-m", "qclone.cli", "--help"], EXIT_OK, light),
+        (["-m", "qclone.cli", "simulate", "--t", "2"], EXIT_CONFIG, light),
+        (["-m", "qclone.cli", "simulate", "--eta-a", "abc"], EXIT_CONFIG, light),
+        (["-m", "qclone.cli", "simulate", "--out", "-"], EXIT_CONFIG, light),
+        (["-m", "qclone.cli", "calibrate"], EXIT_CONFIG, light),
+        (["-m", "qclone.cli", "robustness", "--t", "0,1"], EXIT_CONFIG, light),
+        (["-m", "qclone.cli", "robustness", "--triple", "0.9,0.9,0.95"], EXIT_CONFIG, light),
+        (["-m", "qclone.cli", "analytic"], EXIT_OK, analytic),
+        (["-m", "qclone.cli", "analytic", "--format", "json"], EXIT_OK, analytic),
+        (["-m", "qclone.cli", "robustness", "--t", "0"], EXIT_OK, robustness),
+        # an explicit triple needs no cloner
+        (["-m", "qclone.cli", "robustness", "--triple", "0.9,0.7,0.6", "--format", "json"], EXIT_OK,
+         robustness - {"qclone.cloner"}),
         (["-m", "qclone.cli", "robustness", "--t", "0", "--out", str(tmp_path / "sweep.csv")],
-         EXIT_OK),
-        (["-m", "qclone.cli", "simulate", "--records", records], EXIT_OK),
-        (["-m", "qclone.cli", "simulate", "--format", "json", "--records", records], EXIT_OK),
-        (["-m", "qclone.cli", "simulate", "--noiseless", "--records", records], EXIT_OK),
+         EXIT_OK, robustness),
+        (["-m", "qclone.cli", "simulate", "--records", records], EXIT_OK, simulate),
+        (["-m", "qclone.cli", "simulate", "--format", "json", "--records", records], EXIT_OK,
+         simulate),
+        (["-m", "qclone.cli", "simulate", "--noiseless", "--records", records], EXIT_OK, simulate),
         (["-m", "qclone.cli", "calibrate", "--records", records, "--out", str(tmp_path / "c.csv")],
-         EXIT_OK),
+         EXIT_OK, calibrate),
         (["-m", "qclone.cli", "calibrate", "--pooled", "--records", records,
-          "--out", str(tmp_path / "p.csv")], EXIT_OK),
+          "--out", str(tmp_path / "p.csv")], EXIT_OK, calibrate),
         (["-m", "qclone.cli", "calibrate", "--format", "json", "--out", str(tmp_path / "cal.json"),
-          "--records", records], EXIT_OK),
+          "--records", records], EXIT_OK, calibrate),
         # noiseless counts at eta_a = 5 calibrate onto the search box
         (["-m", "qclone.cli", "simulate", "--noiseless", "--eta-a", "5", "--records", edge],
-         EXIT_OK),
+         EXIT_OK, simulate),
         (["-m", "qclone.cli", "calibrate", "--strict", "--records", edge,
-          "--out", str(tmp_path / "e.csv")], EXIT_BOUNDARY),
+          "--out", str(tmp_path / "e.csv")], EXIT_BOUNDARY, calibrate),
     ]
-    for args, code in cases:
+    for args, code, modules in cases:
         proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == code, (args, proc.stderr)
         imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
                     if line.startswith("import time:")]
-        assert "qclone" in imported, args
+        assert {m for m in imported if m.split(".")[0] == "qclone"} == modules, args
         assert not [m for m in imported if m.split(".")[0] in ("numpy", "scipy")], args
         # nor dataclasses and its inspect, on any path; json only for a JSON table
         top = {m.split(".")[0] for m in imported}
-        # nor __future__; the calibration takes its eigenvalues from eigen2,
-        # not from robustness
+        # nor __future__
         assert "__future__" not in top, args
-        if "calibrate" in args:
-            assert "qclone.robustness" not in imported, args
         if "json" in args:
             out = args[args.index("--out") + 1] if "--out" in args else None
             json.loads(Path(out).read_text() if out else proc.stdout)

@@ -1,3 +1,6 @@
+import math
+import random
+
 import calibration_oracle
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from qclone.detection import (
     write_records,
 )
 from qclone.estimation import (
+    _LOG_BOUNDS,
+    CalibrationResult,
     NoDataError,
     _objective_terms,
     _ratio_seed,
@@ -174,6 +179,21 @@ def test_batch_report_equals_the_report_of_each_group(counts, correction, seed):
         assert [rep.mean_a, rep.mean_b, rep.variance_a, rep.variance_b] == stats
         # the standard-library report of the group alone, from Python floats
         assert six_state_report(counts[g].tolist(), eta_g) == rep
+
+
+def _reference_descent(counts):
+    """The variance minimum the closed-form calibration is measured against:
+    `minimize` of the summed variance of the groups `counts` (from
+    `stacked_counts`) from their ratio seed, as a `CalibrationResult` with
+    the first group's report."""
+    res = minimize(lambda z: _objective_terms(counts, z), _ratio_seed(counts), *_LOG_BOUNDS)
+    eta = EfficiencyPair(math.exp(res.x[0]), math.exp(res.x[1]))
+    return CalibrationResult(
+        eta=eta,
+        report=six_state_report(counts[0], eta),
+        objective_value=res.fun,
+        boundary_hit=any(min(e - ETA_MIN, ETA_MAX - e) < 1e-6 for e in eta),
+    )
 
 
 def test_calibrate_noiseless_round_trip():
@@ -374,13 +394,14 @@ def test_calibrate_with_a_subnormal_count():
 
 
 def test_calibrate_unidentified_eta_b_stays_at_its_seed():
-    # at t = 1 the objective does not depend on eta_b; the descent leaves it
-    # at its ratio seed of 1
+    # at t = 1 no count ratio constrains eta_b: the closed form, and the
+    # reference descent from it, leave it at 1
     for seed in range(5):
-        res = calibrate(run_experiment(1.0, ETA_PAPER, 1e5, seed=seed))
-        assert not res.boundary_hit
-        assert abs(res.eta.eta_a - ETA_PAPER.eta_a) < 0.02
-        assert abs(res.eta.eta_b - 1.0) < 1e-9
+        recs = run_experiment(1.0, ETA_PAPER, 1e5, seed=seed)
+        for res in (calibrate(recs), _reference_descent(stacked_counts([recs]))):
+            assert not res.boundary_hit
+            assert abs(res.eta.eta_a - ETA_PAPER.eta_a) < 0.02
+            assert abs(res.eta.eta_b - 1.0) < 1e-9
 
 
 def _nelder_mead_calibration(counts):
@@ -409,13 +430,14 @@ def _nelder_mead_calibration(counts):
 
 
 def test_calibrate_never_worse_than_nelder_mead():
+    # the variance minimum: the reference descent, which no command runs
     rng = np.random.default_rng(2024)
     for k in range(30):
         t = rng.uniform(0.0, 0.95)
         eta = EfficiencyPair(*rng.uniform(0.8, 1.25, size=2))
         recs = run_experiment(t, eta, (1e3, 1e4, 1e5)[k % 3], seed=100 + k)
         counts = np.array([r.counts for r in recs])
-        new = calibrate(recs)
+        new = _reference_descent(stacked_counts([recs]))
         old = _nelder_mead_calibration(counts)
         assert new.objective_value <= old.fun * (1 + 1e-9), k
         np.testing.assert_allclose(new.eta, old.x, rtol=0, atol=1e-6)
@@ -465,35 +487,112 @@ def _two_minima_groups():
     ]
 
 
-def _assert_matches_the_oracle(res, expected):
-    """The endpoint of the oracle's descent: the same boundary hit, eta within
-    1e-6 relative (the tolerance of the Nelder-Mead check) and an objective
-    no higher beyond rounding.  Not bit for bit: math.exp and numpy's exp
-    round some arguments apart, and so do an ordered sum and numpy's
-    pairwise one, so a flat minimum can end a few steps elsewhere."""
+def _assert_matches_the_oracle(counts, expected):
+    """`_reference_descent` of `counts` ends where the oracle's numpy descent
+    ends: the same boundary hit, eta within 1e-6 relative (the tolerance of
+    the Nelder-Mead check) and an objective no higher beyond rounding.  Not
+    bit for bit: math.exp and numpy's exp round some arguments apart, and so
+    do an ordered sum and numpy's pairwise one, so a flat minimum can end a
+    few steps elsewhere."""
+    res = _reference_descent(counts)
     assert res.boundary_hit == expected.boundary_hit
     np.testing.assert_allclose(res.eta, expected.eta, rtol=1e-6, atol=0)
     assert res.objective_value <= expected.objective_value + _rounding(expected.objective_value)
 
 
-def test_calibrate_each_matches_the_per_group_oracle():
-    groups = [
+def _oracle_check_groups():
+    return [
         *_oracle_groups(),
         *_off_paper_groups(1e3, 131),
         *_off_paper_groups(1e4, 171),
         *_two_minima_groups(),
     ]
-    results = calibrate_each(stacked_counts(groups))
+
+
+def test_calibrate_each_matches_the_per_group_oracle():
+    # the reference descent of each group, and of all groups pooled, ends
+    # where the oracle's does; the calibration reports each group at its eta
+    groups = _oracle_check_groups()
+    counts = stacked_counts(groups)
+    results = calibrate_each(counts)
     assert len(results) == len(groups)
-    for recs, res in zip(groups, results):
-        _assert_matches_the_oracle(res, calibration_oracle.calibrate_groups([recs]))
+    for group, recs, res in zip(counts, groups, results):
+        _assert_matches_the_oracle([group], calibration_oracle.calibrate_groups([recs]))
         assert res.report == report(recs, eta_correction=res.eta)
         assert calibrate(recs) == res
-    pooled = calibrate_pooled(stacked_counts(groups))
-    _assert_matches_the_oracle(pooled, calibration_oracle.calibrate_groups(groups))
+    _assert_matches_the_oracle(counts, calibration_oracle.calibrate_groups(groups))
+    pooled = calibrate_pooled(counts)
     assert pooled.report == report(groups[0], eta_correction=pooled.eta)
     assert results[0].eta.eta_b == 1.0
+    assert any(_reference_descent([group]).boundary_hit for group in counts)
+
+
+def test_calibration_is_the_count_ratio_closed_form():
+    # eta is exp(_ratio_seed) bit for bit, the numpy ratio seed within 1e-13
+    # in ln(eta); the report is the first group's at eta, the objective the
+    # variance of both clones summed over the groups in order
+    groups = _oracle_check_groups()
+    counts = stacked_counts(groups)
+    results = calibrate_each(counts)
+    assert len(results) == len(groups)
+    cases = [([group], [recs], res) for group, recs, res in zip(counts, groups, results)]
+    for group_counts, group_records, res in [*cases, (counts, groups, calibrate_pooled(counts))]:
+        log_eta = _ratio_seed(group_counts)
+        assert tuple(res.eta) == (math.exp(log_eta[0]), math.exp(log_eta[1]))
+        np.testing.assert_allclose(np.log(res.eta),
+                                   calibration_oracle.ratio_seed(np.array(group_counts)),
+                                   rtol=0, atol=1e-13)
+        reports = [report(recs, eta_correction=res.eta) for recs in group_records]
+        assert res.report == reports[0]
+        objective = 0.0
+        for rep in reports:
+            objective += rep.variance_a + rep.variance_b
+        assert res.objective_value == objective
+        assert res.boundary_hit == any(min(e - ETA_MIN, ETA_MAX - e) < 1e-6 for e in res.eta)
     assert any(res.boundary_hit for res in results)
+
+
+def _survey_groups(seed, counts):
+    """A survey pass of the benchmark: 200 distinct t values drawn uniformly
+    from [0, 0.95], kept to 12 digits, each group at the paper's eta with
+    seed `seed` plus its index."""
+    rng = random.Random(seed)
+    t_values = set()
+    while len(t_values) < 200:
+        t_values.add(f"{rng.uniform(0.0, 0.95):.12g}")
+    return [run_experiment(float(t), ETA_PAPER, counts, seed=seed + i)
+            for i, t in enumerate(sorted(t_values, key=float))]
+
+
+@pytest.mark.parametrize("counts, median_max, excess_max", [(1e3, 5e-3, 0.5), (1e4, 5e-4, 0.1)])
+def test_closed_form_objective_sits_near_the_variance_minimum(counts, median_max, excess_max):
+    # over survey seeds 901-903 the relative excess of the closed form's
+    # variance over the reference minimum had median 1.6e-3 and max 0.21 at
+    # 1e3 counts, 1.7e-4 and 0.035 at 1e4; the margins allow 3x that
+    excess = []
+    for seed in (901, 902, 903):
+        groups = stacked_counts(_survey_groups(seed, counts))
+        for group, res in zip(groups, calibrate_each(groups)):
+            minimum = _reference_descent([group]).objective_value
+            assert res.objective_value >= minimum - _rounding(minimum)
+            excess.append((res.objective_value - minimum) / minimum)
+    assert np.median(excess) <= median_max
+    assert max(excess) <= excess_max
+
+
+def test_closed_form_eta_error_no_larger_than_the_descents():
+    # a small version of the seeded study in CHANGES.md: over 60 seeds at
+    # the paper's eta and two edge pairs, the closed form's RMS ln(eta) error
+    # is at most 1.05 times that of the reference descent, per component
+    for t in (0.3, 0.9):
+        closed, descent = [], []
+        for eta in (ETA_PAPER, EfficiencyPair(0.22, 4.5), EfficiencyPair(4.5, 0.22)):
+            for seed in range(60):
+                counts = stacked_counts([run_experiment(t, eta, 1e4, seed=6000 + seed)])
+                closed.append(np.log(calibrate_each(counts)[0].eta) - np.log(eta))
+                descent.append(np.log(_reference_descent(counts).eta) - np.log(eta))
+        rms = [np.sqrt(np.mean(np.square(errors), axis=0)) for errors in (closed, descent)]
+        assert (rms[0] <= 1.05 * rms[1]).all(), (t, rms)
 
 
 def test_terms_and_seeds_match_the_oracle():
@@ -523,10 +622,11 @@ def test_noiseless_calibration_matches_the_oracle(tmp_path):
                    for rec in run_experiment(np.sqrt(n / 5), ETA_PAPER, 1e5, noiseless=True)), path)
     records = read_records(path)
     groups = [records[i : i + 6] for i in range(0, len(records), 6)]
-    pooled = calibrate_pooled(stacked_counts(groups))
+    counts = stacked_counts(groups)
+    pooled = calibrate_pooled(counts)
     assert pooled.objective_value < 1e-20
-    _assert_matches_the_oracle(pooled, calibration_oracle.calibrate_groups(groups))
+    _assert_matches_the_oracle(counts, calibration_oracle.calibrate_groups(groups))
     # the pooled row of the table prints the true efficiencies
     assert [f"{eta:.12g}" for eta in pooled.eta] == ["1.046", "0.84"]
-    for recs, res in zip(groups, calibrate_each(stacked_counts(groups))):
-        _assert_matches_the_oracle(res, calibration_oracle.calibrate_groups([recs]))
+    for group, recs in zip(counts, groups):
+        _assert_matches_the_oracle([group], calibration_oracle.calibrate_groups([recs]))
