@@ -328,23 +328,30 @@ def _sibling_path(path: str, suffix: str, fmt: str = "csv") -> str:
     return f"{stem}_{suffix}{ext or '.' + fmt}"
 
 
-def _distinct_files(*named: tuple[str, str]) -> None:
+def _distinct_files(*named: tuple[str, str | None]) -> None:
     """Raise ConfigError when two of a command's (name, path) files are one
     file, so that no command writes over its own input or output; '-' is
-    stdout, never a file."""
-    seen = {}
+    stdout and None no file.  Two existing paths are compared by
+    `os.path.samefile`, which also sees a hard link or a name in another
+    case on a case-insensitive file system; otherwise by their real paths."""
+    seen = []
     for name, path in named:
-        if path == "-":
+        if path is None or path == "-":
             continue
-        real = os.path.realpath(path)
-        if real in seen:
-            raise ConfigError(f"{seen[real]} and {name} are the same file {path}")
-        seen[real] = name
+        for other_name, other in seen:
+            try:
+                same = os.path.samefile(path, other)
+            except OSError:  # not both exist (yet)
+                same = os.path.realpath(path) == os.path.realpath(other)
+            if same:
+                raise ConfigError(f"{other_name} and {name} are the same file {path}")
+        seen.append((name, path))
 
 
 # --- subcommands ------------------------------------------------------------
 
-def cmd_analytic(cfg: RunConfig, config: dict) -> int:
+def cmd_analytic(cfg: RunConfig, config: dict, config_file: str | None) -> int:
+    _distinct_files(("--config", config_file), ("--out", cfg.out))
     from .cloner import clone_fidelities, machine_triple, success_probability, tradeoff_residual
 
     rows = []
@@ -359,11 +366,12 @@ def cmd_analytic(cfg: RunConfig, config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig, config: dict) -> int:
+def cmd_simulate(cfg: RunConfig, config: dict, config_file: str | None) -> int:
     records_path = cfg.records or _sibling_path(cfg.out, "records")
     if records_path == "-":
         raise ConfigError("simulate cannot write the record file to stdout; give --records <path>")
-    _distinct_files(("--out", cfg.out), ("the record file", records_path))
+    _distinct_files(("--config", config_file), ("--out", cfg.out),
+                    ("the record file", records_path))
     from .detection import NoDataError, run_experiment, six_state_report, write_records
 
     groups = [
@@ -397,7 +405,7 @@ def _grouped_by_t(records):
     return groups
 
 
-def cmd_calibrate(cfg: RunConfig, config: dict) -> int:
+def cmd_calibrate(cfg: RunConfig, config: dict, config_file: str | None) -> int:
     if not cfg.records:
         raise ConfigError("calibrate requires --records <record file>")
     if cfg.out == "-":
@@ -407,8 +415,8 @@ def cmd_calibrate(cfg: RunConfig, config: dict) -> int:
             "give --out <path>, the per-state table goes next to it"
         )
     states_path = _sibling_path(cfg.out, "states", cfg.format)
-    _distinct_files(("--records", cfg.records), ("--out", cfg.out),
-                    ("the per-state table", states_path))
+    _distinct_files(("--config", config_file), ("--records", cfg.records),
+                    ("--out", cfg.out), ("the per-state table", states_path))
     from .detection import NoDataError, read_records, six_state_report
     from .estimation import calibrate_each, calibrate_pooled, stacked_counts
 
@@ -476,7 +484,8 @@ def _machine_from_config(cfg: RunConfig) -> MachineTriple:
     return m
 
 
-def cmd_robustness(cfg: RunConfig, config: dict) -> int:
+def cmd_robustness(cfg: RunConfig, config: dict, config_file: str | None) -> int:
+    _distinct_files(("--config", config_file), ("--out", cfg.out))
     m = _machine_from_config(cfg)
     from .robustness import sweep_blocks, taylor_form, taylor_form_b
 
@@ -492,7 +501,7 @@ def cmd_robustness(cfg: RunConfig, config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_schema(_cfg: RunConfig, _config: dict) -> int:
+def cmd_schema(_cfg: RunConfig, _config: dict, _config_file: str | None) -> int:
     for name, cols in SCHEMAS.items():
         print(f"{name}: {','.join(cols)}")
     print("record file: one record per line, fields as 'records' above;")
@@ -565,7 +574,7 @@ def main(argv=None) -> int:
         command, fields = COMMANDS[args.command]
         config = cfg.resolved(fields)
         print("# resolved config:", *(f"{k}={v}" for k, v in config.items()), file=sys.stderr)
-        code = command(cfg, config)
+        code = command(cfg, config, getattr(args, "config", None))
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
     except ConfigError as exc:

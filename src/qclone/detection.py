@@ -33,9 +33,9 @@ from .labels import (
 )
 
 
-# The largest count a record may hold.  The count-ratio calibration
-# multiplies two counts (at most 1e300), and a report rescales a count by up
-# to eta_a * eta_b = 25 and sums four, so every product stays finite; `simulate`
+# The largest count a record may hold.  The count-ratio calibration sums a
+# state's four counts, and a report rescales a count by up to
+# eta_a * eta_b = 25 and sums four, so every sum stays finite; `simulate`
 # writes counts of about 1.7e16 at most (COUNTS_MAX = 1e15 counts at eta = 5).
 RECORD_COUNT_MAX = 1e150
 

@@ -186,25 +186,35 @@ def _ratio_seed(counts: Sequence[Group]) -> tuple[float, float]:
     Per basis, with psi-role counts C_psi and perp-role counts C_perp,
     eta_a^2 = (C-+_psi C--_perp) / (C++_psi C+-_perp) and
     eta_b^2 = (C+-_psi C--_perp) / (C++_psi C-+_perp): the machine parameters
-    cancel.  Log-mean over the bases and groups, skipping zero counts and
-    ratios beyond the float range (raw counts near 1e150 against subnormal
-    ones); an efficiency without a usable ratio is 1.  Clipped to the
-    efficiency box [0.2, 5]^2.  On counts from `stacked_counts`, below 1, no
-    ratio rounds to zero.
+    cancel.  Over the bases and groups the log-ratios are averaged with
+    inverse-variance weights: Poisson counts give a log-ratio the variance
+    sum(1/C) over its four counts, and the weight 1 / sum(N/C) takes each
+    count as a fraction of its state's total N, as if every state had the
+    same number of trials.  So a ratio weighs by the counts it rests on, and
+    the power-of-two scale of `stacked_counts` drops out.  A ratio with a
+    zero count is skipped, and one whose weight underflows (raw counts near
+    1e150 against subnormal ones) weighs nothing; an efficiency without a
+    weighted ratio (at t = 1, eta_b) is 1.  Clipped to the efficiency box
+    [0.2, 5]^2.
     """
-    logs = ([], [])
+    sums = [[0.0, 0.0], [0.0, 0.0]]  # per efficiency: weighted log-ratios, weights
     for group in counts:
         for psi, perp in zip(group[0::2], group[1::2]):
-            for k, (num, den) in enumerate((
-                (psi[2] * perp[3], psi[0] * perp[1]),
-                (psi[1] * perp[3], psi[0] * perp[2]),
+            psi_total, perp_total = _total(psi), _total(perp)
+            for k, (a, b, c, d) in enumerate((
+                (psi[2], perp[3], psi[0], perp[1]),
+                (psi[1], perp[3], psi[0], perp[2]),
             )):
-                ratio = num / den if den > 0.0 else 0.0
-                if 0.0 < ratio < math.inf:
-                    logs[k].append(math.log(ratio))
+                if min(a, b, c, d) > 0.0:
+                    weight = 1.0 / (psi_total / a + perp_total / b
+                                    + psi_total / c + perp_total / d)
+                    log_ratio = math.log(a) + math.log(b) - math.log(c) - math.log(d)
+                    sums[k][0] += weight * log_ratio
+                    sums[k][1] += weight
     lower, upper = _LOG_BOUNDS
     return tuple(
-        min(max(0.5 * (_total(z) / len(z)) if z else 0.0, lower), upper) for z in logs
+        min(max(0.5 * (total / weight), lower), upper) if weight > 0.0 else 0.0
+        for total, weight in sums
     )
 
 
@@ -243,7 +253,7 @@ def minimize(fun, x0: Sequence[float], lower: float, upper: float) -> NewtonResu
     step is below ``_XTOL``, when a step lowers the value by no more than
     ``_rounding`` of it, or after ``_MAXITER`` steps.
     """
-    from .eigen2 import _eigvalsh2  # here, so that a calibration does not load it
+    from .robustness import _eigvalsh2  # here, so that a calibration does not load it
 
     x = tuple(min(max(v, lower), upper) for v in x0)
     f, g, h = fun(x)

@@ -64,15 +64,24 @@ def objective_terms(counts, log_eta):
 
 
 def ratio_seed(counts):
-    """Closed-form ln(eta) from the count ratios of counts (G, 6, 4)."""
+    """Closed-form ln(eta) from the count ratios of counts (G, 6, 4): per
+    efficiency, the mean of every basis's log-ratio with the inverse-variance
+    weight 1 / sum(N/C) over its four counts C, N their states' totals."""
     psi, perp = counts[:, _PSI_ROWS], counts[:, ~_PSI_ROWS]
+    psi_total, perp_total = psi.sum(axis=-1), perp.sum(axis=-1)
     seed = []
-    for num, den in (
-        (psi[..., 2] * perp[..., 3], psi[..., 0] * perp[..., 1]),
-        (psi[..., 1] * perp[..., 3], psi[..., 0] * perp[..., 2]),
+    for a, b, c, d in (
+        (psi[..., 2], perp[..., 3], psi[..., 0], perp[..., 1]),
+        (psi[..., 1], perp[..., 3], psi[..., 0], perp[..., 2]),
     ):
-        ok = (num > 0) & (den > 0)
-        seed.append(0.5 * np.log(num[ok] / den[ok]).mean() if ok.any() else 0.0)
+        ok = (a > 0) & (b > 0) & (c > 0) & (d > 0)
+        a, b, c, d = a[ok], b[ok], c[ok], d[ok]
+        with np.errstate(over="ignore"):
+            weight = 1.0 / (psi_total[ok] / a + perp_total[ok] / b
+                            + psi_total[ok] / c + perp_total[ok] / d)
+        log_ratio = np.log(a) + np.log(b) - np.log(c) - np.log(d)
+        total = weight.sum()
+        seed.append(0.5 * (weight * log_ratio).sum() / total if total > 0 else 0.0)
     return np.clip(seed, *_LOG_BOUNDS)
 
 

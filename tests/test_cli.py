@@ -555,8 +555,9 @@ def test_mixed_tables_bytes_unchanged(tmp_path, monkeypatch, capfd, name, argv):
 
 
 # Two paths of one command that name one file: simulate's table and its record
-# file, calibrate's input records and either table.  Each is refused before
-# anything is read or written.
+# file, calibrate's input records and either table, and any command's config
+# file and a file it writes; also through a symbolic or a hard link.  Each is
+# refused before anything is read or written.
 SAME_FILE = [
     (["simulate", "--out", "r.csv", "--records", "r.csv"], "--out and the record file"),
     (["simulate", "--out", "r.csv", "--records", "./r.csv"], "--out and the record file"),
@@ -566,6 +567,15 @@ SAME_FILE = [
     (["calibrate", "--records", "c_states.json", "--format", "json", "--out", "c"],
      "--records and the per-state table"),
     (["calibrate", "--records", "link.csv", "--out", "rec.csv"], "--records and --out"),
+    (["calibrate", "--records", "hard.csv", "--out", "rec.csv"], "--records and --out"),
+    (["simulate", "--config", "run.cfg", "--out", "run.cfg"], "--config and --out"),
+    (["simulate", "--config", "run.cfg", "--records", "run.cfg"], "--config and the record file"),
+    (["calibrate", "--config", "run.cfg", "--records", "rec.csv", "--out", "run.cfg"],
+     "--config and --out"),
+    (["calibrate", "--config", "cfg_states.csv", "--records", "rec.csv", "--out", "cfg.csv"],
+     "--config and the per-state table"),
+    (["analytic", "--config", "run.cfg", "--out", "./run.cfg"], "--config and --out"),
+    (["robustness", "--t", "0", "--config", "run.cfg", "--out", "run.cfg"], "--config and --out"),
 ]
 
 
@@ -577,6 +587,9 @@ def test_a_command_does_not_write_over_its_own_files(tmp_path, monkeypatch, caps
     for name in ("r.csv", "rec.csv", "c_states.csv", "c_states.json"):
         (tmp_path / name).write_bytes((tmp_path / "sim_records.csv").read_bytes())
     (tmp_path / "link.csv").symlink_to(tmp_path / "rec.csv")
+    os.link(tmp_path / "rec.csv", tmp_path / "hard.csv")
+    for name in ("run.cfg", "cfg_states.csv"):
+        (tmp_path / name).write_text("format = csv\n")
     before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
     capsys.readouterr()
     assert main(argv) == EXIT_CONFIG
@@ -862,7 +875,7 @@ def test_cli_import_loads_no_scipy(tmp_path):
     records, edge = str(tmp_path / "r.csv"), str(tmp_path / "edge.csv")
     light = {"qclone", "qclone.labels"}
     analytic = light | {"qclone.cloner"}
-    robustness = analytic | {"qclone.robustness", "qclone.eigen2"}
+    robustness = analytic | {"qclone.robustness"}
     simulate = light | {"qclone.detection"}
     calibrate = simulate | {"qclone.estimation"}
     cases = [
