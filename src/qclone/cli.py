@@ -16,10 +16,10 @@ from typing import Iterable, Iterator, NamedTuple
 from .labels import (
     BASIS_LABELS,
     CATALOG_LABELS,
-    CATALOG_ROLES,
     RECORD_FIELDS,
     ROLE_PERP,
     ROLE_PSI,
+    STATE_COLUMNS,
     EfficiencyPair,
     MachineTriple,
     linspace,
@@ -27,9 +27,10 @@ from .labels import (
 )
 
 # The modules of the commands (cloner, robustness, detection, estimation) are
-# imported inside the subcommands that use them.  Every command, and every
-# config error, runs on the standard library alone; numpy serves only the
-# matrix channel of `cloner` and `states`, which no command calls.
+# imported inside the subcommands that use them, and detection imports the
+# sampler only to draw counts.  Every command, and every config error, runs
+# on the standard library alone; numpy serves only the matrix channel of
+# `cloner` and `states`, which no command calls.
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -38,15 +39,9 @@ EXIT_BOUNDARY = 3
 
 DEFAULT_T_VALUES = tuple(math.sqrt(n / 5.0) for n in range(6))
 
-# (state, basis, role) of each row of a six-state group, in catalog order
-STATE_COLUMNS = tuple(
-    (label, BASIS_LABELS[i // 2], role)
-    for i, (label, role) in enumerate(zip(CATALOG_LABELS, CATALOG_ROLES))
-)
-
 # Caps on the run sizes. At COUNTS_MAX the largest Poisson rate, about
 # counts * 25 * 2/3 at eta = 5, stays far below the sampler's limit
-# (detection.POISSON_LAM_MAX, about 9.2e18, numpy's);
+# (sampler.POISSON_LAM_MAX, about 9.2e18, numpy's);
 # EPS_POINTS_MAX**2 is the row count of the largest robustness table.
 COUNTS_MAX = 1e15
 EPS_POINTS_MAX = 501
@@ -69,6 +64,21 @@ SCHEMAS = {
         "eps_a", "eps_b", "exact_a", "quad_a", "bound_a",
         "exact_b", "quad_b", "bound_b",
     ),
+}
+
+
+def _state_shapes(values: int) -> dict:
+    # a six-state table's row shapes, keyed by catalog index: t, the state's
+    # (state, basis, role), then `values` floats
+    return {j: (float, *columns) + (float,) * values for j, columns in enumerate(STATE_COLUMNS)}
+
+
+# The row shapes (see `Shaped`) of the tables that hold text or bools: a
+# state's row by its catalog index, a summary row by its boundary_hit.
+SHAPES = {
+    "simulate_report": _state_shapes(6),
+    "calibrate_summary": {hit: (float,) * 4 + (hit,) + (float,) * 4 for hit in (False, True)},
+    "calibrate_states": _state_shapes(2),
 }
 
 
@@ -252,6 +262,29 @@ class Grid(NamedTuple):
     blocks: Iterable
 
 
+class Shaped(NamedTuple):
+    """Rows of a few fixed shapes: each shape is a tuple of cells, a
+    constant value or `float` where the row holds a float; `rows` yields
+    (key, floats), the row of shapes[key] with its `float` cells filled
+    from floats in order."""
+
+    shapes: dict
+    rows: Iterable
+
+
+def _shape_template(shape: tuple) -> str:
+    # a shape's CSV %-template: its constants' text made once, "%.12g" for
+    # each float
+    return ",".join("%.12g" if cell is float else _fmt(cell).replace("%", "%%") for cell in shape)
+
+
+def _filled(shapes: dict, rows: Iterable) -> Iterator[list]:
+    # the rows of a Shaped table as lists of values
+    for key, floats in rows:
+        values = iter(floats)
+        yield [next(values) if cell is float else cell for cell in shapes[key]]
+
+
 def _grid_texts(grid: Grid, key_text, template: str, sep: str) -> Iterator[str]:
     # the rows of a block, by one %-template apiece and one join; a key's
     # text is made once per table
@@ -262,6 +295,7 @@ def _grid_texts(grid: Grid, key_text, template: str, sep: str) -> Iterator[str]:
 
 def _dump_table(columns, rows, fh, fmt: str, config: dict | None) -> None:
     grid = isinstance(rows, Grid)
+    shaped = isinstance(rows, Shaped)
     values = len(columns) - 2  # the value columns of a grid
     if fmt == "json":
         import json  # here, so that a CSV run does not load it
@@ -279,6 +313,8 @@ def _dump_table(columns, rows, fh, fmt: str, config: dict | None) -> None:
                 for text in _grid_texts(rows, repr, template, ",\n    ")
             )
         else:
+            if shaped:
+                rows = _filled(*rows)
             texts = (json.dumps(row, indent=2, default=_fmt).replace("\n", "\n    ") for row in rows)
         fh.write(head + '"rows": [')
         sep, close = "\n    ", "]"
@@ -290,6 +326,9 @@ def _dump_table(columns, rows, fh, fmt: str, config: dict | None) -> None:
         fh.write(",".join(columns) + "\n")
         if grid:
             texts = _grid_texts(rows, "%.12g".__mod__, "%s,%s" + ",%.12g" * values, "\n")
+        elif shaped:
+            templates = {key: _shape_template(shape) for key, shape in rows.shapes.items()}
+            texts = (templates[key] % floats for key, floats in rows.rows)
         else:
             texts = (",".join(map(_fmt, row)) for row in rows)
         for text in texts:
@@ -299,12 +338,15 @@ def _dump_table(columns, rows, fh, fmt: str, config: dict | None) -> None:
 def write_table(columns, rows, path: str, fmt: str, config: dict | None = None) -> None:
     """Atomically write a table; path '-' means stdout.
 
-    `rows` is an iterable of rows or a `Grid`.  CSV writes a float as
-    ``%.12g``, a bool as ``true``/``false`` and any other value as ``str``.
-    JSON is what ``json.dump(..., indent=2)`` writes: a float as its shortest
-    ``repr`` (``NaN``, ``Infinity``), a bool as ``true``/``false``, a string
-    with json's ASCII escapes.  A `Grid` is written a block at a time, each
-    key's text made once; other rows are formatted value by value.
+    `rows` is an iterable of rows, a `Grid` or a `Shaped` table.  CSV writes
+    a float as ``%.12g``, a bool as ``true``/``false`` and any other value as
+    ``str``.  JSON is what ``json.dump(..., indent=2)`` writes: a float as
+    its shortest ``repr`` (``NaN``, ``Infinity``), a bool as
+    ``true``/``false``, a string with json's ASCII escapes.  A `Grid` is
+    written a block at a time, each key's text made once.  In CSV a `Shaped`
+    row is one %-template of its shape, each shape's constant text made
+    once per table; other rows, and `Shaped` rows in JSON, are formatted
+    value by value.
 
     The table is streamed into the file (or stdout) row by row, or block by
     block, never built as one string; a file is written by `write_atomic`,
@@ -384,11 +426,11 @@ def cmd_simulate(cfg: RunConfig, config: dict, config_file: str | None) -> int:
             reports.append(six_state_report([rec.counts for rec in recs]))
         except NoDataError as exc:
             raise DataError(f"t = {t}: {exc}; raise --counts")
-    rows = (
-        (t, *columns, fa, fb, rep.mean_a, rep.mean_b, rep.variance_a, rep.variance_b)
+    rows = Shaped(SHAPES["simulate_report"], (
+        (j, (t, fa, fb, rep.mean_a, rep.mean_b, rep.variance_a, rep.variance_b))
         for t, rep in zip(cfg.t_values, reports)
-        for columns, (fa, fb) in zip(STATE_COLUMNS, rep.per_state)
-    )
+        for j, (fa, fb) in enumerate(rep.per_state)
+    ))
     try:
         write_records((rec for recs in groups for rec in recs), records_path)
     except OSError as exc:
@@ -438,23 +480,22 @@ def cmd_calibrate(cfg: RunConfig, config: dict, config_file: str | None) -> int:
         by_t = [counts[i] for i in order]
         before = [six_state_report(c) for c in by_t]
         if cfg.pooled:
-            results = [calibrate_pooled(counts)] * len(ts)
-            after = [six_state_report(c, results[0].eta) for c in by_t]
+            pooled = calibrate_pooled(counts)
+            results = [pooled] * len(ts)
+            after = [pooled.reports[i] for i in order]
         else:
             results = calibrate_each(by_t)
             after = [res.report for res in results]
     except (NoDataError, ValueError) as exc:
         raise DataError(str(exc))
-    summary_rows = [
-        (t, res.eta.eta_a, res.eta.eta_b, res.objective_value,
-         res.boundary_hit, b.mean_a, b.mean_b, a.mean_a, a.mean_b)
+    summary_rows = Shaped(SHAPES["calibrate_summary"], (
+        (res.boundary_hit, (t, res.eta.eta_a, res.eta.eta_b, res.objective_value,
+                            b.mean_a, b.mean_b, a.mean_a, a.mean_b))
         for t, res, b, a in zip(ts, results, before, after)
-    ]
-    state_rows = [
-        (t, *columns, fa, fb)
-        for t, a in zip(ts, after)
-        for columns, (fa, fb) in zip(STATE_COLUMNS, a.per_state)
-    ]
+    ))
+    state_rows = Shaped(SHAPES["calibrate_states"], (
+        (j, (t, fa, fb)) for t, a in zip(ts, after) for j, (fa, fb) in enumerate(a.per_state)
+    ))
     boundary = any(res.boundary_hit for res in results)
 
     write_table(SCHEMAS["calibrate_summary"], summary_rows, cfg.out, cfg.format, config)

@@ -24,9 +24,10 @@ Group = Sequence[Sequence[float]]
 
 class CalibrationResult(NamedTuple):
     eta: EfficiencyPair
-    report: FidelityReport
+    report: FidelityReport  # of the first group
     objective_value: float
     boundary_hit: bool
+    reports: tuple  # of every group at eta, in the order of the counts
 
 
 def fidelities_from_counts(counts: Sequence[float], role: str) -> tuple[float, float]:
@@ -323,12 +324,12 @@ def calibrate_pooled(counts: Sequence[Group]) -> CalibrationResult:
     """Single efficiency pair of several six-state groups (one per asymmetry
     setting), given their counts from `stacked_counts`: the closed form over
     the count ratios of every group.  The returned report is for the first
-    group."""
+    group; `reports` holds every group's."""
     return _calibrate(counts)
 
 
 def _calibrate(counts: Sequence[Group]) -> CalibrationResult:
-    """The efficiencies exp(`_ratio_seed`) of the groups `counts`, the first
+    """The efficiencies exp(`_ratio_seed`) of the groups `counts`, each
     group's report at them, and the objective: the fidelity variance of
     both clones at them, summed over the groups in order.  An efficiency
     without a usable count ratio (at t = 1, eta_b) is 1.
@@ -350,4 +351,5 @@ def _calibrate(counts: Sequence[Group]) -> CalibrationResult:
         report=reports[0],
         objective_value=_total(rep.variance_a + rep.variance_b for rep in reports),
         boundary_hit=any(min(e - ETA_MIN, ETA_MAX - e) < 1e-6 for e in eta),
+        reports=tuple(reports),
     )

@@ -1,11 +1,11 @@
 """Names shared by the record files, the tables and the command line.
 
 The six preparation states and their analysis bases, the role of each state,
-the record-file columns, the efficiency search box and the machine triple;
-also the two helpers every table command needs, `linspace` and
-`write_atomic`.  This module imports nothing but the standard
-library, so the command line can parse and validate a run, and compute the
-closed-form tables, without loading numpy.
+each state's (state, basis, role) columns, the record-file columns, the
+efficiency search box and the machine triple; also the two helpers every
+table command needs, `linspace` and `write_atomic`.  This module imports
+nothing but the standard library, so the command line can parse and
+validate a run, and compute the closed-form tables, without loading numpy.
 """
 
 import math
@@ -19,6 +19,12 @@ ROLE_PSI = "psi"
 ROLE_PERP = "perp"
 # role of each catalog state: the even ones are the basis states psi
 CATALOG_ROLES = tuple(ROLE_PSI if i % 2 == 0 else ROLE_PERP for i in range(len(CATALOG_LABELS)))
+# (state, basis, role) of each catalog state, in catalog order: the catalog
+# pairs each basis's two states, H,V in HV, D,A in DA, R,L in RL
+STATE_COLUMNS = tuple(
+    (label, BASIS_LABELS[i // 2], role)
+    for i, (label, role) in enumerate(zip(CATALOG_LABELS, CATALOG_ROLES))
+)
 
 # One record per line: t, state_label, basis_label, role, c_pp, c_pm, c_mp, c_mm
 RECORD_FIELDS = ("t", "state", "basis", "role", "c_pp", "c_pm", "c_mp", "c_mm")

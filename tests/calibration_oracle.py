@@ -134,9 +134,11 @@ def calibrate_groups(groups):
         lambda log_eta: objective_terms(counts, log_eta), ratio_seed(counts), *_LOG_BOUNDS
     )
     eta = EfficiencyPair(*(float(e) for e in np.exp(x)))
+    reports = tuple(report(group, eta_correction=eta) for group in groups)
     return CalibrationResult(
         eta=eta,
-        report=report(groups[0], eta_correction=eta),
+        report=reports[0],
         objective_value=float(value),
         boundary_hit=any(min(e - ETA_MIN, ETA_MAX - e) < 1e-6 for e in eta),
+        reports=reports,
     )

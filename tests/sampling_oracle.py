@@ -1,6 +1,7 @@
 """numpy's seeded Poisson sampling, the oracle the standard-library port in
-`detection.sample_counts` and `detection.run_experiment` is tested against:
-one `np.random.default_rng` per state, from a spawned `SeedSequence`."""
+`qclone.sampler`, and `detection.run_experiment`'s draws from it, are tested
+against: one `np.random.default_rng` per state, from a spawned
+`SeedSequence`."""
 
 import numpy as np
 

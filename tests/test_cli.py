@@ -24,16 +24,18 @@ from qclone.cli import (
     NO_OBJECTIVE,
     OPTIONS,
     SCHEMAS,
+    SHAPES,
     DataError,
     Grid,
     RunConfig,
+    Shaped,
     build_config,
     build_parser,
     main,
     write_table,
 )
 from qclone.cloner import machine_triple
-from qclone.labels import MachineTriple
+from qclone.labels import BASIS_LABELS, CATALOG_LABELS, CATALOG_ROLES, MachineTriple
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -775,6 +777,69 @@ def test_write_grid_matches_oracle(tmp_path_factory, grid):
     assert out.read_bytes() == expected.read_bytes()
 
 
+def _shaped_rows(draw, shapes):
+    """Rows of a `Shaped` table: (key, floats), and the same rows filled in."""
+    rows, filled = [], []
+    for key in draw(st.lists(st.sampled_from(list(shapes)), max_size=8)):
+        floats = draw(st.tuples(*[PY_FLOATS] * shapes[key].count(float)))
+        rows.append((key, floats))
+        values = list(floats)
+        filled.append([values.pop(0) if cell is float else cell for cell in shapes[key]])
+    return rows, filled
+
+
+@st.composite
+def shaped_tables(draw):
+    """Shapes of constant bools, ints, strings (a "%" in them too) and
+    floats among float cells; rows of any Python floats; a format."""
+    width = draw(st.integers(0, 5))
+    cell = st.just(float) | st.booleans() | st.integers() | st.text() | PY_FLOATS
+    shapes = draw(st.dictionaries(st.integers(0, 3) | st.text(max_size=2),
+                                  st.tuples(*[cell] * width), min_size=1, max_size=3))
+    rows, filled = _shaped_rows(draw, shapes)
+    columns = draw(st.lists(st.text(), min_size=width, max_size=width))
+    return columns, Shaped(shapes, iter(rows)), filled, draw(st.sampled_from(FORMATS))
+
+
+@settings(deadline=None)
+@given(shaped_tables())
+@example((["x", "y", "z"], Shaped({0: (float, "%s%%", float), 1: (True, -0.0, 7)},
+                                  iter([(0, (math.nan, -math.inf)), (1, ())])),
+          [[math.nan, "%s%%", -math.inf], [True, -0.0, 7]], "csv"))
+def test_write_shaped_matches_oracle(tmp_path_factory, table):
+    # a Shaped table is written, in CSV by one template per shape, as its
+    # rows written value by value
+    columns, rows, filled, fmt = table
+    folder = tmp_path_factory.mktemp("shaped")
+    out, expected = folder / "table", folder / "expected"
+    write_table(columns, rows, str(out), fmt, {"seed": 1})
+    with open(expected, "w") as fh:
+        dump_table(columns, filled, fh, fmt, {"seed": 1})
+    assert out.read_bytes() == expected.read_bytes()
+
+
+@settings(deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", list(SHAPES))
+def test_six_state_table_shapes_match_oracle(tmp_path_factory, name, fmt, data):
+    # the row shapes of the simulate and calibrate tables fit their schemas,
+    # and their rows of any floats are written as the oracle writes them
+    shapes = SHAPES[name]
+    assert all(len(shape) == len(SCHEMAS[name]) for shape in shapes.values())
+    if "state" in SCHEMAS[name]:
+        assert [shape[1:4] for shape in shapes.values()] == [
+            (label, BASIS_LABELS[i // 2], role)
+            for i, (label, role) in enumerate(zip(CATALOG_LABELS, CATALOG_ROLES))]
+    rows, filled = _shaped_rows(data.draw, shapes)
+    folder = tmp_path_factory.mktemp("shapes")
+    out, expected = folder / "table", folder / "expected"
+    write_table(SCHEMAS[name], Shaped(shapes, iter(rows)), str(out), fmt)
+    with open(expected, "w") as fh:
+        dump_table(SCHEMAS[name], filled, fh, fmt, None)
+    assert out.read_bytes() == expected.read_bytes()
+
+
 MACHINES = [["--t", "0.6324555320336759"], ["--triple", "0.9,0.7,0.6", "--eps-max", "0.9"]]
 
 
@@ -876,8 +941,10 @@ def test_cli_import_loads_no_scipy(tmp_path):
     light = {"qclone", "qclone.labels"}
     analytic = light | {"qclone.cloner"}
     robustness = analytic | {"qclone.robustness"}
-    simulate = light | {"qclone.detection"}
-    calibrate = simulate | {"qclone.estimation"}
+    # only a draw loads the sampler: not a noiseless run, nor a calibration
+    noiseless = light | {"qclone.detection"}
+    simulate = noiseless | {"qclone.sampler"}
+    calibrate = noiseless | {"qclone.estimation"}
     cases = [
         (["-c", "import qclone"], EXIT_OK, {"qclone"}),
         (["-c", "import qclone.cli"], EXIT_OK, light | {"qclone.cli"}),
@@ -900,7 +967,7 @@ def test_cli_import_loads_no_scipy(tmp_path):
         (["-m", "qclone.cli", "simulate", "--records", records], EXIT_OK, simulate),
         (["-m", "qclone.cli", "simulate", "--format", "json", "--records", records], EXIT_OK,
          simulate),
-        (["-m", "qclone.cli", "simulate", "--noiseless", "--records", records], EXIT_OK, simulate),
+        (["-m", "qclone.cli", "simulate", "--noiseless", "--records", records], EXIT_OK, noiseless),
         (["-m", "qclone.cli", "calibrate", "--records", records, "--out", str(tmp_path / "c.csv")],
          EXIT_OK, calibrate),
         (["-m", "qclone.cli", "calibrate", "--pooled", "--records", records,
@@ -909,7 +976,7 @@ def test_cli_import_loads_no_scipy(tmp_path):
           "--records", records], EXIT_OK, calibrate),
         # noiseless counts at eta_a = 5 calibrate onto the search box
         (["-m", "qclone.cli", "simulate", "--noiseless", "--eta-a", "5", "--records", edge],
-         EXIT_OK, simulate),
+         EXIT_OK, noiseless),
         (["-m", "qclone.cli", "calibrate", "--strict", "--records", edge,
           "--out", str(tmp_path / "e.csv")], EXIT_BOUNDARY, calibrate),
     ]

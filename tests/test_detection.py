@@ -14,8 +14,6 @@ from qclone.cli import COUNTS_MAX
 from qclone.cloner import machine_triple
 from qclone.detection import (
     CATALOG_ROLES,
-    POISSON_LAM_MAX,
-    PCG64,
     RECORD_COUNT_MAX,
     ROLE_PERP,
     ROLE_PSI,
@@ -28,12 +26,11 @@ from qclone.detection import (
     rescale_counts,
     run_experiment,
     sample_counts,
-    seed_sequence_pool,
-    spawned_streams,
     write_records,
 )
 from qclone.estimation import fidelities_from_counts
-from qclone.labels import BASIS_LABELS, CATALOG_LABELS, ETA_MAX, ETA_MIN
+from qclone.labels import BASIS_LABELS, CATALOG_LABELS, ETA_MAX, ETA_MIN, RECORD_FIELDS
+from qclone.sampler import POISSON_LAM_MAX, PCG64, seed_sequence_pool, spawned_streams
 from qclone.states import catalog_states, mub_bases
 
 T_ORACLE = [0.0, *np.linspace(0.05, 0.95, 19), *(np.sqrt(n / 5) for n in range(1, 5)), 1.0]
@@ -369,6 +366,111 @@ def test_write_read_records_round_trip(tmp_path_factory, records):
     path = tmp_path_factory.mktemp("records") / "records.csv"
     write_records(records, path)
     assert [format_record(r) for r in read_records(path)] == [format_record(r) for r in records]
+
+
+def _read_records_per_field(path):
+    """The record file reader the one-split parse must agree with: every
+    line through `MeasurementRecord`'s per-field checks."""
+    records = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("t,state"):
+                continue
+            parts = line.split(",")
+            if len(parts) != 8:
+                raise ValueError(f"{path}:{lineno}: expected 8 fields, got {len(parts)}")
+            try:
+                counts = tuple(float(x) for x in parts[4:])
+                records.append(MeasurementRecord(float(parts[0]), *parts[1:4], counts))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return records
+
+
+def _read_outcome(read, path):
+    """The records a reader returns, as text that tells -0.0 from 0.0, or
+    the message of its ValueError."""
+    try:
+        records = read(path)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    assert all(type(rec) is MeasurementRecord for rec in records)
+    return [repr(tuple(rec)) for rec in records]
+
+
+def _record_fields(t, state, counts):
+    return [repr(t), CATALOG_LABELS[state], BASIS_LABELS[state // 2], CATALOG_ROLES[state],
+            *map(repr, counts)]
+
+
+VALID_FIELDS = st.builds(
+    _record_fields,
+    st.floats(0.0, 1.0),
+    st.integers(0, len(CATALOG_LABELS) - 1),
+    st.lists(st.floats(0.0, RECORD_COUNT_MAX) | st.sampled_from([-0.0, 0.0, RECORD_COUNT_MAX]),
+             min_size=4, max_size=4),
+)
+NOT_A_NUMBER = st.sampled_from(["", "abc", "1e", "0x1", "--1"])
+BAD_T = (st.floats().filter(lambda t: not 0.0 <= t <= 1.0).map(repr)
+         | st.sampled_from(["nan", "-inf", "1.0000000001"]) | NOT_A_NUMBER)
+BAD_COUNT = (
+    st.floats(max_value=-5e-324).map(repr)
+    | st.floats(min_value=math.nextafter(RECORD_COUNT_MAX, math.inf)).map(repr)
+    | st.sampled_from(["inf", "nan", "-nan", "1e151"]) | NOT_A_NUMBER
+)
+UNKNOWN_STATE = st.text(st.characters(min_codepoint=32, max_codepoint=126,
+                                      blacklist_characters=","), max_size=3).filter(
+    lambda s: s not in CATALOG_LABELS)
+
+
+@st.composite
+def mutated_lines(draw):
+    """A valid record line with one field mutated: an unknown state, another
+    state's basis, the other role, a bad t or count, or 7 or 9 fields."""
+    fields = draw(VALID_FIELDS)
+    state = CATALOG_LABELS.index(fields[1])
+    kind = draw(st.sampled_from(["state", "basis", "role", "t", "count", "fields"]))
+    if kind == "state":
+        fields[1] = draw(UNKNOWN_STATE)
+    elif kind == "basis":
+        fields[2] = draw(st.sampled_from([b for b in BASIS_LABELS if b != fields[2]]))
+    elif kind == "role":
+        fields[3] = ROLE_PERP if CATALOG_ROLES[state] == ROLE_PSI else ROLE_PSI
+    elif kind == "t":
+        fields[0] = draw(BAD_T)
+    elif kind == "count":
+        fields[draw(st.integers(4, 7))] = draw(BAD_COUNT)
+    elif draw(st.booleans()):
+        del fields[draw(st.integers(0, 7))]
+    else:
+        fields.insert(draw(st.integers(0, 8)), draw(VALID_FIELDS)[4])
+    return ",".join(fields)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(VALID_FIELDS.map(",".join), max_size=6), st.none() | mutated_lines(),
+       st.integers(0, 6), st.booleans())
+@example([], "0.5,H,HV,psi,1,2,3", 0, False)
+@example(["0.5,H,HV,psi,1,2,3,4"], "0.5,H,HV,psi,1,nan,3,4", 1, True)
+@example([], "0.5,V,HV,psi,1,2,3,4", 0, False)
+@example([], "0.5,H,DA,psi,1,2,3,4", 0, False)
+@example([], "0.5,X,HV,psi,abc,2,3,4", 0, False)
+@example([], "nan,H,HV,psi,1,2,3,1e151", 0, False)
+def test_read_records_agrees_with_the_per_field_checks(tmp_path_factory, valid, bad, at, header):
+    # the one-split parse accepts exactly the lines the per-field checks
+    # accept, reads the same records and words a bad line's error alike,
+    # with its line number
+    lines = list(valid)
+    if bad is not None:
+        lines.insert(min(at, len(lines)), bad)
+    if header:
+        lines.insert(0, ",".join(RECORD_FIELDS))
+    path = tmp_path_factory.mktemp("records") / "records.csv"
+    path.write_text("\n".join(lines) + "\n")
+    expected = _read_outcome(_read_records_per_field, path)
+    assert _read_outcome(read_records, path) == expected
+    assert isinstance(expected, str) == (bad is not None)
 
 
 def test_write_records_failure_keeps_target(tmp_path):

@@ -185,14 +185,16 @@ def _reference_descent(counts):
     """The variance minimum the closed-form calibration is measured against:
     `minimize` of the summed variance of the groups `counts` (from
     `stacked_counts`) from their ratio seed, as a `CalibrationResult` with
-    the first group's report."""
+    the groups' reports."""
     res = minimize(lambda z: _objective_terms(counts, z), _ratio_seed(counts), *_LOG_BOUNDS)
     eta = EfficiencyPair(math.exp(res.x[0]), math.exp(res.x[1]))
+    reports = tuple(six_state_report(group, eta) for group in counts)
     return CalibrationResult(
         eta=eta,
-        report=six_state_report(counts[0], eta),
+        report=reports[0],
         objective_value=res.fun,
         boundary_hit=any(min(e - ETA_MIN, ETA_MAX - e) < 1e-6 for e in eta),
+        reports=reports,
     )
 
 

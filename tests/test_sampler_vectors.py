@@ -11,7 +11,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from qclone.detection import PCG64, sample_counts, seed_sequence_pool, spawned_streams
+from qclone.sampler import PCG64, sample_counts, seed_sequence_pool, spawned_streams
 
 VECTORS = json.loads((Path(__file__).parent / "data" / "sampler_vectors.json").read_text())
 
