@@ -158,15 +158,20 @@ def run_experiment(
         if operator.index(seed) < 0:
             raise ValueError("expected non-negative integer")
     else:
-        from .sampler import spawned_streams
+        from .sampler import draw, poisson_plan, spawned_streams
 
         streams = spawned_streams(seed, len(CATALOG_LABELS))
-    records = []
-    for i, (label, role) in enumerate(zip(CATALOG_LABELS, CATALOG_ROLES)):
-        expected = bias_counts(ideal_probabilities(t, role), eta, counts_per_setting)
-        counts = expected if noiseless else sample_counts(expected, streams[i])
-        records.append(MeasurementRecord(t, label, BASIS_LABELS[i // 2], role, counts))
-    return records
+    # the psi role's probabilities check t; the perp role's are their reverse
+    probs = ideal_probabilities(t, ROLE_PSI)
+    expected = {ROLE_PSI: bias_counts(probs, eta, counts_per_setting),
+                ROLE_PERP: bias_counts(probs[::-1], eta, counts_per_setting)}
+    if noiseless:
+        return [MeasurementRecord(t, *columns, expected[columns[2]]) for columns in STATE_COLUMNS]
+    # each role's rates are checked, and their sampler constants computed, once;
+    # a draw is a valid count
+    plans = {role: poisson_plan(counts) for role, counts in expected.items()}
+    return [tuple.__new__(MeasurementRecord, (t, *columns, draw(stream, plans[columns[2]])))
+            for columns, stream in zip(STATE_COLUMNS, streams)]
 
 
 # --- six-state report ------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -172,8 +173,11 @@ def test_sample_counts_variance_matches_mean():
 # the largest Poisson rate a run can ask for: the perp-role C-- at eta = 5
 LAM_AT_COUNTS_MAX = bias_counts(ideal_probabilities(0.0, ROLE_PERP), EfficiencyPair(5.0, 5.0),
                                 COUNTS_MAX)[3]
-# seeds of one, two, three and five 32-bit words
-WIDE_SEEDS = [0, 1, 911, 12345, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 3, 2**128 + 7, 2**150 - 1]
+# seeds of one, two, three, five, six, 21 and 64 32-bit words; from five
+# words on, the pool and the children hash with constants past the end of the
+# table built at import
+WIDE_SEEDS = [0, 1, 911, 12345, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 3, 2**128 + 7, 2**150 - 1,
+              2**160 + 3, 3**420, 2**2048 - 1]
 
 
 @pytest.mark.parametrize("seed", WIDE_SEEDS)
@@ -188,7 +192,9 @@ def test_pcg64_words_equal_numpy(seed):
     expected = np.random.PCG64(seed).random_raw(1000).tolist()
     stream = PCG64(seed_sequence_pool(seed))
     assert [stream.next_uint64() for _ in range(1000)] == expected
-    for stream, child in zip(spawned_streams(seed, 6), np.random.SeedSequence(seed).spawn(6)):
+    streams = spawned_streams(seed, 12)
+    assert len(streams) == 12
+    for stream, child in zip(streams, np.random.SeedSequence(seed).spawn(12)):
         expected = np.random.PCG64(child).random_raw(1000).tolist()
         assert [stream.next_uint64() for _ in range(1000)] == expected
     doubles = np.random.Generator(np.random.PCG64(seed)).random(100).tolist()
@@ -264,6 +270,39 @@ def test_negative_seed_is_rejected_as_numpy_does():
     for noiseless in (False, True):
         with pytest.raises(ValueError, match="non-negative"):
             run_experiment(0.5, UNIT, 1e3, seed=-1, noiseless=noiseless)
+
+
+# run_experiment's error for each malformed input: (t, eta, counts, seed),
+# the error type, and its message when drawn and when noiseless.  eta is
+# checked first, then the seed, then t, then the counts.
+RUN_EXPERIMENT_ERRORS = [
+    ((1.5, UNIT, 1e3, 0), ValueError, "t = 1.5 outside [0, 1]", None),
+    ((math.nan, UNIT, 1e3, 0), ValueError, "t = nan outside [0, 1]", None),
+    ((0.5, (9, 1), 1e3, 0), ValueError, "eta_a = 9 outside plausible range [0.2, 5.0]", None),
+    ((0.5, (1, 9), 1e3, 0), ValueError, "eta_b = 9 outside plausible range [0.2, 5.0]", None),
+    ((1.5, (9, 1), 1e3, -1), ValueError, "eta_a = 9 outside plausible range [0.2, 5.0]", None),
+    ((0.5, UNIT, 0.0, 0), ValueError, "overall rate must be positive", None),
+    ((1.5, UNIT, 0.0, 0), ValueError, "t = 1.5 outside [0, 1]", None),
+    ((0.5, UNIT, math.nan, 0), ValueError, "lam value too large",
+     "counts must be four finite nonnegative numbers"),
+    ((0.5, UNIT, math.inf, 0), ValueError, "lam value too large",
+     "counts must be four finite nonnegative numbers"),
+    ((0.5, UNIT, 1e300, 0), ValueError, "lam value too large",
+     "count 6.15385e+299 above the cap 1e+150"),
+    ((0.5, UNIT, 1e3, -1), ValueError, "expected non-negative integer", None),
+    ((0.5, UNIT, 1e3, 1.5), TypeError, "'float' object cannot be interpreted as an integer", None),
+    ((1.5, UNIT, 1e3, -1), ValueError, "expected non-negative integer", None),
+]
+
+
+@pytest.mark.parametrize("noiseless", [False, True])
+@pytest.mark.parametrize("args, error, drawn, noiseless_message", RUN_EXPERIMENT_ERRORS)
+def test_run_experiment_errors_keep_type_and_message(args, error, drawn, noiseless_message,
+                                                     noiseless):
+    t, eta, counts, seed = args
+    message = (noiseless and noiseless_message) or drawn
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        run_experiment(t, eta, counts, seed=seed, noiseless=noiseless)
 
 
 def test_run_experiment_shape():
