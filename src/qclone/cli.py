@@ -6,11 +6,11 @@ included), 2 data error (a stdout closed by its reader included), 3
 calibration hit the search boundary and --strict was given.
 """
 
-import argparse
 import math
 import os
 import sys
 from itertools import repeat
+from types import SimpleNamespace
 from typing import Iterable, Iterator, NamedTuple
 
 from .labels import (
@@ -230,9 +230,11 @@ def parse_config_file(path: str, command: str) -> dict:
     return values
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
+def build_config(args) -> RunConfig:
     """Merge defaults < config file < CLI flags, over the command's fields;
-    the other fields keep their defaults."""
+    the other fields keep their defaults.  `args` is a parsed command line:
+    `command`, each field's flag value or None, and `config` for a command
+    that has fields."""
     values = parse_config_file(args.config, args.command) if getattr(args, "config", None) else {}
     for key in COMMANDS[args.command][1]:
         val = getattr(args, key)
@@ -409,7 +411,8 @@ def cmd_analytic(cfg: RunConfig, config: dict, config_file: str | None) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, config: dict, config_file: str | None) -> int:
-    records_path = cfg.records or _sibling_path(cfg.out, "records")
+    # a record file is CSV, whatever the extension of --out
+    records_path = cfg.records or _sibling_path(os.path.splitext(cfg.out)[0], "records")
     if records_path == "-":
         raise ConfigError("simulate cannot write the record file to stdout; give --records <path>")
     _distinct_files(("--config", config_file), ("--out", cfg.out),
@@ -565,29 +568,32 @@ COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argparse parser whose rejections are config errors, not exit 2."""
+def build_parser():
+    """The argparse parser of the qclone command line, whose rejections are
+    config errors, not exit 2.  argparse is imported here: `main` needs it
+    only for --help and for a command line that `parse_well_formed` leaves
+    to it."""
+    import argparse
 
-    def parse_known_args(self, args=None, namespace=None):
-        # a command's parser rejects what it does not know itself, so the
-        # usage line of a foreign flag is the command's
-        args, extra = super().parse_known_args(args, namespace)
-        if extra:
-            self.error(f"unrecognized arguments: {' '.join(extra)}")
-        return args, extra
+    class _Parser(argparse.ArgumentParser):
+        def parse_known_args(self, args=None, namespace=None):
+            # a command's parser rejects what it does not know itself, so the
+            # usage line of a foreign flag is the command's
+            args, extra = super().parse_known_args(args, namespace)
+            if extra:
+                self.error(f"unrecognized arguments: {' '.join(extra)}")
+            return args, extra
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        if message.endswith("expected one argument"):
-            # argparse takes a value that starts with '-' (`-inf`) for a flag
-            flag = message.split(":")[0].split()[-1]
-            message += f" (give a value that starts with '-' as {flag}=<value>)"
-        elif "--objective" in message:
-            message += f"; {NO_OBJECTIVE}"
-        raise ConfigError(message)
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            if message.endswith("expected one argument"):
+                # argparse takes a value that starts with '-' (`-inf`) for a flag
+                flag = message.split(":")[0].split()[-1]
+                message += f" (give a value that starts with '-' as {flag}=<value>)"
+            elif "--objective" in message:
+                message += f"; {NO_OBJECTIVE}"
+            raise ConfigError(message)
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qclone",
         description="Asymmetric qubit-cloner simulation, calibration and robustness tables.",
@@ -608,9 +614,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse_well_formed(argv) -> SimpleNamespace | None:
+    """The namespace `build_parser().parse_args(argv)` returns, for a
+    command line that is a command and its own exact flags; None for any
+    other, which argparse then parses, rejects or answers with help.
+
+    A flag with a value is `--flag=value` with a value other than `--`, or
+    `--flag value` with a value that is `-` or does not start with '-'; a
+    switch has no `=`.  The last of repeated flags wins, as in argparse.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    fields = COMMANDS[argv[0]][1]
+    keys = {OPTIONS[key][0]: key for key in fields}
+    if fields:
+        keys["--config"] = "config"
+    values = dict.fromkeys(keys.values())
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        key = keys.get(flag)
+        if key is None:
+            return None
+        if key != "config" and OPTIONS[key][1] is _boolean:
+            if eq:
+                return None
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-") and value != "-":
+                return None
+        elif value == "--":
+            # argparse drops a `--` value: `--flag=--` reads as []
+            return None
+        values[key] = value
+    return SimpleNamespace(command=argv[0], **values)
+
+
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_well_formed(argv) or build_parser().parse_args(argv)
         cfg = build_config(args)
         command, fields = COMMANDS[args.command]
         config = cfg.resolved(fields)

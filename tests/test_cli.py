@@ -1,9 +1,14 @@
 import argparse
+import importlib.util
+import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +30,7 @@ from qclone.cli import (
     OPTIONS,
     SCHEMAS,
     SHAPES,
+    ConfigError,
     DataError,
     Grid,
     RunConfig,
@@ -32,12 +38,14 @@ from qclone.cli import (
     build_config,
     build_parser,
     main,
+    parse_well_formed,
     write_table,
 )
 from qclone.cloner import machine_triple
 from qclone.labels import BASIS_LABELS, CATALOG_LABELS, CATALOG_ROLES, MachineTriple
 
-DATA = Path(__file__).resolve().parent / "data"
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "tests" / "data"
 
 
 def read_csv(path):
@@ -232,6 +240,126 @@ def test_help_exits_0(capsys):
     out = capsys.readouterr().out
     # the allowed values of the choice flag are in the help text
     assert "table format: csv, json" in out
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace for argv; None when argparse rejects
+    argv, exits or prints help."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except (ConfigError, SystemExit):
+            return None
+
+
+def _own_flags(command):
+    fields = COMMANDS[command][1] if command in COMMANDS else ()
+    return [OPTIONS[key][0] for key in fields] + (["--config"] if fields else [])
+
+
+SWITCHES = {OPTIONS[key][0] for key in ("noiseless", "pooled", "strict")}
+# values argparse reads after a space, and values it takes for a flag
+PLAIN_VALUES = ["0.5", "0,1", "1e5", "7", "csv", "", "a b", "x=y", "-"]
+DASH_VALUES = ["-1", "-inf", "--out", "--", "-h", "--help", "-x y"]
+ALL_FLAGS = sorted({flag for command in COMMANDS for flag in _own_flags(command)})
+# abbreviations argparse accepts or finds ambiguous, and what it never takes
+OTHER_FLAGS = ["--ou", "--rec", "--eta", "--eta-", "--conf", "--tr", "--no", "--pool", "--str",
+               "--eps", "--eps-m", "--form", "--c", "-t", "-h", "--help", "--", "--bogus",
+               "--objective"]
+NOISE = st.one_of(
+    st.sampled_from(ALL_FLAGS + OTHER_FLAGS + PLAIN_VALUES + DASH_VALUES),
+    st.builds("{}={}".format, st.sampled_from(ALL_FLAGS + OTHER_FLAGS),
+              st.sampled_from(PLAIN_VALUES + DASH_VALUES)),
+)
+
+
+@st.composite
+def _own_flag(draw, command):
+    # one exact flag of the command, written as the fast path takes it
+    flag = draw(st.sampled_from(_own_flags(command)))
+    if flag in SWITCHES:
+        return [flag]
+    if draw(st.booleans()):
+        # argparse drops a `--` value, so `--flag=--` is left to it
+        values = [value for value in PLAIN_VALUES + DASH_VALUES if value != "--"]
+        return [f"{flag}={draw(st.sampled_from(values))}"]
+    return [flag, draw(st.sampled_from(PLAIN_VALUES))]
+
+
+@st.composite
+def _command_lines(draw):
+    """(argv, well_formed): a command and its own exact flags, with noise
+    tokens inserted when well_formed is False."""
+    head = draw(st.one_of(st.sampled_from(list(COMMANDS)),
+                          st.sampled_from(["bogus", "Simulate", "--help", "-h", "--", None])))
+    pieces = draw(st.lists(_own_flag(head), max_size=6)) if _own_flags(head) else []
+    noise = []
+    if draw(st.booleans()):
+        noise = draw(st.lists(st.tuples(st.integers(0, len(pieces)), NOISE), min_size=1,
+                              max_size=3))
+    for at, token in sorted(noise, reverse=True):
+        pieces.insert(at, [token])
+    argv = ([] if head is None else [head]) + list(chain(*pieces))
+    return argv, head in COMMANDS and not noise
+
+
+@settings(max_examples=400, deadline=None)
+@given(_command_lines())
+@example((["simulate", "--noiseless=1"], False))
+@example((["simulate", "--out"], False))
+@example((["simulate", "--ou", "x"], False))
+@example((["robustness", "--eps-max", "-1", "--t", "0"], False))
+@example((["analytic", "--t=--"], False))
+@example((["calibrate", "--pooled", "--pooled", "--out", "a", "--out=b"], True))
+@example((["robustness", "--eps-max=-inf", "--out", "-"], True))
+@example(([], False))
+def test_fast_path_agrees_with_argparse(case):
+    # the fast path returns argparse's namespace, or None; None whenever
+    # argparse rejects the command line, exits or prints help
+    argv, well_formed = case
+    fast = parse_well_formed(argv)
+    reference = _argparse_vars(argv)
+    if well_formed:
+        assert fast is not None, argv
+    if fast is not None:
+        assert vars(fast) == reference, argv
+
+
+def _lab_session():
+    """The command lines of the README's CLI block and of the lab session
+    that CI runs through the installed script."""
+    readme = (ROOT / "README.md").read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    block = readme.split("```", 1)[0].replace("\\\n", " ")
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [argv[1:] for argv in lines if argv[:1] == ["qclone"]] + [
+        ["simulate", "--noiseless", "--out", "report.csv", "--records", "records.csv"],
+        ["calibrate", "--strict", "--records", "records.csv", "--out", "calibration.csv"],
+        ["calibrate", "--pooled", "--strict", "--records", "records.csv", "--out", "pooled.csv"],
+        ["analytic", "--out", "curve.csv"],
+        ["robustness", "--t", "0", "--out", "sweep.csv"],
+        ["robustness", "--t", "0", "--format", "json", "--out", "sweep.json"],
+        ["robustness", "--t", "0", "--eps-points", "201", "--out", "-"],
+        ["robustness", "--t", "0.6324555320336759", "--eps-points", "201", "--format", "json",
+         "--out", "-"],
+        ["simulate", "--out", "noisy.csv", "--records", "noisy_records.csv"],
+        ["simulate", "--noiseless", "--eta-a", "5", "--out", "edge.csv",
+         "--records", "edge_records.csv"],
+    ]
+
+
+def test_benchmark_and_lab_session_take_the_fast_path(monkeypatch):
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    benchmark = [list(cmd.argv) for name in workloads.WORKLOADS for seed in (3, 4001)
+                 for tiny in (False, True) for cmd in workloads.commands(name, seed, tiny)]
+    lab = _lab_session()
+    assert len(lab) >= 15
+    for argv in benchmark + lab:
+        fast = parse_well_formed(argv)
+        assert fast is not None, argv
+        assert vars(fast) == _argparse_vars(argv), argv
 
 
 # The flags of each command, besides --config (every command but schema).
@@ -621,6 +749,23 @@ def test_per_state_table_is_named_after_its_format(tmp_path, monkeypatch, fmt, o
             SCHEMAS["calibrate_states"])
 
 
+@pytest.mark.parametrize("fmt, out, records", [
+    ("json", "report.json", "report_records.csv"),
+    ("csv", "report.txt", "report_records.csv"),
+    ("csv", "run.v2/report", "run.v2/report_records.csv"),
+])
+def test_simulate_record_file_is_csv_whatever_the_out_extension(tmp_path, monkeypatch, fmt,
+                                                                 out, records):
+    from qclone.detection import read_records
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.v2").mkdir()
+    assert main(["simulate", "--t", "0.5", "--format", fmt, "--out", out]) == EXIT_OK
+    assert sorted(str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*")
+                  if path.is_file()) == sorted([out, records])
+    assert len(read_records(records)) == 6
+
+
 @pytest.mark.parametrize("pooled", [[], ["--pooled"]])
 def test_calibrate_runs_no_descent(tmp_path, monkeypatch, pooled):
     # with the reference descent gone, calibrate still exits 0, and each
@@ -935,7 +1080,9 @@ def test_cli_import_loads_no_scipy(tmp_path):
     # numpy or scipy; the -X importtime trace names every module the process
     # imports
     # (`-m qclone.cli` runs the cli as __main__, so qclone.cli is not among
-    # the imports); each case names the exact set of qclone modules it loads
+    # the imports); each case names the exact set of qclone modules it loads.
+    # Only --help and a rejected command line load argparse, with its
+    # gettext and locale; a well-formed one with a bad value does not
     env = _subprocess_env()
     records, edge = str(tmp_path / "r.csv"), str(tmp_path / "edge.csv")
     light = {"qclone", "qclone.labels"}
@@ -950,6 +1097,7 @@ def test_cli_import_loads_no_scipy(tmp_path):
         (["-c", "import qclone.cli"], EXIT_OK, light | {"qclone.cli"}),
         (["-m", "qclone.cli", "schema"], EXIT_OK, light),
         (["-m", "qclone.cli", "--help"], EXIT_OK, light),
+        (["-m", "qclone.cli", "simulate", "--bogus"], EXIT_CONFIG, light),
         (["-m", "qclone.cli", "simulate", "--t", "2"], EXIT_CONFIG, light),
         (["-m", "qclone.cli", "simulate", "--eta-a", "abc"], EXIT_CONFIG, light),
         (["-m", "qclone.cli", "simulate", "--out", "-"], EXIT_CONFIG, light),
@@ -992,6 +1140,12 @@ def test_cli_import_loads_no_scipy(tmp_path):
         top = {m.split(".")[0] for m in imported}
         # nor __future__
         assert "__future__" not in top, args
+        if "--help" in args or "--bogus" in args:
+            assert "argparse" in top, args
+            lines = (proc.stdout + proc.stderr).splitlines()
+            assert [line for line in lines if line.startswith("usage: qclone")], args
+        else:
+            assert not top & {"argparse", "gettext", "locale"}, args
         if "json" in args:
             out = args[args.index("--out") + 1] if "--out" in args else None
             json.loads(Path(out).read_text() if out else proc.stdout)
