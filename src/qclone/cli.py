@@ -29,8 +29,9 @@ from .labels import (
 # The modules of the commands (cloner, robustness, detection, estimation) are
 # imported inside the subcommands that use them, and detection imports the
 # sampler only to draw counts.  Every command, and every config error, runs
-# on the standard library alone; numpy serves only the matrix channel of
-# `cloner` and `states`, which no command calls.
+# on the standard library alone: qclone requires no other package.  numpy,
+# which only the matrix channel of `cloner` and `states` needs, is a test
+# dependency.
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -230,16 +231,28 @@ def parse_config_file(path: str, command: str) -> dict:
     return values
 
 
+def _flag_value(args, key: str, flag: str):
+    """The value `flag` gave `key` on the parsed command line `args`, None
+    where it was not given.  argparse drops a `--` value, so `--flag=--`
+    reads as [] (as '--' from Python 3.13 on): a config error."""
+    val = getattr(args, key, None)
+    if isinstance(val, list) or val == "--":
+        raise ConfigError(f"{flag}: '--' is not a value, it ends the options")
+    return val
+
+
 def build_config(args) -> RunConfig:
     """Merge defaults < config file < CLI flags, over the command's fields;
     the other fields keep their defaults.  `args` is a parsed command line:
     `command`, each field's flag value or None, and `config` for a command
     that has fields."""
-    values = parse_config_file(args.config, args.command) if getattr(args, "config", None) else {}
+    config = _flag_value(args, "config", "--config")
+    values = parse_config_file(config, args.command) if config else {}
     for key in COMMANDS[args.command][1]:
-        val = getattr(args, key)
+        flag = OPTIONS[key][0]
+        val = _flag_value(args, key, flag)
         if val is not None:
-            values[key] = _parse_value(key, val, OPTIONS[key][0])
+            values[key] = _parse_value(key, val, flag)
     cfg = RunConfig(**values)
     cfg.validate()
     return cfg
@@ -373,13 +386,16 @@ def _sibling_path(path: str, suffix: str, fmt: str = "csv") -> str:
 
 
 def _distinct_files(*named: tuple[str, str | None]) -> None:
-    """Raise ConfigError when two of a command's (name, path) files are one
-    file, so that no command writes over its own input or output; '-' is
-    stdout and None no file.  Two existing paths are compared by
-    `os.path.samefile`, which also sees a hard link or a name in another
-    case on a case-insensitive file system; otherwise by their real paths."""
+    """Raise ConfigError when one of a command's (name, path) files is an
+    empty path, or two are one file, so that no command writes over its own
+    input or output; '-' is stdout and None no file.  Two existing paths are
+    compared by `os.path.samefile`, which also sees a hard link or a name in
+    another case on a case-insensitive file system; otherwise by their real
+    paths."""
     seen = []
     for name, path in named:
+        if path == "":
+            raise ConfigError(f"{name} is an empty path")
         if path is None or path == "-":
             continue
         for other_name, other in seen:
@@ -412,7 +428,8 @@ def cmd_analytic(cfg: RunConfig, config: dict, config_file: str | None) -> int:
 
 def cmd_simulate(cfg: RunConfig, config: dict, config_file: str | None) -> int:
     # a record file is CSV, whatever the extension of --out
-    records_path = cfg.records or _sibling_path(os.path.splitext(cfg.out)[0], "records")
+    records_path = (_sibling_path(os.path.splitext(cfg.out)[0], "records")
+                    if cfg.records is None else cfg.records)
     if records_path == "-":
         raise ConfigError("simulate cannot write the record file to stdout; give --records <path>")
     _distinct_files(("--config", config_file), ("--out", cfg.out),
@@ -451,7 +468,7 @@ def _grouped_by_t(records):
 
 
 def cmd_calibrate(cfg: RunConfig, config: dict, config_file: str | None) -> int:
-    if not cfg.records:
+    if cfg.records is None:
         raise ConfigError("calibrate requires --records <record file>")
     if cfg.out == "-":
         # two tables back to back on stdout would not be one table

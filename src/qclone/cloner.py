@@ -5,8 +5,11 @@ state of a maximally mixed blank copy (arm A) and the signal (arm B) by an
 amplitude factor t, then post-selects on coincidence.  Clone A is the
 blank-copy arm, clone B the signal arm; for t > 0 clone B is the better one.
 
-The closed forms are float arithmetic; only the matrix channel
-(`symmetrizer`, `apply_cloner`, `clone_states`) imports numpy, when called.
+The closed forms are float arithmetic, and the commands use them alone.
+The matrix channel (`symmetrizer`, `apply_cloner`) imports numpy, when
+called: it is the tests' oracle of the closed forms (the reduced clone
+states are `tests/channel_oracle.py`'s), and stays here only because the
+benchmark's tracer looks up `apply_cloner` by name.
 """
 
 from typing import TYPE_CHECKING
@@ -47,16 +50,6 @@ def apply_cloner(psi: "np.ndarray", t: float) -> "tuple[np.ndarray, float]":
     rho_in = tensor(0.5 * np.eye(2, dtype=complex), projector(psi))
     rho_out = vs @ rho_in @ vs.conj().T
     return rho_out, float(np.trace(rho_out).real)
-
-
-def clone_states(psi: "np.ndarray", t: float) -> "tuple[np.ndarray, np.ndarray]":
-    """Normalized reduced states of the two clones for input ket psi."""
-    from .states import partial_trace
-
-    rho_out, prob = apply_cloner(psi, t)
-    rho_a = partial_trace(rho_out, "A") / prob
-    rho_b = partial_trace(rho_out, "B") / prob
-    return rho_a, rho_b
 
 
 def clone_fidelities(t: float) -> tuple[float, float]:

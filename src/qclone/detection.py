@@ -1,5 +1,5 @@
 """Coincidence detection model: ideal click probabilities, efficiency bias,
-count rescaling, Poisson shot noise and the six-state fidelity report.
+Poisson shot noise and the six-state fidelity report.
 
 Counts are four floats ordered (C++, C+-, C-+, C--): first index is the
 detector in block A, second in block B.  Within each analysis basis the "+"
@@ -111,15 +111,6 @@ def bias_counts(probs: Sequence[float], eta: EfficiencyPair, rate: float) -> tup
         raise ValueError("overall rate must be positive")
     ea, eb = eta
     return tuple(rate * p * s for p, s in zip(probs, (1.0, eb, ea, ea * eb)))
-
-
-def rescale_counts(counts: Sequence[float], eta: EfficiencyPair) -> tuple[float, ...]:
-    """Calibration rescaling: (eta_a*eta_b*C++, eta_a*C+-, eta_b*C-+, C--).
-
-    Exact inverse of bias_counts up to the overall factor eta_a*eta_b.
-    """
-    ea, eb = eta
-    return tuple(c * s for c, s in zip(counts, (ea * eb, ea, eb, 1.0)))
 
 
 def sample_counts(expected: Iterable[float], seed) -> tuple[float, ...]:

@@ -1,5 +1,5 @@
-"""Fidelity estimators, six-state reports and detector calibration by the
-count-ratio closed form of the bias model, on the standard library alone."""
+"""Six-state reports and detector calibration by the count-ratio closed
+form of the bias model, on the standard library alone."""
 
 import math
 import sys
@@ -8,15 +8,7 @@ from typing import NamedTuple, Sequence
 # the six-state report lives in detection; it is re-exported here with its
 # result and error types
 from .detection import FidelityReport, MeasurementRecord, NoDataError, six_state_report
-from .labels import (
-    CATALOG_LABELS,
-    CATALOG_ROLES,
-    ETA_MAX,
-    ETA_MIN,
-    ROLE_PERP,
-    ROLE_PSI,
-    EfficiencyPair,
-)
+from .labels import CATALOG_LABELS, ETA_MAX, ETA_MIN, EfficiencyPair
 
 # the counts of one six-state group: four floats per state, in catalog order
 Group = Sequence[Sequence[float]]
@@ -28,23 +20,6 @@ class CalibrationResult(NamedTuple):
     objective_value: float
     boundary_hit: bool
     reports: tuple  # of every group at eta, in the order of the counts
-
-
-def fidelities_from_counts(counts: Sequence[float], role: str) -> tuple[float, float]:
-    """Clone fidelities (f_A, f_B) from one set of four coincidence counts.
-
-    For role "psi" the + detectors herald the cloned state; for role "perp"
-    the detector roles are reversed.
-    """
-    cpp, cpm, cmp_, cmm = map(float, counts)
-    total = cpp + cpm + cmp_ + cmm
-    if total <= 0:
-        raise NoDataError("all four coincidence counts are zero")
-    if role == ROLE_PSI:
-        return (cpp + cpm) / total, (cpp + cmp_) / total
-    if role == ROLE_PERP:
-        return (cmm + cmp_) / total, (cmm + cpm) / total
-    raise ValueError(f"unknown role {role!r}")
 
 
 def _ordered_counts(records: list[MeasurementRecord]) -> list[tuple[float, ...]]:
@@ -93,24 +68,10 @@ def report(
 
 
 # --- calibration --------------------------------------------------------------
-# In log-efficiencies z = (ln eta_a, ln eta_b) the rescaled counts
-# (C++ e^(za+zb), C+- e^za, C-+ e^zb, C--) form an exponential family in the
-# two statistics "A clicked +" and "B clicked +".  The psi-role fidelities
-# are their means, so their z-derivatives are cumulants:
-#   d f_A = (s_A, c),  d f_B = (c, s_B),
-#   s_A = f_A (1 - f_A),  s_B = f_B (1 - f_B),  c = (rescaled C++) / total - f_A f_B,
-# with d s_A = (1 - 2 f_A) d f_A,  d s_B = (1 - 2 f_B) d f_B  and
-# d c = c (1 - 2 f_A, 1 - 2 f_B).  A perp-role fidelity is one minus the same
-# expression.  The psi-role rows are H, D, R; the perp-role rows V, A, L.
-#
 # A calibration is the count-ratio closed form `_ratio_seed` of the groups its
 # efficiency pair must fit: `calibrate_each` takes it per group,
-# `calibrate_pooled` over all groups.  No command runs `minimize` on
-# `_objective_terms`: that descent to the variance minimum is the reference
-# the tests measure the closed form against, and `tests/calibration_oracle.py`
-# holds its numpy twin.  Sums run in order from 0.0.
+# `calibrate_pooled` over all groups.  Sums run in order from 0.0.
 
-_ROLE_SIGN = tuple(1.0 if role == ROLE_PSI else -1.0 for role in CATALOG_ROLES)
 _LOG_BOUNDS = (math.log(ETA_MIN), math.log(ETA_MAX))
 
 
@@ -121,63 +82,6 @@ def _total(values) -> float:
     for v in values:
         total += v
     return total
-
-
-def _centered(f: Sequence[float]) -> list[float]:
-    mean = _total(f) / len(f)
-    return [v - mean for v in f]
-
-
-def _objective_terms(counts: Sequence[Group], log_eta: Sequence[float]):
-    """Value, gradient (d_a, d_b) and Hessian (d_aa, d_ab, d_bb) in
-    z = ln(eta) of the fidelity variance of both clones, summed over the
-    six-state groups `counts`."""
-    eta_a, eta_b = math.exp(log_eta[0]), math.exp(log_eta[1])
-    eta_ab = eta_a * eta_b
-    value = g_a = g_b = s_aa = s_ab = s_bb = k_aa = k_ab = k_bb = 0.0
-    for group in counts:
-        # per clone and state: f, d_a f, d_b f, d_aa f, d_ab f, d_bb f, each
-        # of the state's own role
-        clone_a, clone_b = [], []
-        for (c_pp, c_pm, c_mp, c_mm), sign in zip(group, _ROLE_SIGN):
-            both = eta_ab * c_pp
-            a_plus = both + eta_a * c_pm
-            b_only = eta_b * c_mp
-            total = a_plus + b_only + c_mm
-            fa, fb, both = a_plus / total, (both + b_only) / total, both / total
-            sa, sb, c = fa * (1.0 - fa), fb * (1.0 - fb), both - fa * fb
-            ka, kb = 1.0 - 2.0 * fa, 1.0 - 2.0 * fb
-            if sign < 0.0:
-                fa, fb = 1.0 - fa, 1.0 - fb
-            clone_a.append((fa, sign * sa, sign * c,
-                            sign * (ka * sa), sign * (ka * c), sign * (kb * c)))
-            clone_b.append((fb, sign * c, sign * sb,
-                            sign * (ka * c), sign * (kb * c), sign * (kb * sb)))
-        for terms in (clone_a, clone_b):
-            f, d_a, d_b, d_aa, d_ab, d_bb = zip(*terms)
-            f, d_a, d_b = _centered(f), _centered(d_a), _centered(d_b)
-            for i in range(len(f)):
-                value += f[i] * f[i]
-                g_a += f[i] * d_a[i]
-                g_b += f[i] * d_b[i]
-                s_aa += d_a[i] * d_a[i]
-                s_ab += d_a[i] * d_b[i]
-                s_bb += d_b[i] * d_b[i]
-                k_aa += f[i] * d_aa[i]
-                k_ab += f[i] * d_ab[i]
-                k_bb += f[i] * d_bb[i]
-    n = len(CATALOG_LABELS)
-    twice = 2.0 / n
-    grad = (twice * g_a, twice * g_b)
-    hess = (twice * (s_aa + k_aa), twice * (s_ab + k_ab), twice * (s_bb + k_bb))
-    return value / n, grad, hess
-
-
-def _rounding(value: float) -> float:
-    """Rounding error of an objective value.  It is a mean of squared
-    deviations of fidelities that are each off by a few ulp of 1, so the
-    error scales with the root of the value, not with the value."""
-    return 8.0 * sys.float_info.epsilon * math.sqrt(value)
 
 
 def _ratio_seed(counts: Sequence[Group]) -> tuple[float, float]:
@@ -219,6 +123,13 @@ def _ratio_seed(counts: Sequence[Group]) -> tuple[float, float]:
     )
 
 
+# --- reference descent --------------------------------------------------------
+# No command runs `minimize`; it stays here only because the benchmark's
+# tracer looks it up by name.  The tests descend the fidelity variance of
+# `tests/calibration_oracle.py` with it, from `_ratio_seed`, as the
+# reference the closed form is measured against.
+
+
 class NewtonResult(NamedTuple):
     x: tuple[float, float]
     fun: float
@@ -238,6 +149,13 @@ _CURVATURE_MIN = 1e-140
 # The descent stops on a step shorter than this, or after this many steps.
 _XTOL = 1e-10
 _MAXITER = 200
+
+
+def _rounding(value: float) -> float:
+    """Rounding error of an objective value.  It is a mean of squared
+    deviations of fidelities that are each off by a few ulp of 1, so the
+    error scales with the root of the value, not with the value."""
+    return 8.0 * sys.float_info.epsilon * math.sqrt(value)
 
 
 def minimize(fun, x0: Sequence[float], lower: float, upper: float) -> NewtonResult:

@@ -46,9 +46,6 @@ class EfficiencyPair(NamedTuple):
                     f"{name} = {eta} outside plausible range [{ETA_MIN}, {ETA_MAX}]"
                 )
 
-    def mismatches(self) -> tuple[float, float]:
-        return self.eta_a - 1.0, self.eta_b - 1.0
-
 
 class MachineTriple(NamedTuple):
     """Diagonal parametrization (fid_a, fid_b, p) of a covariant two-clone machine.

@@ -85,7 +85,8 @@ def seed_sequence_pool(entropy: int, spawn_key: tuple[int, ...] = ()) -> list[in
 
 
 class PCG64:
-    """numpy's PCG64 (128-bit LCG, XSL-RR output) seeded from a SeedSequence pool."""
+    """numpy's PCG64 (128-bit LCG, XSL-RR output) seeded from a SeedSequence pool:
+    its state and increment, which `draw` steps inline."""
 
     __slots__ = ("state", "inc")
 
@@ -106,15 +107,6 @@ class PCG64:
         # its two steps from state 0 leave ((inc + s) * MULT + inc)
         self.inc = inc = ((w4 | w5 << 32) << 64 | w6 | w7 << 32) << 1 & _MASK128 | 1
         self.state = ((inc + ((w0 | w1 << 32) << 64 | w2 | w3 << 32)) * _PCG_MULT + inc) & _MASK128
-
-    def next_uint64(self) -> int:
-        self.state = state = (self.state * _PCG_MULT + self.inc) & _MASK128
-        value = (state >> 64 ^ state) & _MASK64
-        rot = state >> 122
-        return (value >> rot | value << (64 - rot)) & _MASK64
-
-    def next_double(self) -> float:
-        return (self.next_uint64() >> 11) * _DOUBLE_UNIT
 
 
 def spawned_streams(seed: int, n: int) -> list[PCG64]:

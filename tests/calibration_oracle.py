@@ -1,10 +1,13 @@
-"""The variance minimum by a numpy Newton descent, the oracle the
-standard-library reference descent `estimation.minimize` of
-`estimation._objective_terms` is tested against, and the numpy count-ratio
-closed form that `estimation.calibrate_each` and
+"""The fidelity variance the reference descent `estimation.minimize` is run
+on, in the standard library (`scalar_objective_terms`) and in numpy
+(`objective_terms`); the variance minimum by a numpy Newton descent, the
+oracle the standard-library descent is tested against; and the numpy
+count-ratio closed form that `estimation.calibrate_each` and
 `estimation.calibrate_pooled` take: one descent per call from the closed
 form, on the counts of that call alone, with the eigendecomposition of
 `np.linalg.eigh`."""
+
+import math
 
 import numpy as np
 
@@ -14,10 +17,75 @@ from qclone.estimation import (
     _MAXITER,
     _XTOL,
     CalibrationResult,
+    _total,
     report,
     stacked_counts,
 )
-from qclone.labels import CATALOG_ROLES, ETA_MAX, ETA_MIN, ROLE_PSI, EfficiencyPair
+from qclone.labels import CATALOG_LABELS, CATALOG_ROLES, ETA_MAX, ETA_MIN, ROLE_PSI, EfficiencyPair
+
+# In log-efficiencies z = (ln eta_a, ln eta_b) the rescaled counts
+# (C++ e^(za+zb), C+- e^za, C-+ e^zb, C--) form an exponential family in the
+# two statistics "A clicked +" and "B clicked +".  The psi-role fidelities
+# are their means, so their z-derivatives are cumulants:
+#   d f_A = (s_A, c),  d f_B = (c, s_B),
+#   s_A = f_A (1 - f_A),  s_B = f_B (1 - f_B),  c = (rescaled C++) / total - f_A f_B,
+# with d s_A = (1 - 2 f_A) d f_A,  d s_B = (1 - 2 f_B) d f_B  and
+# d c = c (1 - 2 f_A, 1 - 2 f_B).  A perp-role fidelity is one minus the same
+# expression.  The psi-role rows are H, D, R; the perp-role rows V, A, L.
+# The scalar sums run in order from 0.0, as `estimation`'s do.
+
+_SIGNS = tuple(1.0 if role == ROLE_PSI else -1.0 for role in CATALOG_ROLES)
+
+
+def _centered_floats(f):
+    mean = _total(f) / len(f)
+    return [v - mean for v in f]
+
+
+def scalar_objective_terms(counts, log_eta):
+    """Value, gradient (d_a, d_b) and Hessian (d_aa, d_ab, d_bb) in
+    z = ln(eta) of the fidelity variance of both clones, summed over the
+    six-state groups `counts` (from `stacked_counts`), in floats."""
+    eta_a, eta_b = math.exp(log_eta[0]), math.exp(log_eta[1])
+    eta_ab = eta_a * eta_b
+    value = g_a = g_b = s_aa = s_ab = s_bb = k_aa = k_ab = k_bb = 0.0
+    for group in counts:
+        # per clone and state: f, d_a f, d_b f, d_aa f, d_ab f, d_bb f, each
+        # of the state's own role
+        clone_a, clone_b = [], []
+        for (c_pp, c_pm, c_mp, c_mm), sign in zip(group, _SIGNS):
+            both = eta_ab * c_pp
+            a_plus = both + eta_a * c_pm
+            b_only = eta_b * c_mp
+            total = a_plus + b_only + c_mm
+            fa, fb, both = a_plus / total, (both + b_only) / total, both / total
+            sa, sb, c = fa * (1.0 - fa), fb * (1.0 - fb), both - fa * fb
+            ka, kb = 1.0 - 2.0 * fa, 1.0 - 2.0 * fb
+            if sign < 0.0:
+                fa, fb = 1.0 - fa, 1.0 - fb
+            clone_a.append((fa, sign * sa, sign * c,
+                            sign * (ka * sa), sign * (ka * c), sign * (kb * c)))
+            clone_b.append((fb, sign * c, sign * sb,
+                            sign * (ka * c), sign * (kb * c), sign * (kb * sb)))
+        for terms in (clone_a, clone_b):
+            f, d_a, d_b, d_aa, d_ab, d_bb = zip(*terms)
+            f, d_a, d_b = _centered_floats(f), _centered_floats(d_a), _centered_floats(d_b)
+            for i in range(len(f)):
+                value += f[i] * f[i]
+                g_a += f[i] * d_a[i]
+                g_b += f[i] * d_b[i]
+                s_aa += d_a[i] * d_a[i]
+                s_ab += d_a[i] * d_b[i]
+                s_bb += d_b[i] * d_b[i]
+                k_aa += f[i] * d_aa[i]
+                k_ab += f[i] * d_ab[i]
+                k_bb += f[i] * d_bb[i]
+    n = len(CATALOG_LABELS)
+    twice = 2.0 / n
+    grad = (twice * g_a, twice * g_b)
+    hess = (twice * (s_aa + k_aa), twice * (s_ab + k_ab), twice * (s_bb + k_bb))
+    return value / n, grad, hess
+
 
 _PSI_ROWS = np.array(CATALOG_ROLES) == ROLE_PSI
 _ROLE_SIGN = np.where(_PSI_ROWS, 1.0, -1.0)

@@ -1,14 +1,43 @@
 """Six-state reports of many groups in one numpy array pass, the oracle the
-standard-library `detection.six_state_report` is tested against."""
+standard-library `detection.six_state_report` is tested against, and the
+per-state count-ratio estimators and count rescaling the tests build
+reports from one state at a time."""
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from qclone.detection import FidelityReport, NoDataError
-from qclone.labels import CATALOG_ROLES, ROLE_PSI
+from qclone.labels import CATALOG_ROLES, ROLE_PERP, ROLE_PSI, EfficiencyPair
 
 _PSI_ROWS = np.array(CATALOG_ROLES) == ROLE_PSI
+
+
+def fidelities_from_counts(counts: Sequence[float], role: str) -> tuple[float, float]:
+    """Clone fidelities (f_A, f_B) from one set of four coincidence counts.
+
+    For role "psi" the + detectors herald the cloned state; for role "perp"
+    the detector roles are reversed.
+    """
+    cpp, cpm, cmp_, cmm = map(float, counts)
+    total = cpp + cpm + cmp_ + cmm
+    if total <= 0:
+        raise NoDataError("all four coincidence counts are zero")
+    if role == ROLE_PSI:
+        return (cpp + cpm) / total, (cpp + cmp_) / total
+    if role == ROLE_PERP:
+        return (cmm + cmp_) / total, (cmm + cpm) / total
+    raise ValueError(f"unknown role {role!r}")
+
+
+def rescale_counts(counts: Sequence[float], eta: EfficiencyPair) -> tuple[float, ...]:
+    """Calibration rescaling: (eta_a*eta_b*C++, eta_a*C+-, eta_b*C-+, C--).
+
+    Exact inverse of `detection.bias_counts` up to the overall factor
+    eta_a*eta_b.
+    """
+    ea, eb = eta
+    return tuple(c * s for c, s in zip(counts, (ea * eb, ea, eb, 1.0)))
 
 
 class BatchReport(NamedTuple):

@@ -2,17 +2,19 @@
 criterion holds at the stated tolerance."""
 
 import numpy as np
-from channel_oracle import channel_probabilities
-
-from qclone.cloner import (
-    MachineTriple,
-    clone_fidelities,
+from channel_oracle import (
+    catalog_states,
+    channel_probabilities,
     clone_states,
-    machine_triple,
-    tradeoff_residual,
+    fidelity,
+    mub_bases,
+    orthogonal_state,
 )
+from report_oracle import fidelities_from_counts
+
+from qclone.cloner import MachineTriple, clone_fidelities, machine_triple, tradeoff_residual
 from qclone.detection import EfficiencyPair, bias_counts, run_experiment
-from qclone.estimation import calibrate, fidelities_from_counts, report
+from qclone.estimation import calibrate, report
 from qclone.robustness import (
     biased_fidelity_psi,
     biased_fidelity_psi_perp,
@@ -20,7 +22,7 @@ from qclone.robustness import (
     eta_from_mismatch,
     taylor_form,
 )
-from qclone.states import catalog_states, fidelity, mub_bases, orthogonal_state, projector
+from qclone.states import projector
 
 T_SETTINGS = [float(np.sqrt(n / 5)) for n in range(6)]
 ETA_CAL = EfficiencyPair(1.046, 0.840)

@@ -1,27 +1,26 @@
 import numpy as np
 import pytest
-from channel_oracle import channel_probabilities
+from channel_oracle import (
+    KET_H,
+    BasisPair,
+    catalog_states,
+    channel_probabilities,
+    check_density,
+    clone_states,
+    fidelity,
+    orthogonal_state,
+)
 
 from qclone.cloner import (
     MachineTriple,
     apply_cloner,
     clone_fidelities,
-    clone_states,
     machine_triple,
     success_probability,
     symmetrizer,
     tradeoff_residual,
 )
-from qclone.states import (
-    KET_H,
-    SINGLET,
-    BasisPair,
-    catalog_states,
-    check_density,
-    fidelity,
-    orthogonal_state,
-    projector,
-)
+from qclone.states import SINGLET, projector
 
 T_GRID = [np.sqrt(n / 5) for n in range(6)]
 

@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sampling_oracle
-from channel_oracle import channel_probabilities
+from channel_oracle import catalog_states, channel_probabilities, mub_bases
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from report_oracle import fidelities_from_counts, rescale_counts
+from stream_steps import next_double, next_uint64
 
 from qclone.cli import COUNTS_MAX
 from qclone.cloner import machine_triple
@@ -24,15 +26,12 @@ from qclone.detection import (
     format_record,
     ideal_probabilities,
     read_records,
-    rescale_counts,
     run_experiment,
     sample_counts,
     write_records,
 )
-from qclone.estimation import fidelities_from_counts
 from qclone.labels import BASIS_LABELS, CATALOG_LABELS, ETA_MAX, ETA_MIN, RECORD_FIELDS
 from qclone.sampler import POISSON_LAM_MAX, PCG64, seed_sequence_pool, spawned_streams
-from qclone.states import catalog_states, mub_bases
 
 T_ORACLE = [0.0, *np.linspace(0.05, 0.95, 19), *(np.sqrt(n / 5) for n in range(1, 5)), 1.0]
 UNIT = EfficiencyPair(1.0, 1.0)
@@ -191,15 +190,15 @@ def test_seed_sequence_pool_equals_numpy(seed):
 def test_pcg64_words_equal_numpy(seed):
     expected = np.random.PCG64(seed).random_raw(1000).tolist()
     stream = PCG64(seed_sequence_pool(seed))
-    assert [stream.next_uint64() for _ in range(1000)] == expected
+    assert [next_uint64(stream) for _ in range(1000)] == expected
     streams = spawned_streams(seed, 12)
     assert len(streams) == 12
     for stream, child in zip(streams, np.random.SeedSequence(seed).spawn(12)):
         expected = np.random.PCG64(child).random_raw(1000).tolist()
-        assert [stream.next_uint64() for _ in range(1000)] == expected
+        assert [next_uint64(stream) for _ in range(1000)] == expected
     doubles = np.random.Generator(np.random.PCG64(seed)).random(100).tolist()
     stream = PCG64(seed_sequence_pool(seed))
-    assert [stream.next_double() for _ in range(100)] == doubles
+    assert [next_double(stream) for _ in range(100)] == doubles
 
 
 # rates at the sampler's switches: zero, the smallest subnormal, the double

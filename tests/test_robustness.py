@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 import robustness_oracle as oracle
-from channel_oracle import channel_probabilities
+from channel_oracle import channel_probabilities, mub_bases
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
+from report_oracle import fidelities_from_counts
 
 from qclone.cloner import MachineTriple, machine_triple
 from qclone.detection import EfficiencyPair, bias_counts
-from qclone.estimation import fidelities_from_counts
 from qclone.labels import linspace
 from qclone.robustness import (
     QuadraticErrorForm,
@@ -23,7 +23,6 @@ from qclone.robustness import (
     taylor_form,
     taylor_form_b,
 )
-from qclone.states import mub_bases
 
 SYMMETRIC = MachineTriple(5 / 6, 5 / 6, 2 / 3)
 UNIT = EfficiencyPair(1.0, 1.0)

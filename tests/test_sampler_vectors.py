@@ -11,6 +11,8 @@ import hashlib
 import json
 from pathlib import Path
 
+from stream_steps import next_uint64
+
 from qclone.sampler import PCG64, sample_counts, seed_sequence_pool, spawned_streams
 
 VECTORS = json.loads((Path(__file__).parent / "data" / "sampler_vectors.json").read_text())
@@ -27,7 +29,7 @@ def test_pcg64_words_equal_the_vectors():
             stream = PCG64(seed_sequence_pool(case["seed"]))
         else:
             stream = spawned_streams(case["seed"], case["child"] + 1)[case["child"]]
-        assert [stream.next_uint64() for _ in case["words"]] == case["words"], case
+        assert [next_uint64(stream) for _ in case["words"]] == case["words"], case
 
 
 def draws_digest(draws) -> str:

