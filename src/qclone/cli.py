@@ -9,20 +9,23 @@ calibration hit the search boundary and --strict was given.
 import math
 import os
 import sys
-from itertools import repeat
 from types import SimpleNamespace
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 from .labels import (
     BASIS_LABELS,
     CATALOG_LABELS,
     RECORD_FIELDS,
+    RECORD_SHAPES,
     ROLE_PERP,
     ROLE_PSI,
-    STATE_COLUMNS,
     EfficiencyPair,
+    Grid,
     MachineTriple,
+    Shaped,
+    dump_table,
     linspace,
+    state_shapes,
     write_atomic,
 )
 
@@ -68,18 +71,15 @@ SCHEMAS = {
 }
 
 
-def _state_shapes(values: int) -> dict:
-    # a six-state table's row shapes, keyed by catalog index: t, the state's
-    # (state, basis, role), then `values` floats
-    return {j: (float, *columns) + (float,) * values for j, columns in enumerate(STATE_COLUMNS)}
-
-
-# The row shapes (see `Shaped`) of the tables that hold text or bools: a
-# state's row by its catalog index, a summary row by its boundary_hit.
+# The row shapes (see `Shaped`) of the record file and of every table but the
+# robustness `Grid`: an analytic row by its kind, a state's row by its label,
+# a summary row by its boundary_hit.
 SHAPES = {
-    "simulate_report": _state_shapes(6),
+    "analytic": {kind: (kind,) + (float,) * 6 for kind in ("grid", "curve")},
+    "simulate_report": state_shapes(6),
+    "records": RECORD_SHAPES,
     "calibrate_summary": {hit: (float,) * 4 + (hit,) + (float,) * 4 for hit in (False, True)},
-    "calibrate_states": _state_shapes(2),
+    "calibrate_states": state_shapes(2),
 }
 
 
@@ -260,118 +260,16 @@ def build_config(args) -> RunConfig:
 
 # --- table output -----------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
-class Grid(NamedTuple):
-    """A table of Python floats over a square grid: block i of `blocks`
-    holds the value columns at the first key keys[i], each over the second
-    key, so the rows are ``(keys[i], keys[j], *(c[j] for c in block_i))``."""
-
-    keys: list
-    blocks: Iterable
-
-
-class Shaped(NamedTuple):
-    """Rows of a few fixed shapes: each shape is a tuple of cells, a
-    constant value or `float` where the row holds a float; `rows` yields
-    (key, floats), the row of shapes[key] with its `float` cells filled
-    from floats in order."""
-
-    shapes: dict
-    rows: Iterable
-
-
-def _shape_template(shape: tuple) -> str:
-    # a shape's CSV %-template: its constants' text made once, "%.12g" for
-    # each float
-    return ",".join("%.12g" if cell is float else _fmt(cell).replace("%", "%%") for cell in shape)
-
-
-def _filled(shapes: dict, rows: Iterable) -> Iterator[list]:
-    # the rows of a Shaped table as lists of values
-    for key, floats in rows:
-        values = iter(floats)
-        yield [next(values) if cell is float else cell for cell in shapes[key]]
-
-
-def _grid_texts(grid: Grid, key_text, template: str, sep: str) -> Iterator[str]:
-    # the rows of a block, by one %-template apiece and one join; a key's
-    # text is made once per table
-    keys = list(map(key_text, grid.keys))
-    for key, block in zip(keys, grid.blocks):
-        yield sep.join(map(template.__mod__, zip(repeat(key), keys, *block)))
-
-
-def _dump_table(columns, rows, fh, fmt: str, config: dict | None) -> None:
-    grid = isinstance(rows, Grid)
-    shaped = isinstance(rows, Shaped)
-    values = len(columns) - 2  # the value columns of a grid
-    if fmt == "json":
-        import json  # here, so that a CSV run does not load it
-
-        payload = {"columns": list(columns), "rows": []}
-        if config is not None:
-            payload["config"] = config
-        # json escapes every quote inside a string, so the first match is the key
-        head, _, tail = json.dumps(payload, indent=2, default=_fmt).partition('"rows": []')
-        if grid:
-            template = "[\n      %s,\n      %s" + ",\n      %r" * values + "\n    ]"
-            # a float's repr holds an "n" only as nan or inf: json's NaN, Infinity
-            texts = (
-                text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
-                for text in _grid_texts(rows, repr, template, ",\n    ")
-            )
-        else:
-            if shaped:
-                rows = _filled(*rows)
-            texts = (json.dumps(row, indent=2, default=_fmt).replace("\n", "\n    ") for row in rows)
-        fh.write(head + '"rows": [')
-        sep, close = "\n    ", "]"
-        for text in texts:
-            fh.write(sep + text)
-            sep, close = ",\n    ", "\n  ]"
-        fh.write(close + tail + "\n")
-    else:
-        fh.write(",".join(columns) + "\n")
-        if grid:
-            texts = _grid_texts(rows, "%.12g".__mod__, "%s,%s" + ",%.12g" * values, "\n")
-        elif shaped:
-            templates = {key: _shape_template(shape) for key, shape in rows.shapes.items()}
-            texts = (templates[key] % floats for key, floats in rows.rows)
-        else:
-            texts = (",".join(map(_fmt, row)) for row in rows)
-        for text in texts:
-            fh.write(text + "\n")
-
-
 def write_table(columns, rows, path: str, fmt: str, config: dict | None = None) -> None:
-    """Atomically write a table; path '-' means stdout.
-
-    `rows` is an iterable of rows, a `Grid` or a `Shaped` table.  CSV writes
-    a float as ``%.12g``, a bool as ``true``/``false`` and any other value as
-    ``str``.  JSON is what ``json.dump(..., indent=2)`` writes: a float as
-    its shortest ``repr`` (``NaN``, ``Infinity``), a bool as
-    ``true``/``false``, a string with json's ASCII escapes.  A `Grid` is
-    written a block at a time, each key's text made once.  In CSV a `Shaped`
-    row is one %-template of its shape, each shape's constant text made
-    once per table; other rows, and `Shaped` rows in JSON, are formatted
-    value by value.
-
-    The table is streamed into the file (or stdout) row by row, or block by
-    block, never built as one string; a file is written by `write_atomic`,
-    so on any error an existing `path` is left unchanged.
-    """
+    """Write a table, a `Grid` or a `Shaped`, as `labels.dump_table` writes
+    it, to `path`, '-' for stdout.  A file is written by `write_atomic`, so
+    on any error an existing `path` is left unchanged; an OSError writing it
+    is a DataError."""
     if path == "-":
-        _dump_table(columns, rows, sys.stdout, fmt, config)
+        dump_table(columns, rows, sys.stdout, fmt, config)
         return
     try:
-        write_atomic(path, lambda fh: _dump_table(columns, rows, fh, fmt, config))
+        write_atomic(path, lambda fh: dump_table(columns, rows, fh, fmt, config))
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}")
 
@@ -419,10 +317,10 @@ def cmd_analytic(cfg: RunConfig, config: dict, config_file: str | None) -> int:
         for t in ts:
             fa, fb = clone_fidelities(t)
             rows.append(
-                (kind, t, fa, fb, machine_triple(t).p, success_probability(t),
-                 tradeoff_residual(fa, fb))
+                (kind, (t, fa, fb, machine_triple(t).p, success_probability(t),
+                        tradeoff_residual(fa, fb)))
             )
-    write_table(SCHEMAS["analytic"], rows, cfg.out, cfg.format, config)
+    write_table(SCHEMAS["analytic"], Shaped(SHAPES["analytic"], rows), cfg.out, cfg.format, config)
     return EXIT_OK
 
 
@@ -447,9 +345,9 @@ def cmd_simulate(cfg: RunConfig, config: dict, config_file: str | None) -> int:
         except NoDataError as exc:
             raise DataError(f"t = {t}: {exc}; raise --counts")
     rows = Shaped(SHAPES["simulate_report"], (
-        (j, (t, fa, fb, rep.mean_a, rep.mean_b, rep.variance_a, rep.variance_b))
+        (label, (t, fa, fb, rep.mean_a, rep.mean_b, rep.variance_a, rep.variance_b))
         for t, rep in zip(cfg.t_values, reports)
-        for j, (fa, fb) in enumerate(rep.per_state)
+        for label, (fa, fb) in zip(CATALOG_LABELS, rep.per_state)
     ))
     try:
         write_records((rec for recs in groups for rec in recs), records_path)
@@ -514,7 +412,8 @@ def cmd_calibrate(cfg: RunConfig, config: dict, config_file: str | None) -> int:
         for t, res, b, a in zip(ts, results, before, after)
     ))
     state_rows = Shaped(SHAPES["calibrate_states"], (
-        (j, (t, fa, fb)) for t, a in zip(ts, after) for j, (fa, fb) in enumerate(a.per_state)
+        (label, (t, fa, fb))
+        for t, a in zip(ts, after) for label, (fa, fb) in zip(CATALOG_LABELS, a.per_state)
     ))
     boundary = any(res.boundary_hit for res in results)
 

@@ -3,8 +3,8 @@ Poisson shot noise and the six-state fidelity report.
 
 Counts are four floats ordered (C++, C+-, C-+, C--): first index is the
 detector in block A, second in block B.  Within each analysis basis the "+"
-detectors project onto basis.psi and the "-" detectors onto basis.psi_perp,
-for both input roles.
+detectors project onto the basis's psi-role state (H, D or R) and the "-"
+detectors onto its perp-role state (V, A or L), for both input roles.
 
 This module imports nothing but the standard library.  The Poisson
 sampler, a port of numpy's seeded stream, is `qclone.sampler`; only a draw
@@ -13,20 +13,21 @@ loads it, so reading records compiles none of it.
 
 import math
 import operator
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence
 
 # defined in labels; callers may import them from here too
 from .labels import (
     BASIS_LABELS,
     CATALOG_LABELS,
     CATALOG_ROLES,
-    ETA_MAX,
-    ETA_MIN,
     RECORD_FIELDS,
+    RECORD_SHAPES,
     ROLE_PERP,
     ROLE_PSI,
     STATE_COLUMNS,
     EfficiencyPair,
+    Shaped,
+    dump_table,
     write_atomic,
 )
 
@@ -228,27 +229,15 @@ def six_state_report(
 # One record per line, in the order of RECORD_FIELDS
 
 
-# Each catalog state's record line with its constant state,basis,role text
-# made once: t and the four counts fill a %-template.
-_RECORD_TEMPLATES = {
-    columns[0]: "%.12g," + ",".join(columns) + ",%.12g" * 4 for columns in STATE_COLUMNS
-}
 # The (state, basis, role) triples a record may hold.
 _CATALOG_TRIPLES = frozenset(STATE_COLUMNS)
 
 
-def format_record(rec: MeasurementRecord) -> str:
-    return _RECORD_TEMPLATES[rec.state_label] % (rec.t, *rec.counts)
-
-
 def write_records(records: Iterable[MeasurementRecord], path) -> None:
-    """Atomically write a record file, streamed one record per line."""
-
-    def dump(fh: TextIO) -> None:
-        fh.write(",".join(RECORD_FIELDS) + "\n")
-        fh.writelines(format_record(r) + "\n" for r in records)
-
-    write_atomic(path, dump)
+    """Atomically write a record file, streamed one record per line: the CSV
+    table of RECORD_FIELDS whose rows have the shapes RECORD_SHAPES."""
+    rows = Shaped(RECORD_SHAPES, ((rec.state_label, (rec.t, *rec.counts)) for rec in records))
+    write_atomic(path, lambda fh: dump_table(RECORD_FIELDS, rows, fh, "csv"))
 
 
 def read_records(path) -> list[MeasurementRecord]:

@@ -2,15 +2,17 @@
 
 The six preparation states and their analysis bases, the role of each state,
 each state's (state, basis, role) columns, the record-file columns, the
-efficiency search box and the machine triple; also the two helpers every
-table command needs, `linspace` and `write_atomic`.  This module imports
-nothing but the standard library, so the command line can parse and
-validate a run, and compute the closed-form tables, without loading numpy.
+efficiency search box and the machine triple; also what every table command
+needs: `linspace`, and the one writer of tables and record files,
+`dump_table` and `write_atomic`.  This module imports nothing but the
+standard library, so the command line can parse and validate a run, and
+compute the closed-form tables, without loading numpy.
 """
 
 import math
 import os
-from typing import Callable, NamedTuple, TextIO
+from itertools import repeat
+from typing import Callable, Iterable, NamedTuple, TextIO
 
 CATALOG_LABELS = ("H", "V", "D", "A", "R", "L")
 BASIS_LABELS = ("HV", "DA", "RL")
@@ -28,6 +30,16 @@ STATE_COLUMNS = tuple(
 
 # One record per line: t, state_label, basis_label, role, c_pp, c_pm, c_mp, c_mm
 RECORD_FIELDS = ("t", "state", "basis", "role", "c_pp", "c_pm", "c_mp", "c_mm")
+
+
+def state_shapes(values: int) -> dict:
+    """The row shapes (see `Shaped`) of a six-state table, keyed by state
+    label: t, the state's (state, basis, role), then `values` floats."""
+    return {columns[0]: (float, *columns) + (float,) * values for columns in STATE_COLUMNS}
+
+
+# A record's row shape: t, its state's (state, basis, role), its four counts.
+RECORD_SHAPES = state_shapes(4)
 
 ETA_MIN = 0.2
 ETA_MAX = 5.0
@@ -116,3 +128,100 @@ def write_atomic(path, dump: Callable[[TextIO], None]) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+# --- tables and record files ----------------------------------------------
+
+
+class Grid(NamedTuple):
+    """A table of Python floats over a square grid: block i of `blocks`
+    holds the value columns at the first key keys[i], each over the second
+    key, so the rows are ``(keys[i], keys[j], *(c[j] for c in block_i))``."""
+
+    keys: list
+    blocks: Iterable
+
+
+class Shaped(NamedTuple):
+    """Rows of a few fixed shapes: each shape is a tuple of cells, a
+    constant value or `float` where the row holds a float; `rows` yields
+    (key, floats), the row of shapes[key] with its `float` cells filled
+    from the tuple floats in order."""
+
+    shapes: dict
+    rows: Iterable
+
+
+def _csv_text(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
+def _json_floats(text: str) -> str:
+    # reprs of floats as json writes them: a float's repr holds an "n" only
+    # as nan or inf, json's NaN and Infinity
+    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
+
+
+def _row_template(cells: list, fmt: str) -> str:
+    # the %-template of a row from the texts of its cells: CSV joins them by
+    # commas, JSON lays them out as json.dump(..., indent=2) lays out a row
+    if fmt == "csv":
+        return ",".join(cells)
+    return "[\n      " + ",\n      ".join(cells) + "\n    ]" if cells else "[]"
+
+
+def dump_table(columns, table, fh: TextIO, fmt: str, config: dict | None = None) -> None:
+    """Stream `table`, a `Grid` or a `Shaped`, under the header `columns` into
+    `fh` as "csv" or "json" (with `config`, if given, as its "config").
+
+    Each row is one %-template of its shape, its constants' text made once
+    per table.  CSV writes a float as ``%.12g``, a bool as ``true``/``false``
+    and any other constant as ``str``; JSON is what ``json.dump(...,
+    indent=2)`` writes: a float as its ``repr`` (``NaN``, ``Infinity``), a
+    constant as ``json.dumps``.  A `Grid` is written a block per join, each
+    key's text made once per table.
+    """
+    if fmt == "json":
+        import json  # here, so that a CSV run does not load it
+
+        payload = {"columns": list(columns), "rows": []}
+        if config is not None:
+            payload["config"] = config
+        # json escapes every quote inside a string, so the first match is the key
+        head, _, tail = json.dumps(payload, indent=2).partition('"rows": []')
+        head, first, sep = head + '"rows": [', "\n    ", ",\n    "
+        end, rows_end = "]" + tail + "\n", "\n  ]" + tail + "\n"
+        constant = json.dumps
+    else:
+        head, first = ",".join(columns), "\n"
+        sep = end = rows_end = "\n"
+        constant = _csv_text
+    if isinstance(table, Grid):
+        key_text, number = (repr, "%r") if fmt == "json" else ("%.12g".__mod__, "%.12g")
+        template = _row_template(["%s", "%s"] + [number] * (len(columns) - 2), fmt)
+        keys = list(map(key_text, table.keys))
+        texts = (sep.join(map(template.__mod__, zip(repeat(key), keys, *block)))
+                 for key, block in zip(keys, table.blocks))
+        if fmt == "json":
+            texts = map(_json_floats, texts)
+    else:
+        number = "%s" if fmt == "json" else "%.12g"
+        templates = {
+            key: _row_template([number if cell is float else constant(cell).replace("%", "%%")
+                                for cell in shape], fmt)
+            for key, shape in table.shapes.items()
+        }
+        if fmt == "json":
+            texts = (templates[key] % tuple(map(_json_floats, map(repr, floats)))
+                     for key, floats in table.rows)
+        else:
+            texts = (templates[key] % floats for key, floats in table.rows)
+    fh.write(head)
+    for text in texts:
+        fh.write(first + text)
+        first, end = sep, rows_end
+    fh.write(end)

@@ -827,30 +827,40 @@ def test_simulate_records_need_a_path(tmp_path, monkeypatch, capsys, args):
     assert list(tmp_path.iterdir()) == []
 
 
-TABLE = (("x", "flag", "label"), [(0.1, True, "a"), (1 / 3, False, "b")])
+def _as_shaped(rows):
+    """`rows` as a `Shaped` table, each row its own shape: a Python float is
+    a float cell, any other value a constant."""
+    shapes = {i: tuple(float if type(v) is float else v for v in row) for i, row in enumerate(rows)}
+    return Shaped(shapes, [(i, tuple(v for v in row if type(v) is float))
+                           for i, row in enumerate(rows)])
+
+
+TABLE_ROWS = [(0.1, True, "a"), (1 / 3, False, "b")]
+TABLE = (("x", "flag", "label"), _as_shaped(TABLE_ROWS))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_write_table_stdout_matches_file(tmp_path, capfd, fmt):
-    out = tmp_path / f"table.{fmt}"
+    out, expected = tmp_path / f"table.{fmt}", tmp_path / "expected"
     write_table(*TABLE, str(out), fmt, config={"seed": 1})
     write_table(*TABLE, "-", fmt, config={"seed": 1})
     assert capfd.readouterr().out.encode() == out.read_bytes()
-
-
-class Unformattable:
-    def __str__(self):
-        raise RuntimeError("cannot format")
+    with open(expected, "w") as fh:
+        dump_table(TABLE[0], TABLE_ROWS, fh, fmt, {"seed": 1})
+    assert out.read_bytes() == expected.read_bytes()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_write_table_failure_keeps_target(tmp_path, fmt):
     out = tmp_path / f"table.{fmt}"
     out.write_text("old table\n")
-    # the second row fails to format after its first value
-    rows = [(0.1, 0.2), (0.3, Unformattable())]
+
+    def failing():  # the second row fails after the first is written
+        yield 0, (0.1, 0.2)
+        raise RuntimeError("cannot format")
+
     with pytest.raises(RuntimeError, match="cannot format"):
-        write_table(("a", "b"), rows, str(out), fmt)
+        write_table(("a", "b"), Shaped({0: (float, float)}, failing()), str(out), fmt)
     assert out.read_text() == "old table\n"
     assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
@@ -902,10 +912,11 @@ def tables(draw):
 @example((("x", "y"), [("é\"\\", 1.0)], "json", {"out": "ü"}))
 @example((("x", "y"), [(1.0, 2.0, 3.0), (1.0,)], "csv", None))
 def test_write_table_matches_oracle(tmp_path_factory, table):
+    # Python floats in rows, numpy floats, ints, bools and text as constants
     columns, rows, fmt, config = table
     folder = tmp_path_factory.mktemp("tables")
     out, expected = folder / "table", folder / "expected"
-    write_table(columns, iter(rows), str(out), fmt, config)
+    write_table(columns, _as_shaped(rows), str(out), fmt, config)
     with open(expected, "w") as fh:
         dump_table(columns, rows, fh, fmt, config)
     assert out.read_bytes() == expected.read_bytes()
@@ -988,8 +999,8 @@ def test_write_shaped_matches_oracle(tmp_path_factory, table):
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("name", list(SHAPES))
 def test_six_state_table_shapes_match_oracle(tmp_path_factory, name, fmt, data):
-    # the row shapes of the simulate and calibrate tables fit their schemas,
-    # and their rows of any floats are written as the oracle writes them
+    # the row shapes of every Shaped table and of the record file fit their
+    # schemas, and their rows of any floats are written as the oracle writes them
     shapes = SHAPES[name]
     assert all(len(shape) == len(SCHEMAS[name]) for shape in shapes.values())
     if "state" in SCHEMAS[name]:

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import re
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from report_oracle import fidelities_from_counts, rescale_counts
 from stream_steps import next_double, next_uint64
+from table_oracle import dump_table
 
 from qclone.cli import COUNTS_MAX
 from qclone.cloner import machine_triple
@@ -23,7 +25,6 @@ from qclone.detection import (
     EfficiencyPair,
     MeasurementRecord,
     bias_counts,
-    format_record,
     ideal_probabilities,
     read_records,
     run_experiment,
@@ -397,13 +398,40 @@ RECORDS = st.lists(
 )
 
 
+def _oracle_record_file(records) -> str:
+    """A record file as the value-by-value table oracle writes it."""
+    fh = io.StringIO()
+    rows = [(rec.t, rec.state_label, rec.basis_label, rec.role, *rec.counts) for rec in records]
+    dump_table(RECORD_FIELDS, rows, fh, "csv", None)
+    return fh.getvalue()
+
+
 @settings(deadline=None)
 @given(RECORDS)
 def test_write_read_records_round_trip(tmp_path_factory, records):
     # a record file keeps 12 significant digits, so compare the formatted lines
     path = tmp_path_factory.mktemp("records") / "records.csv"
     write_records(records, path)
-    assert [format_record(r) for r in read_records(path)] == [format_record(r) for r in records]
+    assert _oracle_record_file(read_records(path)) == _oracle_record_file(records)
+
+
+def test_write_records_matches_oracle(tmp_path):
+    # noisy and noiseless groups, and the counts and t that %.12g writes in
+    # exponent notation
+    eta = EfficiencyPair(1.046, 0.84)
+    records = [
+        *run_experiment(0.3, eta, 1e4, seed=7),
+        *run_experiment(1e-05, eta, 1e4, seed=8, noiseless=True),
+        *(_record(t, state, counts) for t, state, counts in (
+            (1e-05, 0, [0.0, 5e-324, 1e150, 5.0]),
+            (1.0, 3, [1e150, 0.0, 5e-324, 0.0]),
+            (0.0, 5, [0.0, 0.0, 0.0, 0.0]),
+        )),
+    ]
+    path = tmp_path / "records.csv"
+    write_records(iter(records), path)
+    assert path.read_bytes() == _oracle_record_file(records).encode()
+    assert "1e-05,H,HV,psi,0,4.94065645841e-324,1e+150,5\n" in path.read_text()
 
 
 def _read_records_per_field(path):
