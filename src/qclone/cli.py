@@ -182,12 +182,6 @@ OPTIONS = {
     "triple": ("--triple", _floats, "explicit machine f_a,f_b,p (robustness)"),
 }
 
-# What a config error says of an `objective` flag or key, which no command takes.
-NO_OBJECTIVE = (
-    "calibration is the count-ratio closed form of the bias model, with no objective "
-    "to choose; the single-clone objectives 'a' and 'b' were retired"
-)
-
 
 def _parse_value(key: str, val, where: str):
     _, parse, _ = OPTIONS[key]
@@ -218,8 +212,6 @@ def parse_config_file(path: str, command: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key == "objective":
-            raise ConfigError(f"{path}:{lineno}: unknown key 'objective': {NO_OBJECTIVE}")
         if key not in OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in fields:
@@ -271,28 +263,19 @@ def write_table(columns, rows, path: str, fmt: str, config: dict | None = None) 
     try:
         write_atomic(path, lambda fh: dump_table(columns, rows, fh, fmt, config))
     except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}")
-
-
-def _sibling_path(path: str, suffix: str, fmt: str = "csv") -> str:
-    """`path` with `_suffix` before its extension; without one, the
-    extension of the format `fmt`."""
-    if path == "-":
-        return "-"
-    stem, ext = os.path.splitext(path)
-    return f"{stem}_{suffix}{ext or '.' + fmt}"
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _distinct_files(inputs, outputs) -> None:
     """Raise ConfigError when one of a command's files, the (name, path)
     pairs of its `inputs` and `outputs`, is an empty path, two are one file,
-    or an output is an existing directory, which the command could only fail
-    to write once its work is done; '-' is stdout and None no file.  So no
-    command writes over its own input or output.  Two existing paths are
-    compared by `os.path.samefile`, which also sees a hard link or a name in
-    another case on a case-insensitive file system; otherwise by their real
-    paths.  A symbolic link to a directory is not refused: an output
-    replaces the link."""
+    or an output is an existing directory or not in an existing folder,
+    which the command could only fail to write once its work is done; '-'
+    is stdout and None no file.  So no command writes over its own input or
+    output.  Two existing paths are compared by `os.path.samefile`, which
+    also sees a hard link or a name in another case on a case-insensitive
+    file system; otherwise by their real paths.  A symbolic link to a
+    directory is not refused: an output replaces the link."""
     seen = []
     for name, path in (*inputs, *outputs):
         if path == "":
@@ -308,7 +291,11 @@ def _distinct_files(inputs, outputs) -> None:
                 raise ConfigError(f"{other_name} and {name} are the same file {path}")
         seen.append((name, path))
     for name, path in outputs:
-        if path not in (None, "-") and os.path.isdir(path) and not os.path.islink(path):
+        if path in (None, "-"):
+            continue
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ConfigError(f"{name} {path} is not in an existing folder")
+        if os.path.isdir(path) and not os.path.islink(path):
             raise ConfigError(f"{name} {path} is a directory")
 
 
@@ -332,9 +319,10 @@ def cmd_analytic(cfg: RunConfig, config: dict, config_file: str | None) -> int:
 
 def cmd_simulate(cfg: RunConfig, config: dict, config_file: str | None) -> int:
     # a record file is CSV, whatever the extension of --out
-    records_path = (_sibling_path(os.path.splitext(cfg.out)[0], "records")
-                    if cfg.records is None else cfg.records)
-    if records_path == "-":
+    records_path = cfg.records
+    if records_path is None and cfg.out != "-":
+        records_path = os.path.splitext(cfg.out)[0] + "_records.csv"
+    if records_path in (None, "-"):
         raise ConfigError("simulate cannot write the record file to stdout; give --records <path>")
     _distinct_files([("--config", config_file)],
                     [("--out", cfg.out), ("the record file", records_path)])
@@ -358,7 +346,7 @@ def cmd_simulate(cfg: RunConfig, config: dict, config_file: str | None) -> int:
     try:
         write_records((rec for recs in groups for rec in recs), records_path)
     except OSError as exc:
-        raise DataError(f"cannot write records to {records_path}: {exc}")
+        raise DataError(f"cannot write records to {records_path}: {exc.strerror or exc}")
     write_table(SCHEMAS["simulate_report"], rows, cfg.out, cfg.format, config)
     print(f"# records written to {records_path}", file=sys.stderr)
     return EXIT_OK
@@ -380,7 +368,9 @@ def cmd_calibrate(cfg: RunConfig, config: dict, config_file: str | None) -> int:
             "calibrate writes a summary and a per-state table; "
             "give --out <path>, the per-state table goes next to it"
         )
-    states_path = _sibling_path(cfg.out, "states", cfg.format)
+    # `_states` before the extension of --out; without one, the format's
+    stem, ext = os.path.splitext(cfg.out)
+    states_path = f"{stem}_states{ext or '.' + cfg.format}"
     _distinct_files([("--config", config_file), ("--records", cfg.records)],
                     [("--out", cfg.out), ("the per-state table", states_path)])
     from .detection import NoDataError, read_records, six_state_report
@@ -512,8 +502,6 @@ def build_parser():
                 # argparse takes a value that starts with '-' (`-inf`) for a flag
                 flag = message.split(":")[0].split()[-1]
                 message += f" (give a value that starts with '-' as {flag}=<value>)"
-            elif "--objective" in message:
-                message += f"; {NO_OBJECTIVE}"
             raise ConfigError(message)
 
     parser = _Parser(

@@ -116,16 +116,17 @@ def bias_counts(probs: Sequence[float], eta: EfficiencyPair, rate: float) -> tup
 
 def sample_counts(expected: Iterable[float], seed) -> tuple[float, ...]:
     """Poisson-distributed integer counts around the expected rates, as
-    ``np.random.default_rng(seed).poisson(expected)`` draws them:
-    `sampler.sample_counts`, loaded by the first draw.
+    ``np.random.default_rng(seed).poisson(expected)`` draws them, by the
+    sampler that the first draw loads.
 
     ``seed`` is a nonnegative int or a `sampler.PCG64` stream, which the
     draws advance.  A rate above `sampler.POISSON_LAM_MAX`, negative or nan
     raises ValueError before anything is drawn.
     """
-    from . import sampler
+    from .sampler import PCG64, draw, poisson_plan, seed_sequence_pool
 
-    return sampler.sample_counts(expected, seed)
+    plan = poisson_plan(expected)
+    return draw(seed if isinstance(seed, PCG64) else PCG64(seed_sequence_pool(seed)), plan)
 
 
 def run_experiment(

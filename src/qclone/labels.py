@@ -113,7 +113,14 @@ def write_atomic(path, dump: Callable[[TextIO], None]) -> None:
     The file is written under a temporary name in the target directory and
     renamed over `path` only once complete; on any error the temporary file
     is removed, an existing `path` is left unchanged and the error is raised.
+    An existing `path` that names, through its links, neither a regular file
+    nor a directory (a FIFO, a device, /dev/stdout) is written in place
+    instead, never replaced.
     """
+    if os.path.exists(path) and not (os.path.isfile(path) or os.path.isdir(path)):
+        with open(path, "w") as fh:
+            dump(fh)
+        return
     import tempfile  # here, so that commands that write no file do not load it
 
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".qclone-")

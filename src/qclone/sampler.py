@@ -51,26 +51,16 @@ def _pool(words: list[int]) -> tuple[list[int], list[int]]:
     as zeros: the pool, and the hash constants of the next four calls."""
     h = _HASH_A if len(words) <= 4 else _powers(_INIT_A, _MULT_A, 4 * len(words) + 5)
     m, ml, mr = _MASK32, _MIX_L, _MIX_R
-    p0, p1, p2, p3 = [(x := (e ^ c) * d & m) ^ x >> 16
-                      for e, c, d in zip(words + [0] * 3, h, h[1:5])]
-    # every pool word into every other (y hashes the source, x mixes it in)
-    p1 = (x := ml * p1 - mr * ((y := (p0 ^ h[4]) * h[5] & m) ^ y >> 16) & m) ^ x >> 16
-    p2 = (x := ml * p2 - mr * ((y := (p0 ^ h[5]) * h[6] & m) ^ y >> 16) & m) ^ x >> 16
-    p3 = (x := ml * p3 - mr * ((y := (p0 ^ h[6]) * h[7] & m) ^ y >> 16) & m) ^ x >> 16
-    p0 = (x := ml * p0 - mr * ((y := (p1 ^ h[7]) * h[8] & m) ^ y >> 16) & m) ^ x >> 16
-    p2 = (x := ml * p2 - mr * ((y := (p1 ^ h[8]) * h[9] & m) ^ y >> 16) & m) ^ x >> 16
-    p3 = (x := ml * p3 - mr * ((y := (p1 ^ h[9]) * h[10] & m) ^ y >> 16) & m) ^ x >> 16
-    p0 = (x := ml * p0 - mr * ((y := (p2 ^ h[10]) * h[11] & m) ^ y >> 16) & m) ^ x >> 16
-    p1 = (x := ml * p1 - mr * ((y := (p2 ^ h[11]) * h[12] & m) ^ y >> 16) & m) ^ x >> 16
-    p3 = (x := ml * p3 - mr * ((y := (p2 ^ h[12]) * h[13] & m) ^ y >> 16) & m) ^ x >> 16
-    p0 = (x := ml * p0 - mr * ((y := (p3 ^ h[13]) * h[14] & m) ^ y >> 16) & m) ^ x >> 16
-    p1 = (x := ml * p1 - mr * ((y := (p3 ^ h[14]) * h[15] & m) ^ y >> 16) & m) ^ x >> 16
-    p2 = (x := ml * p2 - mr * ((y := (p3 ^ h[15]) * h[16] & m) ^ y >> 16) & m) ^ x >> 16
-    pool, k = [p0, p1, p2, p3], 16
-    for word in words[4:]:  # each word beyond the pool size into every pool word
+    pool = [(x := (e ^ c) * d & m) ^ x >> 16 for e, c, d in zip(words + [0] * 3, h, h[1:5])]
+    k = 4
+    # every pool word into every other, then each word beyond the pool size
+    # into every pool word (y hashes the source, x mixes it in)
+    for src in range(max(len(words), 4)):
+        word = pool[src] if src < 4 else words[src]
         for dst in range(4):
-            x = ml * pool[dst] - mr * ((y := (word ^ h[k]) * h[k + 1] & m) ^ y >> 16) & m
-            pool[dst], k = x ^ x >> 16, k + 1
+            if dst != src:
+                x = ml * pool[dst] - mr * ((y := (word ^ h[k]) * h[k + 1] & m) ^ y >> 16) & m
+                pool[dst], k = x ^ x >> 16, k + 1
     return pool, h[k:k + 5]
 
 
@@ -218,13 +208,3 @@ def _loggam(x: float) -> float:
         x0 -= 1.0
     return gl
 
-
-def sample_counts(expected: Iterable[float], seed: int | PCG64) -> tuple[float, ...]:
-    """Poisson-distributed integer counts around the expected rates, as
-    ``np.random.default_rng(seed).poisson(expected)`` draws them.
-
-    ``seed`` is a nonnegative int or a `PCG64` stream, which the draws advance.
-    A rate `poisson_plan` refuses raises ValueError before anything is drawn.
-    """
-    plan = poisson_plan(expected)
-    return draw(seed if isinstance(seed, PCG64) else PCG64(seed_sequence_pool(seed)), plan)

@@ -1,12 +1,15 @@
 import argparse
+import errno
 import importlib.util
 import io
 import json
 import math
 import os
 import shlex
+import stat
 import subprocess
 import sys
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import chain
 from pathlib import Path
@@ -26,7 +29,6 @@ from qclone.cli import (
     EXIT_DATA,
     EXIT_OK,
     FORMATS,
-    NO_OBJECTIVE,
     OPTIONS,
     SCHEMAS,
     SHAPES,
@@ -201,7 +203,7 @@ PATHS = ["--out", "sim.csv", "--records", "records.csv"]
     (["robustness", "--eps-points", "2.5", "--out", "rob.csv"],
      "--eps-points: invalid literal for int()", False),
     (["simulate", "--objective", "c", *PATHS],
-     f"unrecognized arguments: --objective c; {NO_OBJECTIVE}", True),
+     "unrecognized arguments: --objective c", True),
     (["simulate", "--format", "xml", *PATHS], "format must be csv or json", False),
     # argparse's own rejections also print the usage line
     (["simulate", "--bogus", *PATHS], "unrecognized arguments: --bogus", True),
@@ -211,7 +213,7 @@ PATHS = ["--out", "sim.csv", "--records", "records.csv"]
      "argument --eps-max: expected one argument (give a value that starts with '-' as "
      "--eps-max=<value>)", True),
     *((["calibrate", "--objective", objective, "--records", "records.csv", "--out", "cal.csv"],
-       f"unrecognized arguments: --objective {objective}; {NO_OBJECTIVE}", True)
+       f"unrecognized arguments: --objective {objective}", True)
       for objective in "ab"),
     # a flag of another command is the command's own parser's rejection
     (["calibrate", "--records", "records.csv", "--out", "cal.csv", "--eta-a", "2"],
@@ -872,6 +874,93 @@ def test_simulate_record_file_is_csv_whatever_the_out_extension(tmp_path, monkey
     assert sorted(str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*")
                   if path.is_file()) == sorted([out, records])
     assert len(read_records(records)) == 6
+
+
+def test_simulate_default_record_file_drops_one_extension(tmp_path, monkeypatch):
+    # the default record file is <stem of --out>_records.csv: only the last
+    # extension of --out goes, and a leading dot is no extension
+    monkeypatch.chdir(tmp_path)
+    for out, records in [("run.v2.csv", "run.v2_records.csv"), ("a.b.json", "a.b_records.csv"),
+                         (".hidden", ".hidden_records.csv")]:
+        assert main(["simulate", "--t", "0.5", "--noiseless", "--out", out]) == EXIT_OK
+        assert (tmp_path / records).is_file(), out
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        ["run.v2.csv", "run.v2_records.csv", "a.b.json", "a.b_records.csv", ".hidden",
+         ".hidden_records.csv"])
+
+
+# An output whose folder does not exist, or is a file: every --out,
+# simulate's record file and calibrate's per-state table.  Each is refused
+# before anything is computed, read or written, not once the work is done.
+MISSING_FOLDER = [
+    (["analytic", "--out", "missing/curve.csv"], "--out missing/curve.csv"),
+    (["analytic", "--out", "afile/curve.csv"], "--out afile/curve.csv"),
+    (["robustness", "--t", "0", "--out", "missing/sweep.csv"], "--out missing/sweep.csv"),
+    (["simulate", "--t", "0.5", "--records", "r.csv", "--out", "missing/rep.csv"],
+     "--out missing/rep.csv"),
+    (["simulate", "--t", "0.5", "--records", "missing/r.csv", "--out", "rep.csv"],
+     "the record file missing/r.csv"),
+    (["simulate", "--t", "0.5", "--out", "-", "--records", "afile/r.csv"],
+     "the record file afile/r.csv"),
+    (["calibrate", "--records", "sim_records.csv", "--out", "missing/cal.csv"],
+     "--out missing/cal.csv"),
+]
+
+
+@pytest.mark.parametrize("argv, output", MISSING_FOLDER)
+def test_an_output_not_in_an_existing_folder_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                                               argv, output):
+    monkeypatch.chdir(tmp_path)
+    simulate = ["simulate", "--t", "0.5", "--records", "sim_records.csv", "--out", "sim.csv"]
+    assert main(simulate) == EXIT_OK
+    (tmp_path / "afile").write_text("not a folder\n")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: {output} is not in an existing folder" in captured.err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["analytic"], "--out"),
+    (["simulate", "--t", "0.5", "--out", "-"], "--records"),
+])
+def test_a_fifo_output_is_written_in_place(tmp_path, monkeypatch, capsys, argv, flag):
+    # a FIFO (or a device) is written through, not replaced by a regular file
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, flag, "regular.csv"]) == EXIT_OK
+    os.mkfifo("ff")
+    received = []
+    reader = threading.Thread(target=lambda: received.append(Path("ff").read_bytes()),
+                              daemon=True)
+    reader.start()
+    assert main([*argv, flag, "ff"]) == EXIT_OK
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.stat("ff").st_mode)
+    assert received == [(tmp_path / "regular.csv").read_bytes()]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["ff", "regular.csv"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analytic", "--out", "curve.csv"], "cannot write curve.csv: Permission denied"),
+    (["simulate", "--t", "0.5", "--out", "rep.csv", "--records", "r.csv"],
+     "cannot write records to r.csv: Permission denied"),
+])
+def test_a_failed_write_names_the_output_not_its_temporary_file(tmp_path, monkeypatch, capsys,
+                                                               argv, message):
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), src)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"data error: {message}\n" in err
+    assert ".qclone-" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("pooled", [[], ["--pooled"]])

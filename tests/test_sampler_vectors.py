@@ -13,7 +13,8 @@ from pathlib import Path
 
 from stream_steps import next_uint64
 
-from qclone.sampler import PCG64, sample_counts, seed_sequence_pool, spawned_streams
+from qclone.detection import sample_counts
+from qclone.sampler import PCG64, seed_sequence_pool, spawned_streams
 
 VECTORS = json.loads((Path(__file__).parent / "data" / "sampler_vectors.json").read_text())
 
