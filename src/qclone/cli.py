@@ -352,13 +352,6 @@ def cmd_simulate(cfg: RunConfig, config: dict, config_file: str | None) -> int:
     return EXIT_OK
 
 
-def _grouped_by_t(records):
-    groups: dict[float, list] = {}
-    for rec in records:
-        groups.setdefault(rec.t, []).append(rec)
-    return groups
-
-
 def cmd_calibrate(cfg: RunConfig, config: dict, config_file: str | None) -> int:
     if cfg.records is None:
         raise ConfigError("calibrate requires --records <record file>")
@@ -380,36 +373,33 @@ def cmd_calibrate(cfg: RunConfig, config: dict, config_file: str | None) -> int:
         records = read_records(cfg.records)
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read records from {cfg.records}: {exc}")
-    groups = _grouped_by_t(records)
+    groups: dict[float, list] = {}
+    for rec in records:
+        groups.setdefault(rec.t, []).append(rec)
     if not groups:
         raise DataError(f"no records found in {cfg.records}")
 
-    # groups in file order, which the pooled objective sums in; the tables
-    # list them by t
-    file_ts = list(groups)
-    order = sorted(range(len(file_ts)), key=file_ts.__getitem__)
-    ts = [file_ts[i] for i in order]
+    # everything in file order, which the pooled closed form and objective
+    # sum in; the tables list the groups by t
     try:
         counts = stacked_counts(list(groups.values()))
-        by_t = [counts[i] for i in order]
-        before = [six_state_report(c) for c in by_t]
+        before = [six_state_report(c) for c in counts]
         if cfg.pooled:
             pooled = calibrate_pooled(counts)
-            results = [pooled] * len(ts)
-            after = [pooled.reports[i] for i in order]
+            results = [pooled._replace(report=r) for r in pooled.reports]
         else:
-            results = calibrate_each(by_t)
-            after = [res.report for res in results]
+            results = calibrate_each(counts)
     except (NoDataError, ValueError) as exc:
         raise DataError(str(exc))
+    rows = sorted(zip(groups, results, before), key=lambda row: row[0])
     summary_rows = Shaped(SHAPES["calibrate_summary"], (
         (res.boundary_hit, (t, res.eta.eta_a, res.eta.eta_b, res.objective_value,
-                            b.mean_a, b.mean_b, a.mean_a, a.mean_b))
-        for t, res, b, a in zip(ts, results, before, after)
+                            b.mean_a, b.mean_b, res.report.mean_a, res.report.mean_b))
+        for t, res, b in rows
     ))
     state_rows = Shaped(SHAPES["calibrate_states"], (
         (label, (t, fa, fb))
-        for t, a in zip(ts, after) for label, (fa, fb) in zip(CATALOG_LABELS, a.per_state)
+        for t, res, _ in rows for label, (fa, fb) in zip(CATALOG_LABELS, res.report.per_state)
     ))
     boundary = any(res.boundary_hit for res in results)
 

@@ -17,7 +17,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 # defined in labels; callers may import them from here too
 from .labels import (
-    BASIS_LABELS,
     CATALOG_LABELS,
     CATALOG_ROLES,
     RECORD_FIELDS,
@@ -38,6 +37,9 @@ from .labels import (
 # writes counts of about 1.7e16 at most (COUNTS_MAX = 1e15 counts at eta = 5).
 RECORD_COUNT_MAX = 1e150
 
+# (basis, role) of each catalog state, keyed by its label
+_STATE_BASIS_ROLE = {label: (basis, role) for label, basis, role in STATE_COLUMNS}
+
 
 class _RecordFields(NamedTuple):
     t: float
@@ -56,29 +58,33 @@ class MeasurementRecord(_RecordFields):
     __slots__ = ()
 
     def __new__(cls, t, state_label, basis_label, role, counts):
+        counts = tuple(map(float, counts))
+        # a catalog state in its basis and role, t in [0, 1] and four counts
+        # in [0, RECORD_COUNT_MAX] make a record; the chained comparisons are
+        # false for nan as well
+        if (_STATE_BASIS_ROLE.get(state_label) == (basis_label, role) and 0.0 <= t <= 1.0
+                and len(counts) == 4 and 0.0 <= counts[0] <= RECORD_COUNT_MAX
+                and 0.0 <= counts[1] <= RECORD_COUNT_MAX and 0.0 <= counts[2] <= RECORD_COUNT_MAX
+                and 0.0 <= counts[3] <= RECORD_COUNT_MAX):
+            return tuple.__new__(cls, (t, state_label, basis_label, role, counts))
+        # anything else is not a record: the per-field checks word what is wrong
         if role not in (ROLE_PSI, ROLE_PERP):
             raise ValueError(f"unknown role {role!r}")
-        if state_label not in CATALOG_LABELS:
+        if state_label not in _STATE_BASIS_ROLE:
             raise ValueError(f"unknown state {state_label!r}")
-        index = CATALOG_LABELS.index(state_label)
-        expected_role = CATALOG_ROLES[index]
+        expected_basis, expected_role = _STATE_BASIS_ROLE[state_label]
         if role != expected_role:
             raise ValueError(f"state {state_label} has role {expected_role}, got {role}")
-        # the catalog pairs each basis's two states: H,V in HV, D,A in DA, R,L in RL
-        expected_basis = BASIS_LABELS[index // 2]
         if basis_label != expected_basis:
             raise ValueError(
                 f"state {state_label} belongs to basis {expected_basis}, got {basis_label}"
             )
-        # the chained comparisons are false for nan as well
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"t = {t} outside [0, 1]")
-        counts = tuple(map(float, counts))
         if len(counts) != 4 or not all(0.0 <= c < math.inf for c in counts):
             raise ValueError("counts must be four finite nonnegative numbers")
-        if max(counts) > RECORD_COUNT_MAX:
-            raise ValueError(f"count {max(counts):g} above the cap {RECORD_COUNT_MAX:g}")
-        return tuple.__new__(cls, (t, state_label, basis_label, role, counts))
+        # all that is left to fail the acceptance test is a count above the cap
+        raise ValueError(f"count {max(counts):g} above the cap {RECORD_COUNT_MAX:g}")
 
     @classmethod
     def _make(cls, iterable):
@@ -119,14 +125,13 @@ def sample_counts(expected: Iterable[float], seed) -> tuple[float, ...]:
     ``np.random.default_rng(seed).poisson(expected)`` draws them, by the
     sampler that the first draw loads.
 
-    ``seed`` is a nonnegative int or a `sampler.PCG64` stream, which the
-    draws advance.  A rate above `sampler.POISSON_LAM_MAX`, negative or nan
-    raises ValueError before anything is drawn.
+    ``seed`` is a nonnegative int.  A rate above `sampler.POISSON_LAM_MAX`,
+    negative or nan raises ValueError before anything is drawn.
     """
     from .sampler import PCG64, draw, poisson_plan, seed_sequence_pool
 
     plan = poisson_plan(expected)
-    return draw(seed if isinstance(seed, PCG64) else PCG64(seed_sequence_pool(seed)), plan)
+    return draw(PCG64(seed_sequence_pool(seed)), plan)
 
 
 def run_experiment(
@@ -184,20 +189,21 @@ class FidelityReport(NamedTuple):
     variance_b: float
 
 
+def _total(values) -> float:
+    """Sum in order from 0.0, as numpy sums six values; the builtin sum of
+    Python 3.12 and later compensates its rounding."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _moments(f: list[float]) -> tuple[float, float]:
     """Mean and population (divide-by-n) variance of f, in centered form:
     the mean-of-squares expression loses everything below ~1e-16 to
-    cancellation.  Each sum runs in order from 0.0, as numpy sums six
-    values; the builtin sum of Python 3.12 and later compensates its
-    rounding."""
-    total = 0.0
-    for v in f:
-        total += v
-    mean = total / len(f)
-    total = 0.0
-    for v in f:
-        total += (v - mean) * (v - mean)
-    return mean, total / len(f)
+    cancellation.  Both sums are `_total`s."""
+    mean = _total(f) / len(f)
+    return mean, _total((v - mean) * (v - mean) for v in f) / len(f)
 
 
 def six_state_report(
@@ -230,10 +236,6 @@ def six_state_report(
 # One record per line, in the order of RECORD_FIELDS
 
 
-# The (state, basis, role) triples a record may hold.
-_CATALOG_TRIPLES = frozenset(STATE_COLUMNS)
-
-
 def write_records(records: Iterable[MeasurementRecord], path) -> None:
     """Atomically write a record file, streamed one record per line: the CSV
     table of RECORD_FIELDS whose rows have the shapes RECORD_SHAPES."""
@@ -245,10 +247,9 @@ def read_records(path) -> list[MeasurementRecord]:
     """The records of a record file, in file order.
 
     Raises ValueError naming ``path:lineno`` at the first line that is not a
-    valid record.  A line is split once; a known (state, basis, role) triple,
-    t in [0, 1] and four counts in [0, RECORD_COUNT_MAX] make its record
-    without `MeasurementRecord`'s per-field checks, which word the error of
-    any other line.
+    valid record.  Every line of eight fields is built by `MeasurementRecord`,
+    whose acceptance test runs first and whose per-field checks word the
+    error of a line it rejects.
     """
     header = ",".join(RECORD_FIELDS[:2])
     records = []
@@ -258,26 +259,10 @@ def read_records(path) -> list[MeasurementRecord]:
             if not line or line.startswith(header):
                 continue
             parts = line.split(",")
-            if len(parts) == 8 and (parts[1], parts[2], parts[3]) in _CATALOG_TRIPLES:
-                try:
-                    t, c_pp, c_pm, c_mp, c_mm = map(float, (parts[0], *parts[4:]))
-                except ValueError:
-                    pass
-                else:
-                    # the chained comparisons are false for nan as well
-                    if (0.0 <= t <= 1.0 and 0.0 <= c_pp <= RECORD_COUNT_MAX
-                            and 0.0 <= c_pm <= RECORD_COUNT_MAX
-                            and 0.0 <= c_mp <= RECORD_COUNT_MAX
-                            and 0.0 <= c_mm <= RECORD_COUNT_MAX):
-                        records.append(tuple.__new__(MeasurementRecord, (
-                            t, parts[1], parts[2], parts[3], (c_pp, c_pm, c_mp, c_mm))))
-                        continue
-            # not a valid record: the per-field checks word what is wrong
             try:
                 if len(parts) != 8:
                     raise ValueError(f"expected 8 fields, got {len(parts)}")
-                counts = tuple(float(x) for x in parts[4:])
-                records.append(MeasurementRecord(float(parts[0]), *parts[1:4], counts))
+                records.append(MeasurementRecord(float(parts[0]), *parts[1:4], parts[4:]))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return records

@@ -6,8 +6,8 @@ import sys
 from typing import NamedTuple, Sequence
 
 # the six-state report lives in detection; it is re-exported here with its
-# result and error types
-from .detection import FidelityReport, MeasurementRecord, NoDataError, six_state_report
+# result and error types, and with the in-order sum both use
+from .detection import FidelityReport, MeasurementRecord, NoDataError, _total, six_state_report
 from .labels import CATALOG_LABELS, ETA_MAX, ETA_MIN, EfficiencyPair
 
 # the counts of one six-state group: four floats per state, in catalog order
@@ -70,18 +70,9 @@ def report(
 # --- calibration --------------------------------------------------------------
 # A calibration is the count-ratio closed form `_ratio_seed` of the groups its
 # efficiency pair must fit: `calibrate_each` takes it per group,
-# `calibrate_pooled` over all groups.  Sums run in order from 0.0.
+# `calibrate_pooled` over all groups.  Sums run in order from 0.0 (`_total`).
 
 _LOG_BOUNDS = (math.log(ETA_MIN), math.log(ETA_MAX))
-
-
-def _total(values) -> float:
-    """Sum in order from 0.0; the builtin sum of Python 3.12 and later
-    compensates its rounding."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
 
 
 def _ratio_seed(counts: Sequence[Group]) -> tuple[float, float]:

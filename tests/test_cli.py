@@ -133,6 +133,51 @@ def test_simulate_calibrate_round_trip(tmp_path):
         assert max(fa) - min(fa) < 1e-10
 
 
+@pytest.mark.parametrize("pooled", [[], ["--pooled"]])
+def test_calibrate_lists_unsorted_groups_by_t(tmp_path, monkeypatch, pooled):
+    # a record file whose t values are not sorted: both tables list the
+    # groups by t, the per-state table in the summary's order, and the pooled
+    # efficiencies and objective are those over the groups in file order,
+    # which here differ from those in t order in the last bits
+    from qclone.detection import read_records
+    from qclone.estimation import _ratio_seed, calibrate_pooled, stacked_counts
+
+    monkeypatch.chdir(tmp_path)
+    file_ts = [0.9, 0.0, 0.5, 1.0, 0.3]
+    assert main(["simulate", "--t", "0.9,0,0.5,1,0.3", "--out", "u.csv",
+                 "--records", "u_records.csv"]) == EXIT_OK
+    for fmt in FORMATS:
+        assert main(["calibrate", *pooled, "--format", fmt, "--records", "u_records.csv",
+                     "--out", f"cal.{fmt}"]) == EXIT_OK
+    summary = json.loads(Path("cal.json").read_text())["rows"]
+    states = json.loads(Path("cal_states.json").read_text())["rows"]
+    columns = SCHEMAS["calibrate_summary"]
+    assert [row[0] for row in summary] == sorted(file_ts)
+    assert [row[:2] for row in states] == [[t, label] for t in sorted(file_ts)
+                                           for label in CATALOG_LABELS]
+    for i, row in enumerate(summary):
+        group = states[6 * i:6 * i + 6]
+        for name, k in (("mean_a_after", 4), ("mean_b_after", 5)):
+            total = 0.0
+            for state in group:
+                total += state[k]
+            assert row[columns.index(name)] == total / 6, (row[0], name)
+    if pooled:
+        groups = {}
+        for rec in read_records("u_records.csv"):
+            groups.setdefault(rec.t, []).append(rec)
+        assert list(groups) == file_ts
+        counts = stacked_counts(list(groups.values()))
+        eta = [math.exp(v) for v in _ratio_seed(counts)]
+        objective = calibrate_pooled(counts).objective_value
+        assert all(row[1:4] == [*eta, objective] for row in summary)
+    # the CSV tables hold the same rows
+    for name, rows in (("cal.csv", summary), ("cal_states.csv", states)):
+        header, cells = read_csv(Path(name))
+        assert cells == [[v if isinstance(v, str) else json.dumps(v) if isinstance(v, bool)
+                          else f"{v:.12g}" for v in row] for row in rows], name
+
+
 def test_csv_round_trip_formatting(tmp_path):
     out = tmp_path / "analytic.csv"
     main(["analytic", "--out", str(out)])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import sampling_oracle
 from channel_oracle import catalog_states, channel_probabilities, mub_bases
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from report_oracle import fidelities_from_counts, rescale_counts
 from stream_steps import next_double, next_uint64
@@ -435,8 +435,9 @@ def test_write_records_matches_oracle(tmp_path):
 
 
 def _read_records_per_field(path):
-    """The record file reader the one-split parse must agree with: every
-    line through `MeasurementRecord`'s per-field checks."""
+    """A record file reader `read_records` must agree with, written line by
+    line: the field count, every count then t through float(), and the
+    record through `MeasurementRecord`."""
     records = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -524,8 +525,8 @@ def mutated_lines(draw):
 @example([], "0.5,X,HV,psi,abc,2,3,4", 0, False)
 @example([], "nan,H,HV,psi,1,2,3,1e151", 0, False)
 def test_read_records_agrees_with_the_per_field_checks(tmp_path_factory, valid, bad, at, header):
-    # the one-split parse accepts exactly the lines the per-field checks
-    # accept, reads the same records and words a bad line's error alike,
+    # read_records accepts exactly the lines the line-by-line reader
+    # accepts, reads the same records and words a bad line's error alike,
     # with its line number
     lines = list(valid)
     if bad is not None:
@@ -537,6 +538,96 @@ def test_read_records_agrees_with_the_per_field_checks(tmp_path_factory, valid, 
     expected = _read_outcome(_read_records_per_field, path)
     assert _read_outcome(read_records, path) == expected
     assert isinstance(expected, str) == (bad is not None)
+
+
+def _number(field):
+    """The float a field reads as, or None where float() does not read it."""
+    try:
+        return float(field)
+    except ValueError:
+        return None
+
+
+@st.composite
+def record_arguments(draw):
+    """The kind of mutation and the arguments `read_records` passes to
+    `MeasurementRecord` (t a float, the counts strings): of a valid record,
+    or with one field mutated: an unknown state, another state's basis, the
+    other role, a bad t or count, or three or five counts."""
+    t, state, basis, role, *counts = draw(VALID_FIELDS)
+    kind = draw(st.sampled_from([None, "state", "basis", "role", "t", "count", "length"]))
+    if kind == "state":
+        state = draw(UNKNOWN_STATE)
+    elif kind == "basis":
+        basis = draw(st.sampled_from([b for b in BASIS_LABELS if b != basis]))
+    elif kind == "role":
+        role = ROLE_PERP if role == ROLE_PSI else ROLE_PSI
+    elif kind == "t":
+        t = draw(BAD_T)
+    elif kind == "count":
+        counts[draw(st.integers(0, 3))] = draw(BAD_COUNT)
+    elif kind == "length" and draw(st.booleans()):
+        del counts[draw(st.integers(0, 3))]
+    elif kind == "length":
+        counts.insert(draw(st.integers(0, 4)), draw(VALID_FIELDS)[4])
+    # a t that float() does not read never reaches the constructor
+    assume(_number(t) is not None)
+    return kind, (float(t), state, basis, role, counts)
+
+
+def _is_record(t, state, basis, role, counts):
+    """A catalog state in its basis and role, 0 <= t <= 1, and four counts,
+    each a number in [0, RECORD_COUNT_MAX]."""
+    if state not in CATALOG_LABELS:
+        return False
+    index = CATALOG_LABELS.index(state)
+    values = [_number(c) for c in counts]
+    return (basis == BASIS_LABELS[index // 2] and role == CATALOG_ROLES[index]
+            and 0.0 <= t <= 1.0 and len(values) == 4
+            and all(v is not None and 0.0 <= v <= RECORD_COUNT_MAX for v in values))
+
+
+def _rejection(kind, t, state, basis, role, counts):
+    """The message that names the field a mutation of `kind` made bad."""
+    if kind == "state":
+        return f"unknown state {state!r}"
+    index = CATALOG_LABELS.index(state)
+    if kind == "basis":
+        return f"state {state} belongs to basis {BASIS_LABELS[index // 2]}, got {basis}"
+    if kind == "role":
+        return f"state {state} has role {CATALOG_ROLES[index]}, got {role}"
+    if kind == "t":
+        return f"t = {t} outside [0, 1]"
+    values = [_number(c) for c in counts]
+    if None in values:
+        return f"could not convert string to float: {counts[values.index(None)]!r}"
+    if len(values) == 4 and all(0.0 <= v < math.inf for v in values):
+        return f"count {max(values):g} above the cap {RECORD_COUNT_MAX:g}"
+    return "counts must be four finite nonnegative numbers"
+
+
+@settings(deadline=None, max_examples=300)
+@given(record_arguments())
+@example((None, (0.0, "H", "HV", ROLE_PSI, ["0", "-0.0", repr(RECORD_COUNT_MAX), "5e-324"])))
+@example(("count", (1.0, "L", "RL", ROLE_PERP, ["1", "2", "nan", "1e151"])))
+@example(("count", (0.5, "H", "HV", ROLE_PSI, ["1", "2", "3", repr(math.nextafter(1e150, 2e150))])))
+@example(("length", (0.5, "D", "DA", ROLE_PSI, ["1", "2", "3"])))
+def test_record_constructor_accepts_exactly_the_records_its_checks_pass(case):
+    # construction succeeds exactly on a record as the test states it, and
+    # a rejection names the one bad field; the last check, the cap, never
+    # names a record whose counts are within it
+    kind, args = case
+    assert _is_record(*args) == (kind is None)
+    try:
+        record = MeasurementRecord(*args)
+    except ValueError as exc:
+        assert kind is not None
+        assert str(exc) == _rejection(kind, *args)
+        if "above the cap" in str(exc):
+            assert max(map(float, args[4])) > RECORD_COUNT_MAX
+    else:
+        assert kind is None
+        assert tuple(record) == (*args[:4], tuple(map(float, args[4])))
 
 
 def test_write_records_failure_keeps_target(tmp_path):
