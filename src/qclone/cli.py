@@ -1,5 +1,16 @@
-"""Command-line front end: analytic curves, synthetic experiments, detector
+"""Command-line entry: analytic curves, synthetic experiments, detector
 calibration and miscalibration sweeps, emitted as CSV or JSON tables.
+
+This module is what every command compiles: the fast parser of a
+well-formed command line, the run config and its options, the exit codes
+and errors, `write_table`, `schema` and `main`.  Each table command's body
+is its own module in `qclone.commands`, imported only when that command
+runs; the argparse parser (`qclone.fallback`), the config-file reader
+(`qclone.configfile`) and the table writer (`qclone.tables`) load only on
+the paths that use them.  Every command, and every config error, runs on
+the standard library alone: qclone requires no other package.  numpy,
+which only the matrix channel of `cloner` and `states` needs, is a test
+dependency.
 
 Exit codes: 0 success, 1 config error (a command line that argparse rejects
 included), 2 data error (a stdout closed by its reader included), 3
@@ -16,25 +27,10 @@ from .labels import (
     BASIS_LABELS,
     CATALOG_LABELS,
     RECORD_FIELDS,
-    RECORD_SHAPES,
     ROLE_PERP,
     ROLE_PSI,
     EfficiencyPair,
-    Grid,
-    MachineTriple,
-    Shaped,
-    dump_table,
-    linspace,
-    state_shapes,
-    write_atomic,
 )
-
-# The modules of the commands (cloner, robustness, detection, estimation) are
-# imported inside the subcommands that use them, and detection imports the
-# sampler only to draw counts.  Every command, and every config error, runs
-# on the standard library alone: qclone requires no other package.  numpy,
-# which only the matrix channel of `cloner` and `states` needs, is a test
-# dependency.
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -68,18 +64,6 @@ SCHEMAS = {
         "eps_a", "eps_b", "exact_a", "quad_a", "bound_a",
         "exact_b", "quad_b", "bound_b",
     ),
-}
-
-
-# The row shapes (see `Shaped`) of the record file and of every table but the
-# robustness `Grid`: an analytic row by its kind, a state's row by its label,
-# a summary row by its boundary_hit.
-SHAPES = {
-    "analytic": {kind: (kind,) + (float,) * 6 for kind in ("grid", "curve")},
-    "simulate_report": state_shapes(6),
-    "records": RECORD_SHAPES,
-    "calibrate_summary": {hit: (float,) * 4 + (hit,) + (float,) * 4 for hit in (False, True)},
-    "calibrate_states": state_shapes(2),
 }
 
 
@@ -191,38 +175,6 @@ def _parse_value(key: str, val, where: str):
         raise ConfigError(f"{where}: {exc}")
 
 
-def parse_config_file(path: str, command: str) -> dict:
-    """Flat key=value config; '#' starts a comment.
-
-    One file can serve every command: a key of another command is dropped
-    unparsed, and one stderr line names the dropped keys.
-    """
-    fields = COMMANDS[command][1]
-    values, foreign = {}, []
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in OPTIONS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in fields:
-            values[key] = _parse_value(key, val, f"{path}:{lineno}: field {key!r}")
-        elif key not in foreign:
-            foreign.append(key)
-    if foreign:
-        print(f"# config keys {command} does not read: {', '.join(foreign)}", file=sys.stderr)
-    return values
-
-
 def _flag_value(args, key: str, flag: str):
     """The value `flag` gave `key` on the parsed command line `args`, None
     where it was not given.  argparse drops a `--` value, so `--flag=--`
@@ -239,8 +191,12 @@ def build_config(args) -> RunConfig:
     `command`, each field's flag value or None, and `config` for a command
     that has fields."""
     config = _flag_value(args, "config", "--config")
-    values = parse_config_file(config, args.command) if config else {}
-    for key in COMMANDS[args.command][1]:
+    values = {}
+    if config:
+        from .configfile import parse_config_file
+
+        values = parse_config_file(config, args.command)
+    for key in COMMANDS[args.command]:
         flag = OPTIONS[key][0]
         val = _flag_value(args, key, flag)
         if val is not None:
@@ -250,13 +206,13 @@ def build_config(args) -> RunConfig:
     return cfg
 
 
-# --- table output -----------------------------------------------------------
-
 def write_table(columns, rows, path: str, fmt: str, config: dict | None = None) -> None:
-    """Write a table, a `Grid` or a `Shaped`, as `labels.dump_table` writes
+    """Write a table, a `Grid` or a `Shaped`, as `tables.dump_table` writes
     it, to `path`, '-' for stdout.  A file is written by `write_atomic`, so
     on any error an existing `path` is left unchanged; an OSError writing it
     is a DataError."""
+    from .tables import dump_table, write_atomic
+
     if path == "-":
         dump_table(columns, rows, sys.stdout, fmt, config)
         return
@@ -266,188 +222,7 @@ def write_table(columns, rows, path: str, fmt: str, config: dict | None = None) 
         raise DataError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _distinct_files(inputs, outputs) -> None:
-    """Raise ConfigError when one of a command's files, the (name, path)
-    pairs of its `inputs` and `outputs`, is an empty path, two are one file,
-    or an output is an existing directory or not in an existing folder,
-    which the command could only fail to write once its work is done; '-'
-    is stdout and None no file.  So no command writes over its own input or
-    output.  Two existing paths are compared by `os.path.samefile`, which
-    also sees a hard link or a name in another case on a case-insensitive
-    file system; otherwise by their real paths.  A symbolic link to a
-    directory is not refused: an output replaces the link."""
-    seen = []
-    for name, path in (*inputs, *outputs):
-        if path == "":
-            raise ConfigError(f"{name} is an empty path")
-        if path is None or path == "-":
-            continue
-        for other_name, other in seen:
-            try:
-                same = os.path.samefile(path, other)
-            except OSError:  # not both exist (yet)
-                same = os.path.realpath(path) == os.path.realpath(other)
-            if same:
-                raise ConfigError(f"{other_name} and {name} are the same file {path}")
-        seen.append((name, path))
-    for name, path in outputs:
-        if path in (None, "-"):
-            continue
-        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-            raise ConfigError(f"{name} {path} is not in an existing folder")
-        if os.path.isdir(path) and not os.path.islink(path):
-            raise ConfigError(f"{name} {path} is a directory")
-
-
-# --- subcommands ------------------------------------------------------------
-
-def cmd_analytic(cfg: RunConfig, config: dict, config_file: str | None) -> int:
-    _distinct_files([("--config", config_file)], [("--out", cfg.out)])
-    from .cloner import clone_fidelities, machine_triple, success_probability, tradeoff_residual
-
-    rows = []
-    for kind, ts in (("grid", cfg.t_values), ("curve", linspace(0.0, 1.0, 200))):
-        for t in ts:
-            fa, fb = clone_fidelities(t)
-            rows.append(
-                (kind, (t, fa, fb, machine_triple(t).p, success_probability(t),
-                        tradeoff_residual(fa, fb)))
-            )
-    write_table(SCHEMAS["analytic"], Shaped(SHAPES["analytic"], rows), cfg.out, cfg.format, config)
-    return EXIT_OK
-
-
-def cmd_simulate(cfg: RunConfig, config: dict, config_file: str | None) -> int:
-    # a record file is CSV, whatever the extension of --out
-    records_path = cfg.records
-    if records_path is None and cfg.out != "-":
-        records_path = os.path.splitext(cfg.out)[0] + "_records.csv"
-    if records_path in (None, "-"):
-        raise ConfigError("simulate cannot write the record file to stdout; give --records <path>")
-    _distinct_files([("--config", config_file)],
-                    [("--out", cfg.out), ("the record file", records_path)])
-    from .detection import NoDataError, run_experiment, six_state_report, write_records
-
-    groups = [
-        run_experiment(t, cfg.eta, cfg.counts, seed=cfg.seed + i, noiseless=cfg.noiseless)
-        for i, t in enumerate(cfg.t_values)
-    ]
-    reports = []
-    for t, recs in zip(cfg.t_values, groups):
-        try:
-            reports.append(six_state_report([rec.counts for rec in recs]))
-        except NoDataError as exc:
-            raise DataError(f"t = {t}: {exc}; raise --counts")
-    rows = Shaped(SHAPES["simulate_report"], (
-        (label, (t, fa, fb, rep.mean_a, rep.mean_b, rep.variance_a, rep.variance_b))
-        for t, rep in zip(cfg.t_values, reports)
-        for label, (fa, fb) in zip(CATALOG_LABELS, rep.per_state)
-    ))
-    try:
-        write_records((rec for recs in groups for rec in recs), records_path)
-    except OSError as exc:
-        raise DataError(f"cannot write records to {records_path}: {exc.strerror or exc}")
-    write_table(SCHEMAS["simulate_report"], rows, cfg.out, cfg.format, config)
-    print(f"# records written to {records_path}", file=sys.stderr)
-    return EXIT_OK
-
-
-def cmd_calibrate(cfg: RunConfig, config: dict, config_file: str | None) -> int:
-    if cfg.records is None:
-        raise ConfigError("calibrate requires --records <record file>")
-    if cfg.out == "-":
-        # two tables back to back on stdout would not be one table
-        raise ConfigError(
-            "calibrate writes a summary and a per-state table; "
-            "give --out <path>, the per-state table goes next to it"
-        )
-    # `_states` before the extension of --out; without one, the format's
-    stem, ext = os.path.splitext(cfg.out)
-    states_path = f"{stem}_states{ext or '.' + cfg.format}"
-    _distinct_files([("--config", config_file), ("--records", cfg.records)],
-                    [("--out", cfg.out), ("the per-state table", states_path)])
-    from .detection import NoDataError, read_records, six_state_report
-    from .estimation import calibrate_each, calibrate_pooled, stacked_counts
-
-    try:
-        records = read_records(cfg.records)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot read records from {cfg.records}: {exc}")
-    groups: dict[float, list] = {}
-    for rec in records:
-        groups.setdefault(rec.t, []).append(rec)
-    if not groups:
-        raise DataError(f"no records found in {cfg.records}")
-
-    # everything in file order, which the pooled closed form and objective
-    # sum in; the tables list the groups by t
-    try:
-        counts = stacked_counts(list(groups.values()))
-        before = [six_state_report(c) for c in counts]
-        if cfg.pooled:
-            pooled = calibrate_pooled(counts)
-            results = [pooled._replace(report=r) for r in pooled.reports]
-        else:
-            results = calibrate_each(counts)
-    except (NoDataError, ValueError) as exc:
-        raise DataError(str(exc))
-    rows = sorted(zip(groups, results, before), key=lambda row: row[0])
-    summary_rows = Shaped(SHAPES["calibrate_summary"], (
-        (res.boundary_hit, (t, res.eta.eta_a, res.eta.eta_b, res.objective_value,
-                            b.mean_a, b.mean_b, res.report.mean_a, res.report.mean_b))
-        for t, res, b in rows
-    ))
-    state_rows = Shaped(SHAPES["calibrate_states"], (
-        (label, (t, fa, fb))
-        for t, res, _ in rows for label, (fa, fb) in zip(CATALOG_LABELS, res.report.per_state)
-    ))
-    boundary = any(res.boundary_hit for res in results)
-
-    write_table(SCHEMAS["calibrate_summary"], summary_rows, cfg.out, cfg.format, config)
-    write_table(SCHEMAS["calibrate_states"], state_rows, states_path, cfg.format)
-    print(f"# calibrated per-state table written to {states_path}", file=sys.stderr)
-    if boundary:
-        print("# warning: calibration hit the search-domain boundary", file=sys.stderr)
-        if cfg.strict:
-            return EXIT_BOUNDARY
-    return EXIT_OK
-
-
-def _machine_from_config(cfg: RunConfig) -> MachineTriple:
-    if cfg.triple is not None and len(cfg.triple) != 3:
-        raise ConfigError("--triple needs three comma-separated values f_a,f_b,p")
-    if cfg.triple is None and len(cfg.t_values) != 1:
-        raise ConfigError("robustness needs a single --t value or an explicit --triple")
-    if cfg.triple is None:
-        from .cloner import machine_triple
-
-        return machine_triple(cfg.t_values[0])
-    m = MachineTriple(*cfg.triple)
-    try:
-        m.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    return m
-
-
-def cmd_robustness(cfg: RunConfig, config: dict, config_file: str | None) -> int:
-    _distinct_files([("--config", config_file)], [("--out", cfg.out)])
-    m = _machine_from_config(cfg)
-    from .robustness import sweep_blocks, taylor_form, taylor_form_b
-
-    for clone, form in (("A", taylor_form(m)), ("B", taylor_form_b(m))):
-        print(
-            f"# clone {clone} quadratic coefficients: "
-            f"{form.coeff_aa:.12g}, {form.coeff_ab:.12g}, {form.coeff_bb:.12g}; "
-            f"bound factor {form.max_eigenvalue():.12g}",
-            file=sys.stderr,
-        )
-    rows = Grid(*sweep_blocks(m, cfg.eps_max, cfg.eps_points))
-    write_table(SCHEMAS["robustness"], rows, cfg.out, cfg.format, config)
-    return EXIT_OK
-
-
-def cmd_schema(_cfg: RunConfig, _config: dict, _config_file: str | None) -> int:
+def schema() -> int:
     for name, cols in SCHEMAS.items():
         print(f"{name}: {','.join(cols)}")
     print("record file: one record per line, fields as 'records' above;")
@@ -457,65 +232,21 @@ def cmd_schema(_cfg: RunConfig, _config: dict, _config_file: str | None) -> int:
 
 
 # Each command and the RunConfig fields it reads, in field order: its only
-# flags and config keys.
+# flags and config keys.  A command but `schema` runs the `run` of its module
+# in `qclone.commands`.
 COMMANDS = {
-    "analytic": (cmd_analytic, ("t_values", "out", "format")),
+    "analytic": ("t_values", "out", "format"),
     "simulate": (
-        cmd_simulate,
-        ("t_values", "eta_a", "eta_b", "counts", "seed", "noiseless", "out", "records", "format"),
+        "t_values", "eta_a", "eta_b", "counts", "seed", "noiseless", "out", "records", "format",
     ),
-    "calibrate": (cmd_calibrate, ("pooled", "out", "records", "format", "strict")),
-    "robustness": (cmd_robustness, ("t_values", "out", "format", "eps_max", "eps_points", "triple")),
-    "schema": (cmd_schema, ()),
+    "calibrate": ("pooled", "out", "records", "format", "strict"),
+    "robustness": ("t_values", "out", "format", "eps_max", "eps_points", "triple"),
+    "schema": (),
 }
 
 
-def build_parser():
-    """The argparse parser of the qclone command line, whose rejections are
-    config errors, not exit 2.  argparse is imported here: `main` needs it
-    only for --help and for a command line that `parse_well_formed` leaves
-    to it."""
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        def parse_known_args(self, args=None, namespace=None):
-            # a command's parser rejects what it does not know itself, so the
-            # usage line of a foreign flag is the command's
-            args, extra = super().parse_known_args(args, namespace)
-            if extra:
-                self.error(f"unrecognized arguments: {' '.join(extra)}")
-            return args, extra
-
-        def error(self, message):
-            self.print_usage(sys.stderr)
-            if message.endswith("expected one argument"):
-                # argparse takes a value that starts with '-' (`-inf`) for a flag
-                flag = message.split(":")[0].split()[-1]
-                message += f" (give a value that starts with '-' as {flag}=<value>)"
-            raise ConfigError(message)
-
-    parser = _Parser(
-        prog="qclone",
-        description="Asymmetric qubit-cloner simulation, calibration and robustness tables.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, fields) in COMMANDS.items():
-        p = sub.add_parser(name)
-        if fields:
-            p.add_argument(
-                "--config",
-                help=f"key=value config file; keys: {', '.join(fields)} "
-                "(the other commands' keys are named on stderr and ignored)",
-            )
-        for key in fields:
-            flag, parse, text = OPTIONS[key]
-            switch = {"action": "store_true", "default": None} if parse is _boolean else {}
-            p.add_argument(flag, dest=key, help=text, **switch)
-    return parser
-
-
 def parse_well_formed(argv) -> SimpleNamespace | None:
-    """The namespace `build_parser().parse_args(argv)` returns, for a
+    """The namespace `fallback.build_parser().parse_args(argv)` returns, for a
     command line that is a command and its own exact flags; None for any
     other, which argparse then parses, rejects or answers with help.
 
@@ -525,7 +256,7 @@ def parse_well_formed(argv) -> SimpleNamespace | None:
     """
     if not argv or argv[0] not in COMMANDS:
         return None
-    fields = COMMANDS[argv[0]][1]
+    fields = COMMANDS[argv[0]]
     keys = {OPTIONS[key][0]: key for key in fields}
     if fields:
         keys["--config"] = "config"
@@ -555,12 +286,21 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parse_well_formed(argv) or build_parser().parse_args(argv)
+        args = parse_well_formed(argv)
+        if args is None:
+            from .fallback import build_parser
+
+            args = build_parser().parse_args(argv)
         cfg = build_config(args)
-        command, fields = COMMANDS[args.command]
-        config = cfg.resolved(fields)
+        config = cfg.resolved(COMMANDS[args.command])
         print("# resolved config:", *(f"{k}={v}" for k, v in config.items()), file=sys.stderr)
-        code = command(cfg, config, getattr(args, "config", None))
+        if args.command == "schema":
+            code = schema()
+        else:
+            # `__import__`, as an import statement does: `-X importtime`
+            # does not see an `importlib.import_module`
+            command = __import__(f"qclone.commands.{args.command}", fromlist=["run"])
+            code = command.run(cfg, config, getattr(args, "config", None))
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
     except ConfigError as exc:
@@ -578,4 +318,9 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # The command modules import from qclone.cli.  Under `python -m
+    # qclone.cli` this module runs as __main__, so it stands in for
+    # qclone.cli: otherwise that import would compile and run it a second
+    # time, with a ConfigError class of its own that `main` does not catch.
+    sys.modules["qclone.cli"] = sys.modules[__name__]
     sys.exit(main())

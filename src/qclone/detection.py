@@ -25,10 +25,8 @@ from .labels import (
     ROLE_PSI,
     STATE_COLUMNS,
     EfficiencyPair,
-    Shaped,
-    dump_table,
-    write_atomic,
 )
+from .tables import Shaped, dump_table, write_atomic
 
 
 # The largest count a record may hold.  The count-ratio calibration sums a

@@ -1,18 +1,16 @@
 """Names shared by the record files, the tables and the command line.
 
 The six preparation states and their analysis bases, the role of each state,
-each state's (state, basis, role) columns, the record-file columns, the
-efficiency search box and the machine triple; also what every table command
-needs: `linspace`, and the one writer of tables and record files,
-`dump_table` and `write_atomic`.  This module imports nothing but the
-standard library, so the command line can parse and validate a run, and
-compute the closed-form tables, without loading numpy.
+each state's (state, basis, role) columns, the record-file columns and row
+shapes, the efficiency search box and the machine triple.  Every command
+imports this module, `schema` and the config errors included, so it holds
+only these names; the table writer is `qclone.tables`.  It imports nothing
+but the standard library, so the command line can parse and validate a run
+without loading numpy.
 """
 
 import math
-import os
-from itertools import repeat
-from typing import Callable, Iterable, NamedTuple, TextIO
+from typing import NamedTuple
 
 CATALOG_LABELS = ("H", "V", "D", "A", "R", "L")
 BASIS_LABELS = ("HV", "DA", "RL")
@@ -85,150 +83,3 @@ class MachineTriple(NamedTuple):
     def swapped(self) -> "MachineTriple":
         """The same machine with the clone labels interchanged."""
         return MachineTriple(self.fid_b, self.fid_a, self.p)
-
-
-def linspace(start: float, stop: float, num: int) -> list[float]:
-    """``np.linspace(start, stop, num).tolist()`` for floats, bit for bit.
-
-    numpy's arithmetic in numpy's order: point i is ``i*step + start``, or
-    ``i/div*delta + start`` where the step rounds to zero, and the last
-    point is `stop` itself.
-    """
-    div = num - 1
-    delta = stop - start
-    if div > 0:
-        step = delta / div
-        points = [i / div * delta for i in range(num)] if step == 0 else [i * step for i in range(num)]
-    else:
-        points = [i * delta for i in range(num)]
-    points = [x + start for x in points]
-    if num > 1:
-        points[-1] = stop
-    return points
-
-
-def write_atomic(path, dump: Callable[[TextIO], None]) -> None:
-    """Write a text file through ``dump(fh)`` and move it into place whole.
-
-    The file is written under a temporary name in the target directory and
-    renamed over `path` only once complete; on any error the temporary file
-    is removed, an existing `path` is left unchanged and the error is raised.
-    An existing `path` that names, through its links, neither a regular file
-    nor a directory (a FIFO, a device, /dev/stdout) is written in place
-    instead, never replaced.
-    """
-    if os.path.exists(path) and not (os.path.isfile(path) or os.path.isdir(path)):
-        with open(path, "w") as fh:
-            dump(fh)
-        return
-    import tempfile  # here, so that commands that write no file do not load it
-
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".qclone-")
-    try:
-        # mkstemp creates the file 0600; give it the mode open(path, "w") would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        with os.fdopen(fd, "w") as fh:
-            dump(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-# --- tables and record files ----------------------------------------------
-
-
-class Grid(NamedTuple):
-    """A table of Python floats over a square grid: block i of `blocks`
-    holds the value columns at the first key keys[i], each over the second
-    key, so the rows are ``(keys[i], keys[j], *(c[j] for c in block_i))``."""
-
-    keys: list
-    blocks: Iterable
-
-
-class Shaped(NamedTuple):
-    """Rows of a few fixed shapes: each shape is a tuple of cells, a
-    constant value or `float` where the row holds a float; `rows` yields
-    (key, floats), the row of shapes[key] with its `float` cells filled
-    from the tuple floats in order."""
-
-    shapes: dict
-    rows: Iterable
-
-
-def _csv_text(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
-def _json_floats(text: str) -> str:
-    # reprs of floats as json writes them: a float's repr holds an "n" only
-    # as nan or inf, json's NaN and Infinity
-    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
-
-
-def _row_template(cells: list, fmt: str) -> str:
-    # the %-template of a row from the texts of its cells: CSV joins them by
-    # commas, JSON lays them out as json.dump(..., indent=2) lays out a row
-    if fmt == "csv":
-        return ",".join(cells)
-    return "[\n      " + ",\n      ".join(cells) + "\n    ]" if cells else "[]"
-
-
-def dump_table(columns, table, fh: TextIO, fmt: str, config: dict | None = None) -> None:
-    """Stream `table`, a `Grid` or a `Shaped`, under the header `columns` into
-    `fh` as "csv" or "json" (with `config`, if given, as its "config").
-
-    Each row is one %-template of its shape, its constants' text made once
-    per table.  CSV writes a float as ``%.12g``, a bool as ``true``/``false``
-    and any other constant as ``str``; JSON is what ``json.dump(...,
-    indent=2)`` writes: a float as its ``repr`` (``NaN``, ``Infinity``), a
-    constant as ``json.dumps``.  A `Grid` is written a block per join, each
-    key's text made once per table.
-    """
-    if fmt == "json":
-        import json  # here, so that a CSV run does not load it
-
-        payload = {"columns": list(columns), "rows": []}
-        if config is not None:
-            payload["config"] = config
-        # json escapes every quote inside a string, so the first match is the key
-        head, _, tail = json.dumps(payload, indent=2).partition('"rows": []')
-        head, first, sep = head + '"rows": [', "\n    ", ",\n    "
-        end, rows_end = "]" + tail + "\n", "\n  ]" + tail + "\n"
-        constant = json.dumps
-    else:
-        head, first = ",".join(columns), "\n"
-        sep = end = rows_end = "\n"
-        constant = _csv_text
-    if isinstance(table, Grid):
-        key_text, number = (repr, "%r") if fmt == "json" else ("%.12g".__mod__, "%.12g")
-        template = _row_template(["%s", "%s"] + [number] * (len(columns) - 2), fmt)
-        keys = list(map(key_text, table.keys))
-        texts = (sep.join(map(template.__mod__, zip(repeat(key), keys, *block)))
-                 for key, block in zip(keys, table.blocks))
-        if fmt == "json":
-            texts = map(_json_floats, texts)
-    else:
-        number = "%s" if fmt == "json" else "%.12g"
-        templates = {
-            key: _row_template([number if cell is float else constant(cell).replace("%", "%%")
-                                for cell in shape], fmt)
-            for key, shape in table.shapes.items()
-        }
-        if fmt == "json":
-            texts = (templates[key] % tuple(map(_json_floats, map(repr, floats)))
-                     for key, floats in table.rows)
-        else:
-            texts = (templates[key] % floats for key, floats in table.rows)
-    fh.write(head)
-    for text in texts:
-        fh.write(first + text)
-        first, end = sep, rows_end
-    fh.write(end)

@@ -12,12 +12,20 @@ so every value is exactly the float of the per-point call.  Squares are
 written as products because ``x**2`` on a Python float calls the C ``pow``,
 which is not always correctly rounded.  The tests check the sweep bit for
 bit against the vectorized numpy sweep of `tests/robustness_oracle.py`.
+
+No command calls the per-point functions (`eta_from_mismatch`,
+`biased_fidelity_psi`, `biased_fidelity_psi_perp`, `biased_mean`,
+`biased_mean_b`, `QuadraticErrorForm.evaluate` and `error_bound`).  They
+stay here as the documented definitions of the bias model, which the README
+cites and `sweep_blocks` restates; the benchmark's tracer also wraps five of
+them by name, so they cannot move to the tests while it does.
 """
 
 import math
 from typing import Iterator, NamedTuple
 
-from .labels import EfficiencyPair, MachineTriple, linspace
+from .labels import EfficiencyPair, MachineTriple
+from .tables import linspace
 
 
 class QuadraticErrorForm(NamedTuple):

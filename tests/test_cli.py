@@ -31,20 +31,19 @@ from qclone.cli import (
     FORMATS,
     OPTIONS,
     SCHEMAS,
-    SHAPES,
     ConfigError,
     DataError,
-    Grid,
     RunConfig,
-    Shaped,
     build_config,
-    build_parser,
     main,
     parse_well_formed,
     write_table,
 )
 from qclone.cloner import machine_triple
+from qclone.commands import SHAPES
+from qclone.fallback import build_parser
 from qclone.labels import BASIS_LABELS, CATALOG_LABELS, CATALOG_ROLES, MachineTriple
+from qclone.tables import Grid, Shaped
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
@@ -321,7 +320,7 @@ def _argparse_vars(argv):
 
 
 def _own_flags(command):
-    fields = COMMANDS[command][1] if command in COMMANDS else ()
+    fields = COMMANDS[command] if command in COMMANDS else ()
     return [OPTIONS[key][0] for key in fields] + (["--config"] if fields else [])
 
 
@@ -452,11 +451,11 @@ def test_option_table(capsys):
         flags = {flag for action in parser._actions for flag in action.option_strings}
         own = set(COMMAND_FLAGS[name].split()) | ({"--config"} if COMMAND_FLAGS[name] else set())
         assert flags == own | {"-h", "--help"}, name
-        assert {OPTIONS[key][0] for key in COMMANDS[name][1]} == own - {"--config"}, name
+        assert {OPTIONS[key][0] for key in COMMANDS[name]} == own - {"--config"}, name
         registered += len(own)
     assert registered == 27
     # every field is read by some command
-    assert set().union(*(fields for _, fields in COMMANDS.values())) == set(RunConfig._fields)
+    assert set().union(*COMMANDS.values()) == set(RunConfig._fields)
     with pytest.raises(SystemExit):
         main(["simulate", "--help"])
     out = capsys.readouterr().out
@@ -488,7 +487,7 @@ def test_config_file_and_flags_build_the_same_config(tmp_path):
     cfg_file.write_text("".join(f"{key} = {val}  # comment\n" for key, val, _ in SETTINGS))
     parser = build_parser()
     default = RunConfig()
-    for command, (_, fields) in COMMANDS.items():
+    for command, fields in COMMANDS.items():
         if not fields:
             continue
         from_file = build_config(parser.parse_args([command, "--config", str(cfg_file)]))
@@ -505,7 +504,7 @@ def test_shared_config_file_names_and_ignores_foreign_keys(tmp_path, monkeypatch
     # file writes what it writes given its own keys alone, and one stderr line
     # names the keys it ignored
     lines = {key: f"{key} = {val}\n" for key, val, _ in SETTINGS}
-    for command, (_, fields) in COMMANDS.items():
+    for command, fields in COMMANDS.items():
         if not fields:
             continue
         runs = {}
@@ -1253,7 +1252,7 @@ def test_robustness_bytes_equal_the_oracle(tmp_path, capfd, machine, eps_points,
     for out in (str(tmp_path / f"sweep.{fmt}"), "-"):
         argv = ["robustness", *machine, "--eps-points", str(eps_points), "--format", fmt,
                 "--out", out]
-        config = build_config(build_parser().parse_args(argv)).resolved(COMMANDS["robustness"][1])
+        config = build_config(build_parser().parse_args(argv)).resolved(COMMANDS["robustness"])
         assert main(argv) == EXIT_OK
         with open(tmp_path / "expected", "w") as fh:
             dump_table(SCHEMAS["robustness"], rows, fh, fmt, config)
@@ -1309,9 +1308,10 @@ def test_strict_boundary_hit_exits_3_and_writes_both_tables(tmp_path):
 
 def test_machine_from_config_type_hints_resolve_without_numpy():
     code = (
-        "import sys, typing, qclone.cli as cli\n"
-        "hints = typing.get_type_hints(cli._machine_from_config)\n"
-        "assert hints == {'cfg': cli.RunConfig, 'return': cli.MachineTriple}, hints\n"
+        "import sys, typing, qclone.cli as cli, qclone.labels as labels\n"
+        "from qclone.commands import robustness\n"
+        "hints = typing.get_type_hints(robustness._machine_from_config)\n"
+        "assert hints == {'cfg': cli.RunConfig, 'return': labels.MachineTriple}, hints\n"
         "assert 'numpy' not in sys.modules\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
@@ -1343,29 +1343,42 @@ def test_cli_import_loads_no_scipy(tmp_path):
     # imports
     # (`-m qclone.cli` runs the cli as __main__, so qclone.cli is not among
     # the imports); each case names the exact set of qclone modules it loads.
+    # schema and a config error the entry finds compile no command module;
+    # only the argparse fallback loads qclone.fallback, and only a config
+    # file qclone.configfile.  A command compiles its own module, which finds
+    # the config errors of its files and arguments before it loads its work
+    # and the table writer.
     # Only --help and a rejected command line load argparse, with its
     # gettext and locale; a well-formed one with a bad value does not
     env = _subprocess_env()
     records, edge = str(tmp_path / "r.csv"), str(tmp_path / "edge.csv")
     light = {"qclone", "qclone.labels"}
-    analytic = light | {"qclone.cloner"}
-    robustness = analytic | {"qclone.robustness"}
+    fallback = light | {"qclone.fallback"}
+
+    def command(name):
+        return light | {"qclone.commands", f"qclone.commands.{name}"}
+
+    analytic = command("analytic") | {"qclone.cloner", "qclone.tables"}
+    robustness = command("robustness") | {"qclone.cloner", "qclone.robustness", "qclone.tables"}
     # only a draw loads the sampler: not a noiseless run, nor a calibration
-    noiseless = light | {"qclone.detection"}
+    noiseless = command("simulate") | {"qclone.detection", "qclone.tables"}
     simulate = noiseless | {"qclone.sampler"}
-    calibrate = noiseless | {"qclone.estimation"}
+    calibrate = command("calibrate") | {"qclone.detection", "qclone.estimation", "qclone.tables"}
     cases = [
         (["-c", "import qclone"], EXIT_OK, {"qclone"}),
         (["-c", "import qclone.cli"], EXIT_OK, light | {"qclone.cli"}),
         (["-m", "qclone.cli", "schema"], EXIT_OK, light),
-        (["-m", "qclone.cli", "--help"], EXIT_OK, light),
-        (["-m", "qclone.cli", "simulate", "--bogus"], EXIT_CONFIG, light),
+        (["-m", "qclone.cli", "--help"], EXIT_OK, fallback),
+        (["-m", "qclone.cli", "simulate", "--bogus"], EXIT_CONFIG, fallback),
         (["-m", "qclone.cli", "simulate", "--t", "2"], EXIT_CONFIG, light),
         (["-m", "qclone.cli", "simulate", "--eta-a", "abc"], EXIT_CONFIG, light),
-        (["-m", "qclone.cli", "simulate", "--out", "-"], EXIT_CONFIG, light),
-        (["-m", "qclone.cli", "calibrate"], EXIT_CONFIG, light),
-        (["-m", "qclone.cli", "robustness", "--t", "0,1"], EXIT_CONFIG, light),
-        (["-m", "qclone.cli", "robustness", "--triple", "0.9,0.9,0.95"], EXIT_CONFIG, light),
+        (["-m", "qclone.cli", "analytic", "--config", str(tmp_path / "missing.cfg")], EXIT_CONFIG,
+         light | {"qclone.configfile"}),
+        (["-m", "qclone.cli", "simulate", "--out", "-"], EXIT_CONFIG, command("simulate")),
+        (["-m", "qclone.cli", "calibrate"], EXIT_CONFIG, command("calibrate")),
+        (["-m", "qclone.cli", "robustness", "--t", "0,1"], EXIT_CONFIG, command("robustness")),
+        (["-m", "qclone.cli", "robustness", "--triple", "0.9,0.9,0.95"], EXIT_CONFIG,
+         command("robustness")),
         (["-m", "qclone.cli", "analytic"], EXIT_OK, analytic),
         (["-m", "qclone.cli", "analytic", "--format", "json"], EXIT_OK, analytic),
         (["-m", "qclone.cli", "robustness", "--t", "0"], EXIT_OK, robustness),
@@ -1414,6 +1427,69 @@ def test_cli_import_loads_no_scipy(tmp_path):
             assert not top & {"dataclasses", "inspect"}, args
         else:
             assert not top & {"dataclasses", "inspect", "json"}, args
+
+
+_DEFAULT_T = "[0.0, 0.4472135954999579, 0.6324555320336759, 0.7745966692414834, 0.8944271909999159, 1.0]"
+
+# A `python -m qclone.cli` session, run in one folder in order: each command
+# line, its exit code and its whole stderr.
+M_SESSION = [
+    ("schema", EXIT_OK, ["# resolved config:"]),
+    ("simulate --eta-a abc", EXIT_CONFIG,
+     ["config error: --eta-a: could not convert string to float: 'abc'"]),
+    # config errors that a command's own module finds
+    ("simulate --out -", EXIT_CONFIG, [
+        f"# resolved config: t_values={_DEFAULT_T} eta_a=1.046 eta_b=0.84 counts=100000.0 "
+        "seed=12345 noiseless=False out=- records=None format=csv",
+        "config error: simulate cannot write the record file to stdout; give --records <path>",
+    ]),
+    ("robustness --triple 0.9,0.9,0.95", EXIT_CONFIG, [
+        f"# resolved config: t_values={_DEFAULT_T} out=- format=csv eps_max=0.2 eps_points=21 "
+        "triple=[0.9, 0.9, 0.95]",
+        "config error: invalid machine triple MachineTriple(fid_a=0.9, fid_b=0.9, p=0.95): "
+        "negative diagonal element",
+    ]),
+    ("analytic --out curve.csv", EXIT_OK,
+     [f"# resolved config: t_values={_DEFAULT_T} out=curve.csv format=csv"]),
+    ("simulate --t 0.5 --counts 1e3 --out sim.csv --records rec.csv", EXIT_OK, [
+        "# resolved config: t_values=[0.5] eta_a=1.046 eta_b=0.84 counts=1000.0 seed=12345 "
+        "noiseless=False out=sim.csv records=rec.csv format=csv",
+        "# records written to rec.csv",
+    ]),
+    ("calibrate --records rec.csv --out cal.csv", EXIT_OK, [
+        "# resolved config: pooled=False out=cal.csv records=rec.csv format=csv strict=False",
+        "# calibrated per-state table written to cal_states.csv",
+    ]),
+    ("calibrate --pooled --records rec.csv --out pooled.csv", EXIT_OK, [
+        "# resolved config: pooled=True out=pooled.csv records=rec.csv format=csv strict=False",
+        "# calibrated per-state table written to pooled_states.csv",
+    ]),
+    ("robustness --t 0 --eps-points 3 --out sweep.csv", EXIT_OK, [
+        "# resolved config: t_values=[0.0] out=sweep.csv format=csv eps_max=0.2 eps_points=3 "
+        "triple=None",
+        "# clone A quadratic coefficients: -0.0462962962963, 0.0185185185185, 0.00925925925926; "
+        "bound factor 0.0477988672238",
+        "# clone B quadratic coefficients: 0.00925925925926, 0.0185185185185, -0.0462962962963; "
+        "bound factor 0.0477988672238",
+    ]),
+    ("robustness --triple 0.9,0.7,0.6 --eps-points 3 --format json --out sweep.json", EXIT_OK, [
+        f"# resolved config: t_values={_DEFAULT_T} out=sweep.json format=json eps_max=0.2 "
+        "eps_points=3 triple=[0.9, 0.7, 0.6]",
+        "# clone A quadratic coefficients: -0.036, 0.024, 0.006; bound factor 0.0391867732449",
+        "# clone B quadratic coefficients: 0.012, 0.012, -0.042; bound factor 0.0426586333719",
+    ]),
+]
+
+
+def test_module_run_prints_only_its_messages(tmp_path):
+    # `python -m qclone.cli` runs the entry as __main__, which the command
+    # modules reach as qclone.cli: each command prints its `#` lines and its
+    # error message and nothing else, no warning of runpy's about qclone.cli
+    # and no traceback of a ConfigError that `main` did not catch
+    for args, code, stderr in M_SESSION:
+        proc = subprocess.run([sys.executable, "-m", "qclone.cli", *args.split()], cwd=tmp_path,
+                              env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr.splitlines()) == (code, stderr), args
 
 
 def test_closed_stdout_is_a_data_error():
@@ -1470,7 +1546,7 @@ def command_lines(draw):
     config error. The last item is the exit code the run must end in, None
     where any documented one will do."""
     command = draw(st.sampled_from(["analytic", "simulate", "robustness", "schema"]))
-    fields = COMMANDS[command][1]
+    fields = COMMANDS[command]
     flags, lines = [], []
     for flag, values in FLAG_VALUES.items() if fields else ():
         if draw(st.booleans()):

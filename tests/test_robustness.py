@@ -11,7 +11,7 @@ from report_oracle import fidelities_from_counts
 
 from qclone.cloner import MachineTriple, machine_triple
 from qclone.detection import EfficiencyPair, bias_counts
-from qclone.labels import linspace
+from qclone.tables import linspace
 from qclone.robustness import (
     QuadraticErrorForm,
     biased_fidelity_psi,
