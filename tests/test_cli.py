@@ -1,10 +1,13 @@
 import argparse
+import builtins
 import errno
+import gc
 import importlib.util
 import io
 import json
 import math
 import os
+import re
 import shlex
 import stat
 import subprocess
@@ -976,6 +979,8 @@ def test_a_fifo_output_is_written_in_place(tmp_path, monkeypatch, capsys, argv, 
     monkeypatch.chdir(tmp_path)
     assert main([*argv, flag, "regular.csv"]) == EXIT_OK
     os.mkfifo("ff")
+    opened = _open_files(monkeypatch)
+    fds = _open_fds()
     received = []
     reader = threading.Thread(target=lambda: received.append(Path("ff").read_bytes()),
                               daemon=True)
@@ -986,6 +991,107 @@ def test_a_fifo_output_is_written_in_place(tmp_path, monkeypatch, capsys, argv, 
     assert stat.S_ISFIFO(os.stat("ff").st_mode)
     assert received == [(tmp_path / "regular.csv").read_bytes()]
     assert sorted(path.name for path in tmp_path.iterdir()) == ["ff", "regular.csv"]
+    # and the FIFO is closed, as every file a command opens
+    assert opened
+    assert [fh for fh in opened if not fh.closed] == []
+    assert _open_fds() == fds
+
+
+def _open_files(monkeypatch):
+    """The file objects opened from now on by `open` or `io.open`, which
+    `os.fdopen` and pathlib call.  The list keeps each alive, so that one
+    a command leaves open is still open when the test looks."""
+    opened = []
+    real_open = io.open
+
+    def spy(*args, **kwargs):
+        fh = real_open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", spy)
+    monkeypatch.setattr(io, "open", spy)
+    return opened
+
+
+def _open_fds():
+    """This process's open file descriptors, where the system lists them."""
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
+
+
+# Each command line and its exit code, run in order in one folder that holds
+# run.cfg, bad.cfg and bad.csv: between them they open every kind of file.
+OPENING_SESSION = [
+    # a CSV report and the record file; a JSON report
+    ("simulate --t 0.5 --counts 1e3 --out sim.csv --records rec.csv", EXIT_OK),
+    ("simulate --t 0.5 --counts 1e3 --format json --out sim.json --records rec2.csv", EXIT_OK),
+    # the record file read, a summary and its _states table, CSV and JSON
+    ("calibrate --records rec.csv --out cal.csv", EXIT_OK),
+    ("calibrate --pooled --format json --records rec.csv --out cal.json", EXIT_OK),
+    ("analytic --config run.cfg --out curve.json", EXIT_OK),
+    ("robustness --t 0 --eps-points 3 --out sweep.csv", EXIT_OK),
+    # a config file and a record file that fail to parse
+    ("analytic --config bad.cfg --out bad.csv", EXIT_CONFIG),
+    ("calibrate --records bad.csv --out bad_cal.csv", EXIT_DATA),
+]
+
+
+def test_every_command_closes_the_files_it_opens(tmp_path, monkeypatch, capsys):
+    # the process entry freezes the heap once `main` returns, so a buffered
+    # file still open then would never be flushed: each command closes every
+    # file it opens, on success and on error
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("format = json\n")
+    (tmp_path / "bad.cfg").write_text("no value here\n")
+    (tmp_path / "bad.csv").write_text("0.5,H,HV,psi,1,2,3\n")
+    opened = _open_files(monkeypatch)
+    for args, code in OPENING_SESSION:
+        opened.clear()
+        fds = _open_fds()
+        assert main(args.split()) == code, args
+        assert opened, args
+        assert [fh for fh in opened if not fh.closed] == [], args
+        assert _open_fds() == fds, args
+    assert capsys.readouterr().out == ""
+
+
+def test_a_write_that_fails_midway_closes_its_temporary_file(tmp_path, monkeypatch, capsys):
+    # the `.qclone-*` file behind an atomic write is closed and removed when
+    # the write into it fails
+    from qclone import tables
+
+    def dump_then_fail(columns, rows, fh, *args):
+        fh.write(",".join(columns) + "\n")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(tables, "dump_table", dump_then_fail)
+    opened = _open_files(monkeypatch)
+    fds = _open_fds()
+    assert main(["analytic", "--out", "curve.csv"]) == EXIT_DATA
+    assert "data error: cannot write curve.csv: No space left on device\n" in capsys.readouterr().err
+    assert opened
+    assert [fh for fh in opened if not fh.closed] == []
+    assert _open_fds() == fds
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["analytic"], ["robustness", "--t", "0", "--format", "json"]])
+def test_a_table_to_stdout_is_flushed_when_main_returns(tmp_path, monkeypatch, capsys, argv):
+    # stdout stays open after `main`; what it holds is written before `main`
+    # returns, not left to the interpreter's exit
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "table"]) == EXIT_OK
+    raw = io.BytesIO()
+    stdout = io.TextIOWrapper(io.BufferedWriter(raw, buffer_size=1 << 24), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        assert main([*argv, "--out", "-"]) == EXIT_OK
+        written = raw.getvalue()
+    finally:
+        stdout.detach()
+    expected = Path("table").read_bytes().replace(b'"out": "table"', b'"out": "-"')
+    assert written == expected
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1000,11 +1106,17 @@ def test_a_failed_write_names_the_output_not_its_temporary_file(tmp_path, monkey
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(os, "replace", refuse)
+    opened = _open_files(monkeypatch)
+    fds = _open_fds()
     assert main(argv) == EXIT_DATA
     err = capsys.readouterr().err
     assert f"data error: {message}\n" in err
     assert ".qclone-" not in err
     assert list(tmp_path.iterdir()) == []
+    # and the temporary file is closed
+    assert opened
+    assert [fh for fh in opened if not fh.closed] == []
+    assert _open_fds() == fds
 
 
 @pytest.mark.parametrize("pooled", [[], ["--pooled"]])
@@ -1510,6 +1622,92 @@ def test_closed_stdout_is_a_data_error():
         proc.stderr.close()
     assert "data error: stdout was closed" in err
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+# A session of every exit code, run in one folder in order: each command
+# line and its exit code.
+EXIT_SESSION = [
+    ("schema", EXIT_OK),
+    ("analytic --out -", EXIT_OK),
+    ("simulate --eta-a abc", EXIT_CONFIG),
+    ("calibrate --records missing.csv --out m.csv", EXIT_DATA),
+    # noiseless counts at eta_a = 5 calibrate onto the search box
+    ("simulate --noiseless --eta-a 5 --out edge.csv --records edge_records.csv", EXIT_OK),
+    ("calibrate --strict --records edge_records.csv --out cal.csv", EXIT_BOUNDARY),
+]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_alone(tmp_path, monkeypatch, capsys, enabled):
+    # only the process entry freezes the heap: `main`, the in-process API,
+    # leaves the collector as it found it, on every exit code
+    monkeypatch.chdir(tmp_path)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for args, code in EXIT_SESSION:
+            before = gc.get_freeze_count(), gc.isenabled()
+            assert main(args.split()) == code, args
+            assert (gc.get_freeze_count(), gc.isenabled()) == before, args
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+# Imported at start-up by a child python that has its folder on PYTHONPATH:
+# an atexit handler that writes the size of the frozen heap when the process
+# exits, after its entry has returned.
+FREEZE_PROBE = """\
+import atexit, gc
+
+
+def _write_freeze_count():
+    with open({path!r}, "w") as fh:
+        fh.write(str(gc.get_freeze_count()))
+
+
+atexit.register(_write_freeze_count)
+"""
+
+
+def _script_route():
+    """The command line of a python that runs what the installed `qclone`
+    script runs: the entry point that pyproject.toml names for it."""
+    entry = re.search(r'^qclone = "([\w.]+):(\w+)"$', (ROOT / "pyproject.toml").read_text(),
+                      re.MULTILINE)
+    module, name = entry.groups()
+    return [sys.executable, "-c", f"import sys\nfrom {module} import {name}\nsys.exit({name}())"]
+
+
+def _files(folder):
+    return {p.name: p.read_bytes() for p in folder.iterdir()}
+
+
+def test_process_routes_freeze_the_heap_and_match_main(tmp_path, monkeypatch, capfd):
+    # `python -m qclone.cli` and the installed script both run the process
+    # entry: each ends with a frozen heap, and each command gives the exit
+    # code, stdout, stderr and files that `main` gives in process
+    probe = tmp_path / "probe"
+    probe.mkdir()
+    frozen = tmp_path / "frozen"
+    (probe / "sitecustomize.py").write_text(FREEZE_PROBE.format(path=str(frozen)))
+    env = _subprocess_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(probe), env["PYTHONPATH"]])
+    folders = {route: tmp_path / route for route in ("main", "module", "script")}
+    for folder in folders.values():
+        folder.mkdir()
+    routes = {"module": [sys.executable, "-m", "qclone.cli"], "script": _script_route()}
+    monkeypatch.chdir(folders["main"])
+    for args, code in EXIT_SESSION:
+        expected = (main(args.split()), *capfd.readouterr())
+        assert expected[0] == code, args
+        for route, argv in routes.items():
+            frozen.unlink(missing_ok=True)
+            proc = subprocess.run([*argv, *args.split()], cwd=folders[route], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert (proc.returncode, proc.stdout, proc.stderr) == expected, (route, args)
+            assert int(frozen.read_text()) > 0, (route, args)
+    assert _files(folders["module"]) == _files(folders["main"])
+    assert _files(folders["script"]) == _files(folders["main"])
 
 
 # Fuzzed flags for the exit-code property: each value is drawn in range or
