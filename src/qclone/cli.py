@@ -3,14 +3,14 @@ calibration and miscalibration sweeps, emitted as CSV or JSON tables.
 
 This module is what every command compiles: the fast parser of a
 well-formed command line, the run config and its options, the exit codes
-and errors, `write_table`, `schema` and `main`.  Each table command's body
-is its own module in `qclone.commands`, imported only when that command
-runs; the argparse parser (`qclone.fallback`), the config-file reader
-(`qclone.configfile`) and the table writer (`qclone.tables`) load only on
-the paths that use them.  Every command, and every config error, runs on
-the standard library alone: qclone requires no other package.  numpy,
-which only the matrix channel of `cloner` and `states` needs, is a test
-dependency.
+and errors, `write_table`, which writes a table of `labels.TABLES` by its
+name, `schema` and `main`.  Each table command's body is its own module in
+`qclone.commands`, imported only when that command runs; the argparse
+parser (`qclone.fallback`), the config-file reader (`qclone.configfile`)
+and the table writer (`qclone.tables`) load only on the paths that use
+them.  Every command, and every config error, runs on the standard library
+alone: qclone requires no other package.  numpy, which only the matrix
+channel of `cloner` and `states` needs, is a test dependency.
 
 `entry` is the process entry, of the installed `qclone` script and of
 `python -m qclone.cli`: it runs `main` and then freezes the heap
@@ -33,14 +33,7 @@ import sys
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .labels import (
-    BASIS_LABELS,
-    CATALOG_LABELS,
-    RECORD_FIELDS,
-    ROLE_PERP,
-    ROLE_PSI,
-    EfficiencyPair,
-)
+from .labels import BASIS_LABELS, CATALOG_LABELS, ROLE_PERP, ROLE_PSI, TABLES, EfficiencyPair
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -57,24 +50,6 @@ COUNTS_MAX = 1e15
 EPS_POINTS_MAX = 501
 
 FORMATS = ("csv", "json")
-
-SCHEMAS = {
-    "analytic": ("kind", "t", "f_a", "f_b", "p", "success_prob", "tradeoff_residual"),
-    "simulate_report": (
-        "t", "state", "basis", "role", "f_a", "f_b",
-        "mean_a", "mean_b", "variance_a", "variance_b",
-    ),
-    "records": RECORD_FIELDS,
-    "calibrate_summary": (
-        "t", "eta_a", "eta_b", "objective_value", "boundary_hit",
-        "mean_a_before", "mean_b_before", "mean_a_after", "mean_b_after",
-    ),
-    "calibrate_states": ("t", "state", "basis", "role", "f_a", "f_b"),
-    "robustness": (
-        "eps_a", "eps_b", "exact_a", "quad_a", "bound_a",
-        "exact_b", "quad_b", "bound_b",
-    ),
-}
 
 
 class ConfigError(Exception):
@@ -216,13 +191,17 @@ def build_config(args) -> RunConfig:
     return cfg
 
 
-def write_table(columns, rows, path: str, fmt: str, config: dict | None = None) -> None:
-    """Write a table, a `Grid` or a `Shaped`, as `tables.dump_table` writes
-    it, to `path`, '-' for stdout.  A file is written by `write_atomic`, so
-    on any error an existing `path` is left unchanged; an OSError writing it
-    is a DataError."""
-    from .tables import dump_table, write_atomic
+def write_table(name: str, rows, path: str, fmt: str, config: dict | None = None) -> None:
+    """Write the table `name` of `labels.TABLES`, as `tables.dump_table`
+    writes it, to `path`, '-' for stdout: `rows` are (key, floats), the rows
+    of its shapes, or the `Grid` of a table without shapes.  A file is
+    written by `write_atomic`, so on any error an existing `path` is left
+    unchanged; an OSError writing it is a DataError."""
+    from .tables import Shaped, dump_table, write_atomic
 
+    columns, shapes = TABLES[name]
+    if shapes is not None:
+        rows = Shaped(shapes, rows)
     if path == "-":
         dump_table(columns, rows, sys.stdout, fmt, config)
         return
@@ -233,8 +212,8 @@ def write_table(columns, rows, path: str, fmt: str, config: dict | None = None) 
 
 
 def schema() -> int:
-    for name, cols in SCHEMAS.items():
-        print(f"{name}: {','.join(cols)}")
+    for name, (columns, _) in TABLES.items():
+        print(f"{name}: {','.join(columns)}")
     print("record file: one record per line, fields as 'records' above;")
     vocabulary = {"state": CATALOG_LABELS, "basis": BASIS_LABELS, "role": (ROLE_PSI, ROLE_PERP)}
     print(", ".join(f"{name} in {{{','.join(values)}}}" for name, values in vocabulary.items()))

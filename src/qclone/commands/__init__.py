@@ -6,26 +6,16 @@ the command it names and calls its `run(cfg, config, config_file)`, which
 returns the exit code.  So a process compiles the body of the one command it
 runs, and `schema`, `--help` and a config error found by the entry compile
 none.  A command settles its files and its arguments first, raising
-`ConfigError` before any work, and imports the modules of its work and the
-table writer (`qclone.tables`) only then.  This package holds what more than
-one command needs: the row shapes of the tables and `_distinct_files`.
+`ConfigError` before any work, and imports the modules of its work only
+then.  It writes each table by its name in `labels.TABLES` through
+`cli.write_table`, which loads the table writer (`qclone.tables`).  This
+package holds the one check that more than one command needs,
+`_distinct_files`.
 """
 
 import os
 
 from ..cli import ConfigError
-from ..labels import RECORD_SHAPES, state_shapes
-
-# The row shapes (see `tables.Shaped`) of the record file and of every table
-# but the robustness `Grid`: an analytic row by its kind, a state's row by its
-# label, a summary row by its boundary_hit.
-SHAPES = {
-    "analytic": {kind: (kind,) + (float,) * 6 for kind in ("grid", "curve")},
-    "simulate_report": state_shapes(6),
-    "records": RECORD_SHAPES,
-    "calibrate_summary": {hit: (float,) * 4 + (hit,) + (float,) * 4 for hit in (False, True)},
-    "calibrate_states": state_shapes(2),
-}
 
 
 def _distinct_files(inputs, outputs) -> None:

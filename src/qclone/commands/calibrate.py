@@ -5,9 +5,9 @@ per-state table next to it."""
 import os
 import sys
 
-from ..cli import EXIT_BOUNDARY, EXIT_OK, SCHEMAS, ConfigError, DataError, RunConfig, write_table
+from ..cli import EXIT_BOUNDARY, EXIT_OK, ConfigError, DataError, RunConfig, write_table
 from ..labels import CATALOG_LABELS
-from . import SHAPES, _distinct_files
+from . import _distinct_files
 
 
 def run(cfg: RunConfig, config: dict, config_file: str | None) -> int:
@@ -26,7 +26,6 @@ def run(cfg: RunConfig, config: dict, config_file: str | None) -> int:
                     [("--out", cfg.out), ("the per-state table", states_path)])
     from ..detection import NoDataError, read_records, six_state_report
     from ..estimation import calibrate_each, calibrate_pooled, stacked_counts
-    from ..tables import Shaped
 
     try:
         records = read_records(cfg.records)
@@ -51,19 +50,19 @@ def run(cfg: RunConfig, config: dict, config_file: str | None) -> int:
     except (NoDataError, ValueError) as exc:
         raise DataError(str(exc))
     rows = sorted(zip(groups, results, before), key=lambda row: row[0])
-    summary_rows = Shaped(SHAPES["calibrate_summary"], (
+    summary_rows = (
         (res.boundary_hit, (t, res.eta.eta_a, res.eta.eta_b, res.objective_value,
                             b.mean_a, b.mean_b, res.report.mean_a, res.report.mean_b))
         for t, res, b in rows
-    ))
-    state_rows = Shaped(SHAPES["calibrate_states"], (
+    )
+    state_rows = (
         (label, (t, fa, fb))
         for t, res, _ in rows for label, (fa, fb) in zip(CATALOG_LABELS, res.report.per_state)
-    ))
+    )
     boundary = any(res.boundary_hit for res in results)
 
-    write_table(SCHEMAS["calibrate_summary"], summary_rows, cfg.out, cfg.format, config)
-    write_table(SCHEMAS["calibrate_states"], state_rows, states_path, cfg.format)
+    write_table("calibrate_summary", summary_rows, cfg.out, cfg.format, config)
+    write_table("calibrate_states", state_rows, states_path, cfg.format)
     print(f"# calibrated per-state table written to {states_path}", file=sys.stderr)
     if boundary:
         print("# warning: calibration hit the search-domain boundary", file=sys.stderr)

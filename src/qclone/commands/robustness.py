@@ -4,7 +4,7 @@ grid of efficiency mismatches, with its quadratic form and bound."""
 
 import sys
 
-from ..cli import EXIT_OK, SCHEMAS, ConfigError, RunConfig, write_table
+from ..cli import EXIT_OK, ConfigError, RunConfig, write_table
 from ..labels import MachineTriple
 from . import _distinct_files
 
@@ -40,5 +40,5 @@ def run(cfg: RunConfig, config: dict, config_file: str | None) -> int:
             file=sys.stderr,
         )
     rows = Grid(*sweep_blocks(m, cfg.eps_max, cfg.eps_points))
-    write_table(SCHEMAS["robustness"], rows, cfg.out, cfg.format, config)
+    write_table("robustness", rows, cfg.out, cfg.format, config)
     return EXIT_OK

@@ -4,9 +4,9 @@ written as a record file, and their six-state fidelity report."""
 import os
 import sys
 
-from ..cli import EXIT_OK, SCHEMAS, ConfigError, DataError, RunConfig, write_table
+from ..cli import EXIT_OK, ConfigError, DataError, RunConfig, write_table
 from ..labels import CATALOG_LABELS
-from . import SHAPES, _distinct_files
+from . import _distinct_files
 
 
 def run(cfg: RunConfig, config: dict, config_file: str | None) -> int:
@@ -19,7 +19,6 @@ def run(cfg: RunConfig, config: dict, config_file: str | None) -> int:
     _distinct_files([("--config", config_file)],
                     [("--out", cfg.out), ("the record file", records_path)])
     from ..detection import NoDataError, run_experiment, six_state_report, write_records
-    from ..tables import Shaped
 
     groups = [
         run_experiment(t, cfg.eta, cfg.counts, seed=cfg.seed + i, noiseless=cfg.noiseless)
@@ -31,15 +30,15 @@ def run(cfg: RunConfig, config: dict, config_file: str | None) -> int:
             reports.append(six_state_report([rec.counts for rec in recs]))
         except NoDataError as exc:
             raise DataError(f"t = {t}: {exc}; raise --counts")
-    rows = Shaped(SHAPES["simulate_report"], (
+    rows = (
         (label, (t, fa, fb, rep.mean_a, rep.mean_b, rep.variance_a, rep.variance_b))
         for t, rep in zip(cfg.t_values, reports)
         for label, (fa, fb) in zip(CATALOG_LABELS, rep.per_state)
-    ))
+    )
     try:
         write_records((rec for recs in groups for rec in recs), records_path)
     except OSError as exc:
         raise DataError(f"cannot write records to {records_path}: {exc.strerror or exc}")
-    write_table(SCHEMAS["simulate_report"], rows, cfg.out, cfg.format, config)
+    write_table("simulate_report", rows, cfg.out, cfg.format, config)
     print(f"# records written to {records_path}", file=sys.stderr)
     return EXIT_OK

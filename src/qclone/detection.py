@@ -20,10 +20,10 @@ from .labels import (
     CATALOG_LABELS,
     CATALOG_ROLES,
     RECORD_FIELDS,
-    RECORD_SHAPES,
     ROLE_PERP,
     ROLE_PSI,
     STATE_COLUMNS,
+    TABLES,
     EfficiencyPair,
 )
 from .tables import Shaped, dump_table, write_atomic
@@ -236,9 +236,10 @@ def six_state_report(
 
 def write_records(records: Iterable[MeasurementRecord], path) -> None:
     """Atomically write a record file, streamed one record per line: the CSV
-    table of RECORD_FIELDS whose rows have the shapes RECORD_SHAPES."""
-    rows = Shaped(RECORD_SHAPES, ((rec.state_label, (rec.t, *rec.counts)) for rec in records))
-    write_atomic(path, lambda fh: dump_table(RECORD_FIELDS, rows, fh, "csv"))
+    table `records` of `labels.TABLES`."""
+    columns, shapes = TABLES["records"]
+    rows = Shaped(shapes, ((rec.state_label, (rec.t, *rec.counts)) for rec in records))
+    write_atomic(path, lambda fh: dump_table(columns, rows, fh, "csv"))
 
 
 def read_records(path) -> list[MeasurementRecord]:

@@ -1,12 +1,12 @@
 """Names shared by the record files, the tables and the command line.
 
 The six preparation states and their analysis bases, the role of each state,
-each state's (state, basis, role) columns, the record-file columns and row
-shapes, the efficiency search box and the machine triple.  Every command
-imports this module, `schema` and the config errors included, so it holds
-only these names; the table writer is `qclone.tables`.  It imports nothing
-but the standard library, so the command line can parse and validate a run
-without loading numpy.
+each state's (state, basis, role) columns, `TABLES` (the columns and row
+shapes of every table and of the record file), the efficiency search box and
+the machine triple.  Every command imports this module, `schema` and the
+config errors included, so it holds only these names; the table writer is
+`qclone.tables`.  It imports nothing but the standard library, so the
+command line can parse and validate a run without loading numpy.
 """
 
 import math
@@ -17,13 +17,13 @@ BASIS_LABELS = ("HV", "DA", "RL")
 
 ROLE_PSI = "psi"
 ROLE_PERP = "perp"
-# role of each catalog state: the even ones are the basis states psi
-CATALOG_ROLES = tuple(ROLE_PSI if i % 2 == 0 else ROLE_PERP for i in range(len(CATALOG_LABELS)))
-# (state, basis, role) of each catalog state, in catalog order: the catalog
-# pairs each basis's two states, H,V in HV, D,A in DA, R,L in RL
+# The catalog pairs each basis's two states, its basis state psi first: H,V
+# in HV, D,A in DA, R,L in RL.  The role of each catalog state:
+CATALOG_ROLES = (ROLE_PSI, ROLE_PERP) * len(BASIS_LABELS)
+# (state, basis, role) of each catalog state, in catalog order
 STATE_COLUMNS = tuple(
-    (label, BASIS_LABELS[i // 2], role)
-    for i, (label, role) in enumerate(zip(CATALOG_LABELS, CATALOG_ROLES))
+    zip(CATALOG_LABELS, [basis for basis in BASIS_LABELS for _ in (ROLE_PSI, ROLE_PERP)],
+        CATALOG_ROLES)
 )
 
 # One record per line: t, state_label, basis_label, role, c_pp, c_pm, c_mp, c_mm
@@ -36,8 +36,29 @@ def state_shapes(values: int) -> dict:
     return {columns[0]: (float, *columns) + (float,) * values for columns in STATE_COLUMNS}
 
 
-# A record's row shape: t, its state's (state, basis, role), its four counts.
-RECORD_SHAPES = state_shapes(4)
+# Every table by name, in the order `schema` lists them: its columns and the
+# row shapes (see `tables.Shaped`) of its rows, an analytic row's by its
+# kind, a state's by its label, a summary row's by its boundary_hit; None for
+# the robustness `Grid`.  A record is t, its state's (state, basis, role) and
+# its four counts.
+TABLES = {
+    "analytic": (
+        "kind t f_a f_b p success_prob tradeoff_residual".split(),
+        {kind: (kind,) + (float,) * 6 for kind in ("grid", "curve")},
+    ),
+    "simulate_report": (
+        "t state basis role f_a f_b mean_a mean_b variance_a variance_b".split(),
+        state_shapes(6),
+    ),
+    "records": (RECORD_FIELDS, state_shapes(4)),
+    "calibrate_summary": (
+        "t eta_a eta_b objective_value boundary_hit "
+        "mean_a_before mean_b_before mean_a_after mean_b_after".split(),
+        {hit: (float,) * 4 + (hit,) + (float,) * 4 for hit in (False, True)},
+    ),
+    "calibrate_states": ("t state basis role f_a f_b".split(), state_shapes(2)),
+    "robustness": ("eps_a eps_b exact_a quad_a bound_a exact_b quad_b bound_b".split(), None),
+}
 
 ETA_MIN = 0.2
 ETA_MAX = 5.0

@@ -36,9 +36,11 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
 def write_atomic(path, dump: Callable[[TextIO], None]) -> None:
     """Write a text file through ``dump(fh)`` and move it into place whole.
 
-    The file is written under a temporary name in the target directory and
-    renamed over `path` only once complete; on any error the temporary file
-    is removed, an existing `path` is left unchanged and the error is raised.
+    The file is written under a random `.qclone-` name in the target
+    directory, created with the mode ``open(path, "w")`` gives (0o666 less
+    the umask, which is never changed), and renamed over `path` only once
+    complete; on any error the temporary file is closed and removed, an
+    existing `path` is left unchanged and the error is raised.
     An existing `path` that names, through its links, neither a regular file
     nor a directory (a FIFO, a device, /dev/stdout) is written in place
     instead, never replaced.
@@ -47,15 +49,10 @@ def write_atomic(path, dump: Callable[[TextIO], None]) -> None:
         with open(path, "w") as fh:
             dump(fh)
         return
-    import tempfile  # here, so that commands that write no file do not load it
-
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".qclone-")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".qclone-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        # mkstemp creates the file 0600; give it the mode open(path, "w") would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        with os.fdopen(fd, "w") as fh:
+        with open(fd, "w") as fh:
             dump(fh)
         os.replace(tmp, path)
     except BaseException:

@@ -16,6 +16,7 @@ import threading
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import chain
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from qclone.cli import (
     EXIT_OK,
     FORMATS,
     OPTIONS,
-    SCHEMAS,
     ConfigError,
     DataError,
     RunConfig,
@@ -43,10 +43,9 @@ from qclone.cli import (
     write_table,
 )
 from qclone.cloner import machine_triple
-from qclone.commands import SHAPES
 from qclone.fallback import build_parser
-from qclone.labels import BASIS_LABELS, CATALOG_LABELS, CATALOG_ROLES, MachineTriple
-from qclone.tables import Grid, Shaped
+from qclone.labels import BASIS_LABELS, CATALOG_LABELS, CATALOG_ROLES, TABLES, MachineTriple
+from qclone.tables import Grid, Shaped, write_atomic
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
@@ -63,7 +62,7 @@ def test_analytic_table(tmp_path):
     out = tmp_path / "analytic.csv"
     assert main(["analytic", "--out", str(out)]) == EXIT_OK
     header, rows = read_csv(out)
-    assert header == list(SCHEMAS["analytic"])
+    assert header == list(TABLES["analytic"][0])
     grid = [r for r in rows if r[0] == "grid"]
     curve = [r for r in rows if r[0] == "curve"]
     assert len(grid) == 6
@@ -81,7 +80,7 @@ def test_analytic_json(tmp_path):
     out = tmp_path / "analytic.json"
     assert main(["analytic", "--format", "json", "--out", str(out)]) == EXIT_OK
     payload = json.loads(out.read_text())
-    assert payload["columns"] == list(SCHEMAS["analytic"])
+    assert payload["columns"] == list(TABLES["analytic"][0])
     assert "config" in payload
     assert len(payload["rows"]) == 206
 
@@ -94,7 +93,7 @@ def test_simulate_noiseless_unit_eta(tmp_path):
     )
     assert rc == EXIT_OK
     header, rows = read_csv(out)
-    assert header == list(SCHEMAS["simulate_report"])
+    assert header == list(TABLES["simulate_report"][0])
     assert len(rows) == 6
     for r in rows:
         assert abs(float(r[4]) - 5 / 6) < 1e-10
@@ -121,7 +120,7 @@ def test_simulate_calibrate_round_trip(tmp_path):
     rc = main(["calibrate", "--records", str(recs), "--out", str(cal_out)])
     assert rc == EXIT_OK
     header, rows = read_csv(cal_out)
-    assert header == list(SCHEMAS["calibrate_summary"])
+    assert header == list(TABLES["calibrate_summary"][0])
     for r in rows:
         assert abs(float(r[1]) - 1.046) < 1e-6
         assert abs(float(r[2]) - 0.840) < 1e-6
@@ -153,7 +152,7 @@ def test_calibrate_lists_unsorted_groups_by_t(tmp_path, monkeypatch, pooled):
                      "--out", f"cal.{fmt}"]) == EXIT_OK
     summary = json.loads(Path("cal.json").read_text())["rows"]
     states = json.loads(Path("cal_states.json").read_text())["rows"]
-    columns = SCHEMAS["calibrate_summary"]
+    columns = TABLES["calibrate_summary"][0]
     assert [row[0] for row in summary] == sorted(file_ts)
     assert [row[:2] for row in states] == [[t, label] for t in sorted(file_ts)
                                            for label in CATALOG_LABELS]
@@ -563,7 +562,7 @@ def test_robustness_table(tmp_path):
                "--eps-points", "5", "--out", str(out)])
     assert rc == EXIT_OK
     header, rows = read_csv(out)
-    assert header == list(SCHEMAS["robustness"])
+    assert header == list(TABLES["robustness"][0])
     assert len(rows) == 25
     for r in rows:
         vals = [float(x) for x in r]
@@ -903,7 +902,7 @@ def test_per_state_table_is_named_after_its_format(tmp_path, monkeypatch, fmt, o
     assert written == sorted(["sim", "sim_records.csv", out, states])
     if fmt == "json":
         assert json.loads((tmp_path / states).read_text())["columns"] == list(
-            SCHEMAS["calibrate_states"])
+            TABLES["calibrate_states"][0])
 
 
 @pytest.mark.parametrize("fmt, out, records", [
@@ -1167,6 +1166,14 @@ def _as_shaped(rows):
                            for i, row in enumerate(rows)])
 
 
+def _write_table(columns, table, path, fmt, config=None):
+    """`write_table` of `table`, a `Shaped` or a `Grid`, under the header
+    `columns`: the table is in `TABLES`, as "table", for the call alone."""
+    shaped = isinstance(table, Shaped)
+    with patch.dict(TABLES, table=(columns, table.shapes if shaped else None)):
+        write_table("table", table.rows if shaped else table, path, fmt, config)
+
+
 TABLE_ROWS = [(0.1, True, "a"), (1 / 3, False, "b")]
 TABLE = (("x", "flag", "label"), _as_shaped(TABLE_ROWS))
 
@@ -1174,8 +1181,8 @@ TABLE = (("x", "flag", "label"), _as_shaped(TABLE_ROWS))
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_write_table_stdout_matches_file(tmp_path, capfd, fmt):
     out, expected = tmp_path / f"table.{fmt}", tmp_path / "expected"
-    write_table(*TABLE, str(out), fmt, config={"seed": 1})
-    write_table(*TABLE, "-", fmt, config={"seed": 1})
+    _write_table(*TABLE, str(out), fmt, config={"seed": 1})
+    _write_table(*TABLE, "-", fmt, config={"seed": 1})
     assert capfd.readouterr().out.encode() == out.read_bytes()
     with open(expected, "w") as fh:
         dump_table(TABLE[0], TABLE_ROWS, fh, fmt, {"seed": 1})
@@ -1192,7 +1199,7 @@ def test_write_table_failure_keeps_target(tmp_path, fmt):
         raise RuntimeError("cannot format")
 
     with pytest.raises(RuntimeError, match="cannot format"):
-        write_table(("a", "b"), Shaped({0: (float, float)}, failing()), str(out), fmt)
+        _write_table(("a", "b"), Shaped({0: (float, float)}, failing()), str(out), fmt)
     assert out.read_text() == "old table\n"
     assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
@@ -1210,9 +1217,48 @@ def test_written_files_get_the_mode_of_open(tmp_path):
         assert (tmp_path / name).stat().st_mode & 0o777 == 0o640
 
 
+def test_write_atomic_keeps_the_umask_and_closes_its_file(tmp_path, monkeypatch):
+    # another thread would create its files under a umask flipped to 0; a
+    # descriptor is closed and a temporary file removed whatever fails
+    def refused(*args):
+        raise PermissionError("refused")
+
+    opened = []
+
+    def recording_open(*args, _open=os.open):
+        opened.append(_open(*args))
+        return opened[-1]
+
+    old = os.umask(0o027)
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(os, "umask", refused)
+            m.setattr(os, "chmod", refused)
+            for fmt in FORMATS:
+                out = tmp_path / f"curve.{fmt}"
+                argv = ["analytic", "--t", "0.5", "--format", fmt, "--out", str(out)]
+                assert main(argv) == EXIT_OK
+                assert out.stat().st_mode & 0o777 == 0o666 & ~0o027
+            m.setattr(os, "open", recording_open)
+
+            def failing(fh):
+                fh.write("half a table")
+                raise RuntimeError("cannot format")
+
+            with pytest.raises(RuntimeError, match="cannot format"):
+                write_atomic(str(tmp_path / "failed.csv"), failing)
+    finally:
+        os.umask(old)
+    assert opened
+    for fd in opened:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv", "curve.json"]
+
+
 def test_write_table_unwritable_directory_is_a_data_error(tmp_path):
     with pytest.raises(DataError, match="cannot write"):
-        write_table(*TABLE, str(tmp_path / "missing" / "table.csv"), "csv")
+        _write_table(*TABLE, str(tmp_path / "missing" / "table.csv"), "csv")
 
 
 # floats the two formats write in their own ways: signed zero, subnormals,
@@ -1248,7 +1294,7 @@ def test_write_table_matches_oracle(tmp_path_factory, table):
     columns, rows, fmt, config = table
     folder = tmp_path_factory.mktemp("tables")
     out, expected = folder / "table", folder / "expected"
-    write_table(columns, _as_shaped(rows), str(out), fmt, config)
+    _write_table(columns, _as_shaped(rows), str(out), fmt, config)
     with open(expected, "w") as fh:
         dump_table(columns, rows, fh, fmt, config)
     assert out.read_bytes() == expected.read_bytes()
@@ -1279,7 +1325,7 @@ def test_write_grid_matches_oracle(tmp_path_factory, grid):
     columns = ["key", "other", *(f"v{i}" for i in range(values))]
     folder = tmp_path_factory.mktemp("grids")
     out, expected = folder / "table", folder / "expected"
-    write_table(columns, rows, str(out), fmt, {"seed": 1})
+    _write_table(columns, rows, str(out), fmt, {"seed": 1})
     with open(expected, "w") as fh:
         dump_table(columns, expected_rows, fh, fmt, {"seed": 1})
     assert out.read_bytes() == expected.read_bytes()
@@ -1320,7 +1366,7 @@ def test_write_shaped_matches_oracle(tmp_path_factory, table):
     columns, rows, filled, fmt = table
     folder = tmp_path_factory.mktemp("shaped")
     out, expected = folder / "table", folder / "expected"
-    write_table(columns, rows, str(out), fmt, {"seed": 1})
+    _write_table(columns, rows, str(out), fmt, {"seed": 1})
     with open(expected, "w") as fh:
         dump_table(columns, filled, fh, fmt, {"seed": 1})
     assert out.read_bytes() == expected.read_bytes()
@@ -1329,22 +1375,25 @@ def test_write_shaped_matches_oracle(tmp_path_factory, table):
 @settings(deadline=None)
 @given(st.data())
 @pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("name", list(SHAPES))
+@pytest.mark.parametrize("name", [name for name, (_, shapes) in TABLES.items() if shapes])
 def test_six_state_table_shapes_match_oracle(tmp_path_factory, name, fmt, data):
-    # the row shapes of every Shaped table and of the record file fit their
-    # schemas, and their rows of any floats are written as the oracle writes them
-    shapes = SHAPES[name]
-    assert all(len(shape) == len(SCHEMAS[name]) for shape in shapes.values())
-    if "state" in SCHEMAS[name]:
+    # the registry lists the tables in the order `schema` prints them; the
+    # row shapes of every Shaped table and of the record file fit their
+    # columns, and their rows of any floats are written as the oracle writes them
+    assert [f"{table}: {','.join(columns)}" for table, (columns, _) in TABLES.items()] == (
+        SCHEMA_STDOUT.splitlines()[:len(TABLES)])
+    columns, shapes = TABLES[name]
+    assert all(len(shape) == len(columns) for shape in shapes.values())
+    if "state" in columns:
         assert [shape[1:4] for shape in shapes.values()] == [
             (label, BASIS_LABELS[i // 2], role)
             for i, (label, role) in enumerate(zip(CATALOG_LABELS, CATALOG_ROLES))]
     rows, filled = _shaped_rows(data.draw, shapes)
     folder = tmp_path_factory.mktemp("shapes")
     out, expected = folder / "table", folder / "expected"
-    write_table(SCHEMAS[name], Shaped(shapes, iter(rows)), str(out), fmt)
+    write_table(name, iter(rows), str(out), fmt)
     with open(expected, "w") as fh:
-        dump_table(SCHEMAS[name], filled, fh, fmt, None)
+        dump_table(columns, filled, fh, fmt, None)
     assert out.read_bytes() == expected.read_bytes()
 
 
@@ -1367,7 +1416,7 @@ def test_robustness_bytes_equal_the_oracle(tmp_path, capfd, machine, eps_points,
         config = build_config(build_parser().parse_args(argv)).resolved(COMMANDS["robustness"])
         assert main(argv) == EXIT_OK
         with open(tmp_path / "expected", "w") as fh:
-            dump_table(SCHEMAS["robustness"], rows, fh, fmt, config)
+            dump_table(TABLES["robustness"][0], rows, fh, fmt, config)
         written = capfd.readouterr().out.encode() if out == "-" else Path(out).read_bytes()
         assert written == (tmp_path / "expected").read_bytes(), out
 
@@ -1612,7 +1661,7 @@ def test_closed_stdout_is_a_data_error():
     proc = subprocess.Popen(argv, env=_subprocess_env(), stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE)
     try:
-        assert proc.stdout.readline() == (",".join(SCHEMAS["robustness"]) + "\n").encode()
+        assert proc.stdout.readline() == (",".join(TABLES["robustness"][0]) + "\n").encode()
         proc.stdout.close()
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=120) == EXIT_DATA, err
