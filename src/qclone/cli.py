@@ -22,8 +22,9 @@ finalization, which also still runs the atexit handlers.  `main` is the
 in-process API and never touches the collector.
 
 Exit codes: 0 success, 1 config error (a command line that argparse rejects
-included), 2 data error (a stdout closed by its reader included), 3
-calibration hit the search boundary and --strict was given.
+included), 2 data error (a stdout that fails to write, closed by its reader
+or full, included), 3 calibration hit the search boundary and --strict was
+given.
 """
 
 import gc
@@ -194,19 +195,16 @@ def build_config(args) -> RunConfig:
 def write_table(name: str, rows, path: str, fmt: str, config: dict | None = None) -> None:
     """Write the table `name` of `labels.TABLES`, as `tables.dump_table`
     writes it, to `path`, '-' for stdout: `rows` are (key, floats), the rows
-    of its shapes, or the `Grid` of a table without shapes.  A file is
-    written by `write_atomic`, so on any error an existing `path` is left
-    unchanged; an OSError writing it is a DataError."""
-    from .tables import Shaped, dump_table, write_atomic
+    of its shapes, or the grid (keys, blocks) of a table without shapes.  A
+    file is written by `write_atomic`, so on any error an existing `path` is
+    left unchanged; an OSError writing it is a DataError."""
+    from .tables import dump_table, write_atomic
 
-    columns, shapes = TABLES[name]
-    if shapes is not None:
-        rows = Shaped(shapes, rows)
     if path == "-":
-        dump_table(columns, rows, sys.stdout, fmt, config)
+        dump_table(*TABLES[name], rows, sys.stdout, fmt, config)
         return
     try:
-        write_atomic(path, lambda fh: dump_table(columns, rows, fh, fmt, config))
+        write_atomic(path, lambda fh: dump_table(*TABLES[name], rows, fh, fmt, config))
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc.strerror or exc}")
 
@@ -298,11 +296,15 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except BrokenPipeError:
-        # the reader of stdout went away; send what is still buffered to
-        # devnull, so that the flush at exit does not fail again
+    except OSError as exc:
+        # each file a command opens makes its own OSError a DataError, so this
+        # one is stdout's; what it still buffers goes to devnull, so that the
+        # flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("data error: stdout was closed before the table was written", file=sys.stderr)
+        reason = ("stdout was closed before the table was written"
+                  if isinstance(exc, BrokenPipeError)
+                  else f"cannot write to stdout: {exc.strerror or exc}")
+        print(f"data error: {reason}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -30,7 +30,6 @@ def run(cfg: RunConfig, config: dict, config_file: str | None) -> int:
     _distinct_files([("--config", config_file)], [("--out", cfg.out)])
     m = _machine_from_config(cfg)
     from ..robustness import sweep_blocks, taylor_form, taylor_form_b
-    from ..tables import Grid
 
     for clone, form in (("A", taylor_form(m)), ("B", taylor_form_b(m))):
         print(
@@ -39,6 +38,6 @@ def run(cfg: RunConfig, config: dict, config_file: str | None) -> int:
             f"bound factor {form.max_eigenvalue():.12g}",
             file=sys.stderr,
         )
-    rows = Grid(*sweep_blocks(m, cfg.eps_max, cfg.eps_points))
+    rows = sweep_blocks(m, cfg.eps_max, cfg.eps_points)
     write_table("robustness", rows, cfg.out, cfg.format, config)
     return EXIT_OK

@@ -26,7 +26,7 @@ from .labels import (
     TABLES,
     EfficiencyPair,
 )
-from .tables import Shaped, dump_table, write_atomic
+from .tables import dump_table, write_atomic
 
 
 # The largest count a record may hold.  The count-ratio calibration sums a
@@ -237,9 +237,8 @@ def six_state_report(
 def write_records(records: Iterable[MeasurementRecord], path) -> None:
     """Atomically write a record file, streamed one record per line: the CSV
     table `records` of `labels.TABLES`."""
-    columns, shapes = TABLES["records"]
-    rows = Shaped(shapes, ((rec.state_label, (rec.t, *rec.counts)) for rec in records))
-    write_atomic(path, lambda fh: dump_table(columns, rows, fh, "csv"))
+    rows = ((rec.state_label, (rec.t, *rec.counts)) for rec in records)
+    write_atomic(path, lambda fh: dump_table(*TABLES["records"], rows, fh, "csv"))
 
 
 def read_records(path) -> list[MeasurementRecord]:

@@ -31,7 +31,8 @@ def _ordered_counts(records: list[MeasurementRecord]) -> list[tuple[float, ...]]
         by_state[rec.state_label] = rec
     missing = [s for s in CATALOG_LABELS if s not in by_state]
     if missing:
-        raise ValueError(f"missing records for states: {missing}")
+        at = f" at t = {records[0].t}" if records else ""
+        raise ValueError(f"missing records for states: {missing}{at}")
     return [by_state[s].counts for s in CATALOG_LABELS]
 
 

@@ -31,16 +31,16 @@ RECORD_FIELDS = ("t", "state", "basis", "role", "c_pp", "c_pm", "c_mp", "c_mm")
 
 
 def state_shapes(values: int) -> dict:
-    """The row shapes (see `Shaped`) of a six-state table, keyed by state
-    label: t, the state's (state, basis, role), then `values` floats."""
+    """The row shapes (see `tables.dump_table`) of a six-state table, keyed
+    by state label: t, the state's (state, basis, role), then `values` floats."""
     return {columns[0]: (float, *columns) + (float,) * values for columns in STATE_COLUMNS}
 
 
 # Every table by name, in the order `schema` lists them: its columns and the
-# row shapes (see `tables.Shaped`) of its rows, an analytic row's by its
+# row shapes (see `tables.dump_table`) of its rows, an analytic row's by its
 # kind, a state's by its label, a summary row's by its boundary_hit; None for
-# the robustness `Grid`.  A record is t, its state's (state, basis, role) and
-# its four counts.
+# the robustness grid, whose rows are (keys, blocks).  A record is t, its
+# state's (state, basis, role) and its four counts.
 TABLES = {
     "analytic": (
         "kind t f_a f_b p success_prob tradeoff_residual".split(),

@@ -1,6 +1,6 @@
 """The table writer: every table and record file that qclone writes.
 
-`dump_table` streams a `Grid` or a `Shaped` table as CSV or JSON, and
+`dump_table` streams a table, of row shapes or a grid, as CSV or JSON, and
 `write_atomic` moves a written file into place whole; `linspace` makes the
 evenly spaced axes of the analytic curve and the robustness sweep.  Only
 the commands that write a table import this module, so `schema`, `--help`
@@ -10,7 +10,7 @@ nothing but the standard library.
 
 import os
 from itertools import repeat
-from typing import Callable, Iterable, NamedTuple, TextIO
+from typing import Callable, TextIO
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:
@@ -60,25 +60,6 @@ def write_atomic(path, dump: Callable[[TextIO], None]) -> None:
         raise
 
 
-class Grid(NamedTuple):
-    """A table of Python floats over a square grid: block i of `blocks`
-    holds the value columns at the first key keys[i], each over the second
-    key, so the rows are ``(keys[i], keys[j], *(c[j] for c in block_i))``."""
-
-    keys: list
-    blocks: Iterable
-
-
-class Shaped(NamedTuple):
-    """Rows of a few fixed shapes: each shape is a tuple of cells, a
-    constant value or `float` where the row holds a float; `rows` yields
-    (key, floats), the row of shapes[key] with its `float` cells filled
-    from the tuple floats in order."""
-
-    shapes: dict
-    rows: Iterable
-
-
 def _csv_text(value) -> str:
     if isinstance(value, bool):
         return str(value).lower()
@@ -101,16 +82,20 @@ def _row_template(cells: list, fmt: str) -> str:
     return "[\n      " + ",\n      ".join(cells) + "\n    ]" if cells else "[]"
 
 
-def dump_table(columns, table, fh: TextIO, fmt: str, config: dict | None = None) -> None:
-    """Stream `table`, a `Grid` or a `Shaped`, under the header `columns` into
-    `fh` as "csv" or "json" (with `config`, if given, as its "config").
+def dump_table(columns, shapes, rows, fh: TextIO, fmt: str, config: dict | None = None) -> None:
+    """Stream `rows` under the header `columns` into `fh` as "csv" or "json"
+    (with `config`, if given, as its "config").
 
-    Each row is one %-template of its shape, its constants' text made once
-    per table.  CSV writes a float as ``%.12g``, a bool as ``true``/``false``
-    and any other constant as ``str``; JSON is what ``json.dump(...,
-    indent=2)`` writes: a float as its ``repr`` (``NaN``, ``Infinity``), a
-    constant as ``json.dumps``.  A `Grid` is written a block per join, each
-    key's text made once per table.
+    With `shapes`, each a tuple of cells (a constant, or `float` where the
+    row holds a float), `rows` yields (key, floats), the row of shapes[key]
+    with its floats in order; each row is one %-template of its shape, its
+    constants' text made once per table.  With `shapes` None, `rows` is a
+    grid (keys, blocks) of Python floats whose rows are ``(keys[i], keys[j],
+    *(c[j] for c in blocks[i]))``, written a block per join, each key's text
+    made once per table.  CSV writes a float as ``%.12g``, a bool as
+    ``true``/``false`` and any other constant as ``str``; JSON is what
+    ``json.dump(..., indent=2)`` writes: a float as its ``repr`` (``NaN``,
+    ``Infinity``), a constant as ``json.dumps``.
     """
     if fmt == "json":
         import json  # here, so that a CSV run does not load it
@@ -127,12 +112,13 @@ def dump_table(columns, table, fh: TextIO, fmt: str, config: dict | None = None)
         head, first = ",".join(columns), "\n"
         sep = end = rows_end = "\n"
         constant = _csv_text
-    if isinstance(table, Grid):
+    if shapes is None:
+        keys, blocks = rows
         key_text, number = (repr, "%r") if fmt == "json" else ("%.12g".__mod__, "%.12g")
         template = _row_template(["%s", "%s"] + [number] * (len(columns) - 2), fmt)
-        keys = list(map(key_text, table.keys))
+        keys = list(map(key_text, keys))
         texts = (sep.join(map(template.__mod__, zip(repeat(key), keys, *block)))
-                 for key, block in zip(keys, table.blocks))
+                 for key, block in zip(keys, blocks))
         if fmt == "json":
             texts = map(_json_floats, texts)
     else:
@@ -140,13 +126,13 @@ def dump_table(columns, table, fh: TextIO, fmt: str, config: dict | None = None)
         templates = {
             key: _row_template([number if cell is float else constant(cell).replace("%", "%%")
                                 for cell in shape], fmt)
-            for key, shape in table.shapes.items()
+            for key, shape in shapes.items()
         }
         if fmt == "json":
             texts = (templates[key] % tuple(map(_json_floats, map(repr, floats)))
-                     for key, floats in table.rows)
+                     for key, floats in rows)
         else:
-            texts = (templates[key] % floats for key, floats in table.rows)
+            texts = (templates[key] % floats for key, floats in rows)
     fh.write(head)
     for text in texts:
         fh.write(first + text)

@@ -45,7 +45,7 @@ from qclone.cli import (
 from qclone.cloner import machine_triple
 from qclone.fallback import build_parser
 from qclone.labels import BASIS_LABELS, CATALOG_LABELS, CATALOG_ROLES, TABLES, MachineTriple
-from qclone.tables import Grid, Shaped, write_atomic
+from qclone.tables import write_atomic
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
@@ -533,6 +533,21 @@ def test_simulate_without_counts_is_a_data_error(tmp_path, capsys):
     assert rc == EXIT_DATA
     assert "t = 0.5: all four coincidence counts are zero" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_group_with_missing_records_names_its_t(tmp_path, capsys):
+    # a complete t = 0.5 group and a t = 0.9 group that lacks its V record
+    recs = tmp_path / "records.csv"
+    assert main(["simulate", "--t", "0.5,0.9", "--noiseless", "--out", str(tmp_path / "sim.csv"),
+                 "--records", str(recs)]) == EXIT_OK
+    lines = recs.read_text().splitlines(keepends=True)
+    recs.write_text("".join(line for line in lines if not line.startswith("0.9,V,")))
+    assert len(recs.read_text().splitlines()) == len(lines) - 1
+    capsys.readouterr()
+    rc = main(["calibrate", "--records", str(recs), "--out", str(tmp_path / "c.csv")])
+    assert rc == EXIT_DATA
+    assert "missing records for states: ['V'] at t = 0.9" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_calibrate_missing_file(tmp_path):
@@ -1059,7 +1074,7 @@ def test_a_write_that_fails_midway_closes_its_temporary_file(tmp_path, monkeypat
     # the write into it fails
     from qclone import tables
 
-    def dump_then_fail(columns, rows, fh, *args):
+    def dump_then_fail(columns, shapes, rows, fh, *args):
         fh.write(",".join(columns) + "\n")
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
@@ -1159,19 +1174,19 @@ def test_simulate_records_need_a_path(tmp_path, monkeypatch, capsys, args):
 
 
 def _as_shaped(rows):
-    """`rows` as a `Shaped` table, each row its own shape: a Python float is
-    a float cell, any other value a constant."""
+    """`rows` as a table of row shapes, (shapes, rows), each row its own
+    shape: a Python float is a float cell, any other value a constant."""
     shapes = {i: tuple(float if type(v) is float else v for v in row) for i, row in enumerate(rows)}
-    return Shaped(shapes, [(i, tuple(v for v in row if type(v) is float))
-                           for i, row in enumerate(rows)])
+    return shapes, [(i, tuple(v for v in row if type(v) is float)) for i, row in enumerate(rows)]
 
 
 def _write_table(columns, table, path, fmt, config=None):
-    """`write_table` of `table`, a `Shaped` or a `Grid`, under the header
-    `columns`: the table is in `TABLES`, as "table", for the call alone."""
-    shaped = isinstance(table, Shaped)
-    with patch.dict(TABLES, table=(columns, table.shapes if shaped else None)):
-        write_table("table", table.rows if shaped else table, path, fmt, config)
+    """`write_table` of `table`, (shapes, rows) or a grid (None, (keys,
+    blocks)), under the header `columns`: the table is in `TABLES`, as
+    "table", for the call alone."""
+    shapes, rows = table
+    with patch.dict(TABLES, table=(columns, shapes)):
+        write_table("table", rows, path, fmt, config)
 
 
 TABLE_ROWS = [(0.1, True, "a"), (1 / 3, False, "b")]
@@ -1199,7 +1214,7 @@ def test_write_table_failure_keeps_target(tmp_path, fmt):
         raise RuntimeError("cannot format")
 
     with pytest.raises(RuntimeError, match="cannot format"):
-        _write_table(("a", "b"), Shaped({0: (float, float)}, failing()), str(out), fmt)
+        _write_table(("a", "b"), ({0: (float, float)}, failing()), str(out), fmt)
     assert out.read_text() == "old table\n"
     assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
@@ -1302,22 +1317,23 @@ def test_write_table_matches_oracle(tmp_path_factory, table):
 
 @st.composite
 def grids(draw):
-    """A Grid of Python floats, its rows as a list, and a format."""
+    """A grid of Python floats, (None, (keys, blocks)), its rows as a list,
+    and a format."""
     keys = draw(st.lists(PY_FLOATS, max_size=3))
     values = draw(st.integers(0, 3))
     column = st.lists(PY_FLOATS, min_size=len(keys), max_size=len(keys))
     blocks = [draw(st.lists(column, min_size=values, max_size=values)) for _ in keys]
     rows = [(key, other, *(c[j] for c in block))
             for key, block in zip(keys, blocks) for j, other in enumerate(keys)]
-    return values, Grid(keys, iter(blocks)), rows, draw(st.sampled_from(FORMATS))
+    return values, (None, (keys, iter(blocks))), rows, draw(st.sampled_from(FORMATS))
 
 
 @settings(deadline=None)
 @given(grids())
-@example((1, Grid([-0.0, math.nan], iter([[[math.inf, -math.inf]], [[5e-324, 1e16]]])),
+@example((1, (None, ([-0.0, math.nan], iter([[[math.inf, -math.inf]], [[5e-324, 1e16]]]))),
           [(-0.0, -0.0, math.inf), (-0.0, math.nan, -math.inf),
            (math.nan, -0.0, 5e-324), (math.nan, math.nan, 1e16)], "json"))
-@example((2, Grid([], iter([])), [], "json"))
+@example((2, (None, ([], iter([]))), [], "json"))
 def test_write_grid_matches_oracle(tmp_path_factory, grid):
     # a grid is written block by block, each key's text made once: the bytes
     # are those of its rows written value by value
@@ -1332,7 +1348,7 @@ def test_write_grid_matches_oracle(tmp_path_factory, grid):
 
 
 def _shaped_rows(draw, shapes):
-    """Rows of a `Shaped` table: (key, floats), and the same rows filled in."""
+    """Rows of a table of `shapes`: (key, floats), and the same rows filled in."""
     rows, filled = [], []
     for key in draw(st.lists(st.sampled_from(list(shapes)), max_size=8)):
         floats = draw(st.tuples(*[PY_FLOATS] * shapes[key].count(float)))
@@ -1352,16 +1368,16 @@ def shaped_tables(draw):
                                   st.tuples(*[cell] * width), min_size=1, max_size=3))
     rows, filled = _shaped_rows(draw, shapes)
     columns = draw(st.lists(st.text(), min_size=width, max_size=width))
-    return columns, Shaped(shapes, iter(rows)), filled, draw(st.sampled_from(FORMATS))
+    return columns, (shapes, iter(rows)), filled, draw(st.sampled_from(FORMATS))
 
 
 @settings(deadline=None)
 @given(shaped_tables())
-@example((["x", "y", "z"], Shaped({0: (float, "%s%%", float), 1: (True, -0.0, 7)},
-                                  iter([(0, (math.nan, -math.inf)), (1, ())])),
+@example((["x", "y", "z"], ({0: (float, "%s%%", float), 1: (True, -0.0, 7)},
+                            iter([(0, (math.nan, -math.inf)), (1, ())])),
           [[math.nan, "%s%%", -math.inf], [True, -0.0, 7]], "csv"))
 def test_write_shaped_matches_oracle(tmp_path_factory, table):
-    # a Shaped table is written, in CSV by one template per shape, as its
+    # a table of row shapes is written, in CSV by one template per shape, as its
     # rows written value by value
     columns, rows, filled, fmt = table
     folder = tmp_path_factory.mktemp("shaped")
@@ -1378,7 +1394,7 @@ def test_write_shaped_matches_oracle(tmp_path_factory, table):
 @pytest.mark.parametrize("name", [name for name, (_, shapes) in TABLES.items() if shapes])
 def test_six_state_table_shapes_match_oracle(tmp_path_factory, name, fmt, data):
     # the registry lists the tables in the order `schema` prints them; the
-    # row shapes of every Shaped table and of the record file fit their
+    # row shapes of every table but the grid and of the record file fit their
     # columns, and their rows of any floats are written as the oracle writes them
     assert [f"{table}: {','.join(columns)}" for table, (columns, _) in TABLES.items()] == (
         SCHEMA_STDOUT.splitlines()[:len(TABLES)])
@@ -1671,6 +1687,24 @@ def test_closed_stdout_is_a_data_error():
         proc.stderr.close()
     assert "data error: stdout was closed" in err
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", [
+    "schema",
+    "analytic --out -",
+    "robustness --t 0 --eps-points 201 --out -",
+    "robustness --t 0.6324555320336759 --eps-points 201 --format json --out -",
+])
+def test_a_stdout_that_fails_to_write_is_a_data_error(args):
+    # a full device fails every write to it, with ENOSPC rather than EPIPE
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "qclone.cli", *args.split()],
+                              env=_subprocess_env(), stdout=full, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    assert proc.returncode == EXIT_DATA, proc.stderr
+    assert "data error: cannot write to stdout: No space left on device\n" in proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 # A session of every exit code, run in one folder in order: each command

@@ -129,6 +129,11 @@ def test_report_rejects_incomplete_records():
         report(recs + [recs[0]])
     with pytest.raises(ValueError, match="duplicate record for state H at t = 0.5"):
         report(recs + [recs[0]])
+    # a missing-state error names the group's t; no records at all name none
+    with pytest.raises(ValueError, match=r"missing records for states: \['L'\] at t = 0.5$"):
+        report(recs[:5])
+    with pytest.raises(ValueError, match=r"missing records for states: \['H', .*'L'\]$"):
+        report([])
 
 
 def _group_report(counts, eta):
