@@ -1,16 +1,16 @@
 """Command-line entry: analytic curves, synthetic experiments, detector
 calibration and miscalibration sweeps, emitted as CSV or JSON tables.
 
-This module is what every command compiles: the fast parser of a
-well-formed command line, the run config and its options, the exit codes
-and errors, `write_table`, which writes a table of `labels.TABLES` by its
-name, `schema` and `main`.  Each table command's body is its own module in
-`qclone.commands`, imported only when that command runs; the argparse
-parser (`qclone.fallback`), the config-file reader (`qclone.configfile`)
-and the table writer (`qclone.tables`) load only on the paths that use
-them.  Every command, and every config error, runs on the standard library
-alone: qclone requires no other package.  numpy, which only the matrix
-channel of `cloner` and `states` needs, is a test dependency.
+This module is what every command compiles: the command-line parser and
+its help, the run config and its options, the exit codes and errors, `note`,
+which writes a line to stderr, `write_table`, which writes a table of
+`labels.TABLES` by its name, `schema` and `main`.  Each table command's body
+is its own module in `qclone.commands`, imported only when that command
+runs; the config-file reader (`qclone.configfile`) and the table writer
+(`qclone.tables`) load only on the paths that use them.  Every command, and
+every config error, runs on the standard library alone: qclone requires no
+other package.  numpy, which only the matrix channel of `cloner` and
+`states` needs, is a test dependency.
 
 `entry` is the process entry, of the installed `qclone` script and of
 `python -m qclone.cli`: it runs `main` and then freezes the heap
@@ -21,10 +21,10 @@ stdout and stderr, which stay open, are flushed by the interpreter's
 finalization, which also still runs the atexit handlers.  `main` is the
 in-process API and never touches the collector.
 
-Exit codes: 0 success, 1 config error (a command line that argparse rejects
-included), 2 data error (a stdout that fails to write, closed by its reader
-or full, included), 3 calibration hit the search boundary and --strict was
-given.
+Exit codes: 0 success (the help included), 1 config error (a rejected
+command line included), 2 data error (a stdout that fails to write, closed
+by its reader or full, included), 3 calibration hit the search boundary and
+--strict was given.  A stderr that fails to write changes none of them.
 """
 
 import gc
@@ -122,7 +122,7 @@ class RunConfig(NamedTuple):
 
 
 def _boolean(val) -> bool:
-    # a config file gives a string, a flag (store_true) gives True
+    # a config file gives a string, a switch gives True
     text = str(val).lower()
     if text not in ("true", "1", "yes", "false", "0", "no"):
         raise ValueError(f"not a boolean: {val!r}")
@@ -161,32 +161,21 @@ def _parse_value(key: str, val, where: str):
         raise ConfigError(f"{where}: {exc}")
 
 
-def _flag_value(args, key: str, flag: str):
-    """The value `flag` gave `key` on the parsed command line `args`, None
-    where it was not given.  argparse drops a `--` value, so `--flag=--`
-    reads as [] (as '--' from Python 3.13 on): a config error."""
-    val = getattr(args, key, None)
-    if isinstance(val, list) or val == "--":
-        raise ConfigError(f"{flag}: '--' is not a value, it ends the options")
-    return val
-
-
 def build_config(args) -> RunConfig:
     """Merge defaults < config file < CLI flags, over the command's fields;
     the other fields keep their defaults.  `args` is a parsed command line:
     `command`, each field's flag value or None, and `config` for a command
     that has fields."""
-    config = _flag_value(args, "config", "--config")
+    config = getattr(args, "config", None)
     values = {}
     if config:
         from .configfile import parse_config_file
 
         values = parse_config_file(config, args.command)
     for key in COMMANDS[args.command]:
-        flag = OPTIONS[key][0]
-        val = _flag_value(args, key, flag)
+        val = getattr(args, key)
         if val is not None:
-            values[key] = _parse_value(key, val, flag)
+            values[key] = _parse_value(key, val, OPTIONS[key][0])
     cfg = RunConfig(**values)
     cfg.validate()
     return cfg
@@ -232,41 +221,96 @@ COMMANDS = {
 }
 
 
-def parse_well_formed(argv) -> SimpleNamespace | None:
-    """The namespace `fallback.build_parser().parse_args(argv)` returns, for a
-    command line that is a command and its own exact flags; None for any
-    other, which argparse then parses, rejects or answers with help.
+HELP_TOKENS = ("-h", "--help")
 
-    A flag with a value is `--flag=value` with a value other than `--`, or
+
+def _flags(command: str) -> dict:
+    """The flags of `command`, each to the name of its value: `--config`,
+    for a command that has fields, and its fields' flags."""
+    fields = COMMANDS[command]
+    return {"--config": "config", **{OPTIONS[key][0]: key for key in fields}} if fields else {}
+
+
+def _is_switch(key: str) -> bool:
+    return key != "config" and OPTIONS[key][1] is _boolean
+
+
+def _help(command: str | None) -> str:
+    """The help of `command`, or of every command for None: the grammar of
+    a command line, then each flag with its help text."""
+    lines = [
+        f"usage: qclone {command or '<command>'} [--flag=value | --flag value | --switch] ...",
+        "Asymmetric qubit-cloner simulation, calibration and robustness tables.",
+        "Give a value that starts with '-' as --flag=value. Of repeated flags the last wins.",
+    ]
+    for name in [command] if command else COMMANDS:
+        lines.append(f"\n{name}:" if COMMANDS[name] else f"\n{name}: no flags")
+        for flag, key in _flags(name).items():
+            text = (f"key=value config file; keys: {', '.join(COMMANDS[name])} (the other "
+                    "commands' keys are named on stderr and ignored)" if key == "config"
+                    else OPTIONS[key][2])
+            usage = flag if _is_switch(key) else f"{flag} {key.upper()}"
+            lines.append(f"  {usage:<24}{text}")
+    lines.append(f"\n  {', '.join(HELP_TOKENS):<24}print this help")
+    return "\n".join(lines) + "\n"
+
+
+def parse_well_formed(argv) -> SimpleNamespace | str:
+    """The command line `argv` read as a command and its own flags: a
+    namespace of `command` and each flag's value, None where it is not
+    given; or the help text, for a help token (-h, --help) where a command
+    or a flag goes.  Any other command line is a ConfigError that names its
+    first wrong token.
+
+    A value flag is `--flag=value` with a value other than `--`, or
     `--flag value` with a value that is `-` or does not start with '-'; a
-    switch has no `=`.  The last of repeated flags wins, as in argparse.
+    switch has no `=`.  The last of repeated flags wins.  Tokens are read
+    left to right, and the first help token or wrong token decides.
     """
-    if not argv or argv[0] not in COMMANDS:
-        return None
-    fields = COMMANDS[argv[0]]
-    keys = {OPTIONS[key][0]: key for key in fields}
-    if fields:
-        keys["--config"] = "config"
+    command = argv[0] if argv else None
+    if command in HELP_TOKENS:
+        return _help(None)
+    if command not in COMMANDS:
+        given = "no command" if command is None else f"unknown command {command!r}"
+        raise ConfigError(f"{given}; the commands are {', '.join(COMMANDS)}")
+    keys = _flags(command)
     values = dict.fromkeys(keys.values())
     tokens = iter(argv[1:])
     for token in tokens:
+        if token in HELP_TOKENS:
+            return _help(command)
         flag, eq, value = token.partition("=")
         key = keys.get(flag)
         if key is None:
-            return None
-        if key != "config" and OPTIONS[key][1] is _boolean:
+            own = f"its flags are {', '.join(keys)}" if keys else "it takes no flags"
+            raise ConfigError(f"{command} does not take {token!r}; {own}")
+        if _is_switch(key):
             if eq:
-                return None
+                raise ConfigError(f"{flag} is a switch and takes no value")
             value = True
         elif not eq:
             value = next(tokens, None)
             if value is None or value.startswith("-") and value != "-":
-                return None
+                raise ConfigError(
+                    f"{flag} expects a value (give a value that starts with '-' as {flag}=<value>)"
+                )
         elif value == "--":
-            # argparse drops a `--` value: `--flag=--` reads as []
-            return None
+            raise ConfigError(f"{flag}: '--' is not a value, it ends the options")
         values[key] = value
-    return SimpleNamespace(command=argv[0], **values)
+    return SimpleNamespace(command=command, **values)
+
+
+def note(*parts) -> None:
+    """Print `parts` to stderr as one line, for people.  A stderr that is
+    closed or fails to write drops the line, and fd 2 then points at
+    devnull, so that neither a later line nor the flush at exit fails again:
+    a diagnostic never stops a table or changes an exit code."""
+    if sys.stderr is None:  # fd 2 was closed when the process started
+        return
+    try:
+        print(*parts, file=sys.stderr)
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
 
 
 def main(argv=None) -> int:
@@ -274,13 +318,13 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = parse_well_formed(argv)
-        if args is None:
-            from .fallback import build_parser
-
-            args = build_parser().parse_args(argv)
+        if isinstance(args, str):  # the help
+            sys.stdout.write(args)
+            sys.stdout.flush()
+            return EXIT_OK
         cfg = build_config(args)
         config = cfg.resolved(COMMANDS[args.command])
-        print("# resolved config:", *(f"{k}={v}" for k, v in config.items()), file=sys.stderr)
+        note("# resolved config:", *(f"{k}={v}" for k, v in config.items()))
         if args.command == "schema":
             code = schema()
         else:
@@ -291,20 +335,20 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        note(f"config error: {exc}")
         return EXIT_CONFIG
     except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+        note(f"data error: {exc}")
         return EXIT_DATA
     except OSError as exc:
-        # each file a command opens makes its own OSError a DataError, so this
-        # one is stdout's; what it still buffers goes to devnull, so that the
-        # flush at exit does not fail again
+        # each file a command opens makes its own OSError a DataError, and
+        # `note` drops stderr's, so this one is stdout's; what it still
+        # buffers goes to devnull, so that the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         reason = ("stdout was closed before the table was written"
                   if isinstance(exc, BrokenPipeError)
                   else f"cannot write to stdout: {exc.strerror or exc}")
-        print(f"data error: {reason}", file=sys.stderr)
+        note(f"data error: {reason}")
         return EXIT_DATA
 
 

@@ -4,11 +4,12 @@ and `robustness`.
 `qclone.cli` parses and validates a command line, then imports the module of
 the command it names and calls its `run(cfg, config, config_file)`, which
 returns the exit code.  So a process compiles the body of the one command it
-runs, and `schema`, `--help` and a config error found by the entry compile
-none.  A command settles its files and its arguments first, raising
-`ConfigError` before any work, and imports the modules of its work only
-then.  It writes each table by its name in `labels.TABLES` through
-`cli.write_table`, which loads the table writer (`qclone.tables`).  This
+runs, and `schema`, the help and a config error found by the entry (a
+rejected command line included) compile none.  A command settles its files
+and its arguments first, raising `ConfigError` before any work, and imports
+the modules of its work only then.  It writes each table by its name in
+`labels.TABLES` through `cli.write_table`, which loads the table writer
+(`qclone.tables`), and its `#` lines to stderr through `cli.note`.  This
 package holds the one check that more than one command needs,
 `_distinct_files`.
 """

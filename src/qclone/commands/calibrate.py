@@ -3,9 +3,8 @@ file (or one pair for all, `--pooled`), a summary table and the calibrated
 per-state table next to it."""
 
 import os
-import sys
 
-from ..cli import EXIT_BOUNDARY, EXIT_OK, ConfigError, DataError, RunConfig, write_table
+from ..cli import EXIT_BOUNDARY, EXIT_OK, ConfigError, DataError, RunConfig, note, write_table
 from ..labels import CATALOG_LABELS
 from . import _distinct_files
 
@@ -63,9 +62,9 @@ def run(cfg: RunConfig, config: dict, config_file: str | None) -> int:
 
     write_table("calibrate_summary", summary_rows, cfg.out, cfg.format, config)
     write_table("calibrate_states", state_rows, states_path, cfg.format)
-    print(f"# calibrated per-state table written to {states_path}", file=sys.stderr)
+    note(f"# calibrated per-state table written to {states_path}")
     if boundary:
-        print("# warning: calibration hit the search-domain boundary", file=sys.stderr)
+        note("# warning: calibration hit the search-domain boundary")
         if cfg.strict:
             return EXIT_BOUNDARY
     return EXIT_OK

@@ -2,9 +2,7 @@
 machine, the optimal one at a single t or an explicit triple, over a square
 grid of efficiency mismatches, with its quadratic form and bound."""
 
-import sys
-
-from ..cli import EXIT_OK, ConfigError, RunConfig, write_table
+from ..cli import EXIT_OK, ConfigError, RunConfig, note, write_table
 from ..labels import MachineTriple
 from . import _distinct_files
 
@@ -32,11 +30,10 @@ def run(cfg: RunConfig, config: dict, config_file: str | None) -> int:
     from ..robustness import sweep_blocks, taylor_form, taylor_form_b
 
     for clone, form in (("A", taylor_form(m)), ("B", taylor_form_b(m))):
-        print(
+        note(
             f"# clone {clone} quadratic coefficients: "
             f"{form.coeff_aa:.12g}, {form.coeff_ab:.12g}, {form.coeff_bb:.12g}; "
-            f"bound factor {form.max_eigenvalue():.12g}",
-            file=sys.stderr,
+            f"bound factor {form.max_eigenvalue():.12g}"
         )
     rows = sweep_blocks(m, cfg.eps_max, cfg.eps_points)
     write_table("robustness", rows, cfg.out, cfg.format, config)

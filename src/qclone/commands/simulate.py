@@ -2,9 +2,8 @@
 written as a record file, and their six-state fidelity report."""
 
 import os
-import sys
 
-from ..cli import EXIT_OK, ConfigError, DataError, RunConfig, write_table
+from ..cli import EXIT_OK, ConfigError, DataError, RunConfig, note, write_table
 from ..labels import CATALOG_LABELS
 from . import _distinct_files
 
@@ -40,5 +39,5 @@ def run(cfg: RunConfig, config: dict, config_file: str | None) -> int:
     except OSError as exc:
         raise DataError(f"cannot write records to {records_path}: {exc.strerror or exc}")
     write_table("simulate_report", rows, cfg.out, cfg.format, config)
-    print(f"# records written to {records_path}", file=sys.stderr)
+    note(f"# records written to {records_path}")
     return EXIT_OK

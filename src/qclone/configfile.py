@@ -1,9 +1,7 @@
 """The reader of a `--config` file, which only a command line that names
 one loads."""
 
-import sys
-
-from .cli import COMMANDS, OPTIONS, ConfigError, _parse_value
+from .cli import COMMANDS, OPTIONS, ConfigError, _parse_value, note
 
 
 def parse_config_file(path: str, command: str) -> dict:
@@ -34,5 +32,5 @@ def parse_config_file(path: str, command: str) -> dict:
         elif key not in foreign:
             foreign.append(key)
     if foreign:
-        print(f"# config keys {command} does not read: {', '.join(foreign)}", file=sys.stderr)
+        note(f"# config keys {command} does not read: {', '.join(foreign)}")
     return values

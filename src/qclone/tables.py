@@ -3,8 +3,9 @@
 `dump_table` streams a table, of row shapes or a grid, as CSV or JSON, and
 `write_atomic` moves a written file into place whole; `linspace` makes the
 evenly spaced axes of the analytic curve and the robustness sweep.  Only
-the commands that write a table import this module, so `schema`, `--help`
-and a config error found before any work compile none of it.  It imports
+the commands that write a table import this module, so `schema`, the help
+and a config error found before any work (a rejected command line
+included) compile none of it.  It imports
 nothing but the standard library.
 """
 

@@ -1,4 +1,3 @@
-import argparse
 import builtins
 import errno
 import gc
@@ -13,7 +12,6 @@ import stat
 import subprocess
 import sys
 import threading
-from contextlib import redirect_stderr, redirect_stdout
 from itertools import chain
 from pathlib import Path
 from unittest.mock import patch
@@ -21,6 +19,7 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 import robustness_oracle
+from cli_oracle import argparse_vars
 from hypothesis import example, given, settings, strategies as st
 from table_oracle import dump_table
 
@@ -43,7 +42,6 @@ from qclone.cli import (
     write_table,
 )
 from qclone.cloner import machine_triple
-from qclone.fallback import build_parser
 from qclone.labels import BASIS_LABELS, CATALOG_LABELS, CATALOG_ROLES, TABLES, MachineTriple
 from qclone.tables import write_atomic
 
@@ -243,43 +241,69 @@ def test_config_validation_error(tmp_path, capsys):
 PATHS = ["--out", "sim.csv", "--records", "records.csv"]
 
 
-@pytest.mark.parametrize("argv, message, usage", [
-    (["simulate", "--eta-a", "abc", *PATHS], "--eta-a: could not convert string to float: 'abc'",
-     False),
+COMMAND_LIST = "the commands are analytic, simulate, calibrate, robustness, schema"
+ANALYTIC_FLAGS = "its flags are --config, --t, --out, --format"
+CALIBRATE_FLAGS = "its flags are --config, --pooled, --out, --records, --format, --strict"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--eta-a", "abc", *PATHS], "--eta-a: could not convert string to float: 'abc'"),
     (["robustness", "--eps-points", "2.5", "--out", "rob.csv"],
-     "--eps-points: invalid literal for int()", False),
+     "--eps-points: invalid literal for int()"),
     (["simulate", "--objective", "c", *PATHS],
-     "unrecognized arguments: --objective c", True),
-    (["simulate", "--format", "xml", *PATHS], "format must be csv or json", False),
-    # argparse's own rejections also print the usage line
-    (["simulate", "--bogus", *PATHS], "unrecognized arguments: --bogus", True),
-    (["bogus", *PATHS], "argument command: invalid choice: 'bogus'", True),
-    ([], "the following arguments are required: command", True),
+     "simulate does not take '--objective'; its flags are --config, --t, --eta-a, --eta-b, "
+     "--counts, --seed, --noiseless, --out, --records, --format"),
+    (["simulate", "--format", "xml", *PATHS], "format must be csv or json"),
+    # the parser's own rejections name the first wrong token
+    (["simulate", "--bogus", *PATHS], "simulate does not take '--bogus'"),
+    (["simulate", "--bogus=1", *PATHS], "simulate does not take '--bogus=1'"),
+    (["simulate", "sim.csv", *PATHS], "simulate does not take 'sim.csv'"),
+    (["bogus", *PATHS], f"unknown command 'bogus'; {COMMAND_LIST}"),
+    ([], f"no command; {COMMAND_LIST}"),
+    (["--out", "x.csv"], f"unknown command '--out'; {COMMAND_LIST}"),
     (["robustness", "--t", "0", "--eps-max", "-inf", "--out", "rob.csv"],
-     "argument --eps-max: expected one argument (give a value that starts with '-' as "
-     "--eps-max=<value>)", True),
+     "--eps-max expects a value (give a value that starts with '-' as --eps-max=<value>)"),
+    (["simulate", *PATHS, "--out"],
+     "--out expects a value (give a value that starts with '-' as --out=<value>)"),
+    (["simulate", "--noiseless=1", *PATHS], "--noiseless is a switch and takes no value"),
     *((["calibrate", "--objective", objective, "--records", "records.csv", "--out", "cal.csv"],
-       f"unrecognized arguments: --objective {objective}", True)
+       "calibrate does not take '--objective'")
       for objective in "ab"),
-    # a flag of another command is the command's own parser's rejection
+    # a flag of another command is refused with the command's own flags
     (["calibrate", "--records", "records.csv", "--out", "cal.csv", "--eta-a", "2"],
-     "unrecognized arguments: --eta-a 2", True),
+     f"calibrate does not take '--eta-a'; {CALIBRATE_FLAGS}"),
     (["analytic", "--records", "nope.csv", "--pooled", "--strict"],
-     "unrecognized arguments: --records nope.csv --pooled --strict", True),
-    (["schema", "--out", "s.csv"], "unrecognized arguments: --out s.csv", True),
+     f"analytic does not take '--records'; {ANALYTIC_FLAGS}"),
+    (["schema", "--out", "s.csv"], "schema does not take '--out'; it takes no flags"),
+    # the forms that only argparse took: an abbreviated flag, a value after a
+    # space that starts with '-', and a help token after a wrong token
+    (["analytic", "--ou", "ab.csv"], f"analytic does not take '--ou'; {ANALYTIC_FLAGS}"),
+    (["calibrate", "--p", "--records", "records.csv", "--out", "cal.csv"],
+     f"calibrate does not take '--p'; {CALIBRATE_FLAGS}"),
+    (["robustness", "--t", "-0", "--out", "rob.csv"],
+     "--t expects a value (give a value that starts with '-' as --t=<value>)"),
+    (["robustness", "--t", "0", "--eps-max", "-0.0", "--out", "rob.csv"],
+     "--eps-max expects a value (give a value that starts with '-' as --eps-max=<value>)"),
+    (["simulate", "--seed", "-1", *PATHS],
+     "--seed expects a value (give a value that starts with '-' as --seed=<value>)"),
+    (["analytic", "--out", "-x y"],
+     "--out expects a value (give a value that starts with '-' as --out=<value>)"),
+    (["simulate", "--bogus", "--help"], "simulate does not take '--bogus'"),
+    (["analytic", "--t=--", "--help"], "--t: '--' is not a value, it ends the options"),
+    (["analytic", "--t=--", "--t", "0.5"], "--t: '--' is not a value, it ends the options"),
     # an empty path names no file, whether given, defaulted or in a config
-    (["analytic", "--out", ""], "--out is an empty path", False),
-    (["analytic", "--out="], "--out is an empty path", False),
-    (["robustness", "--t", "0", "--out", ""], "--out is an empty path", False),
-    (["simulate", "--out", "", "--records", "records.csv"], "--out is an empty path", False),
-    (["simulate", "--records", "", "--out", "sim.csv"], "the record file is an empty path", False),
-    (["calibrate", "--records", "", "--out", "cal.csv"], "--records is an empty path", False),
-    (["calibrate", "--records", "records.csv", "--out", ""], "--out is an empty path", False),
-    (["simulate", "--config", "", *PATHS], "--config is an empty path", False),
-    (["analytic", "--config=", "--out", "curve.csv"], "--config is an empty path", False),
-    # argparse drops a `--` value, so `--flag=--` reads as [], which once ended
-    # in a traceback (--t, --config) or wrote a file named `[]` (--out, --records)
-    *(([command, f"{flag}=--", *rest], f"{flag}: '--' is not a value, it ends the options", False)
+    (["analytic", "--out", ""], "--out is an empty path"),
+    (["analytic", "--out="], "--out is an empty path"),
+    (["robustness", "--t", "0", "--out", ""], "--out is an empty path"),
+    (["simulate", "--out", "", "--records", "records.csv"], "--out is an empty path"),
+    (["simulate", "--records", "", "--out", "sim.csv"], "the record file is an empty path"),
+    (["calibrate", "--records", "", "--out", "cal.csv"], "--records is an empty path"),
+    (["calibrate", "--records", "records.csv", "--out", ""], "--out is an empty path"),
+    (["simulate", "--config", "", *PATHS], "--config is an empty path"),
+    (["analytic", "--config=", "--out", "curve.csv"], "--config is an empty path"),
+    # `--flag=--` gives no value; read as [], it once ended in a traceback
+    # (--t, --config) or wrote a file named `[]` (--out, --records)
+    *(([command, f"{flag}=--", *rest], f"{flag}: '--' is not a value, it ends the options")
       for command, flag, rest in [
           ("analytic", "--t", []),
           ("analytic", "--out", []),
@@ -289,36 +313,59 @@ PATHS = ["--out", "sim.csv", "--records", "records.csv"]
           ("robustness", "--eps-points", ["--t", "0", "--out", "rob.csv"]),
       ]),
 ])
-def test_rejected_command_line_is_a_config_error(tmp_path, monkeypatch, capsys, argv, message,
-                                                 usage):
+def test_rejected_command_line_is_a_config_error(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert f"config error: {message}" in err
-    assert err.startswith("usage: qclone") == usage
-    if usage and "unrecognized arguments" in message:
-        assert err.startswith(f"usage: qclone {argv[0]} ")  # the usage of the command
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert f"config error: {message}" in captured.err
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
     assert list(tmp_path.iterdir()) == []
 
 
-def test_help_exits_0(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--help"])
-    assert exc.value.code == 0
-    out = capsys.readouterr().out
-    # the allowed values of the choice flag are in the help text
-    assert "table format: csv, json" in out
+@pytest.mark.parametrize("argv, commands", [
+    (["--help"], list(COMMANDS)),
+    (["-h", "bogus"], list(COMMANDS)),
+    (["simulate", "--help"], ["simulate"]),
+    (["simulate", "--t", "0.5", "-h", "--bogus"], ["simulate"]),
+    (["schema", "--help"], ["schema"]),
+])
+def test_help_exits_0(tmp_path, monkeypatch, capsys, argv, commands):
+    # a help token where a command or a flag goes prints the help of the
+    # command, or of every command, and nothing else
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith(f"usage: qclone {argv[0] if len(commands) == 1 else '<command>'} ")
+    for command in COMMANDS:
+        assert (f"\n{command}:" in captured.out) == (command in commands), command
+    # each flag with its help text, the allowed values of --format included
+    for key in set().union(*(COMMANDS[command] for command in commands)):
+        flag, _, text = OPTIONS[key]
+        assert re.search(f"^  {flag} .*{re.escape(text)}$", captured.out, re.MULTILINE), flag
+    assert ("table format: csv, json" in captured.out) == (commands != ["schema"])
+    assert list(tmp_path.iterdir()) == []
 
 
-def _argparse_vars(argv):
-    """vars() of argparse's namespace for argv; None when argparse rejects
-    argv, exits or prints help."""
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        try:
-            return vars(build_parser().parse_args(argv))
-        except (ConfigError, SystemExit):
-            return None
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_help_to_a_full_stdout_is_a_data_error():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "qclone.cli", "--help"],
+                              env=_subprocess_env(), stdout=full, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    assert proc.returncode == EXIT_DATA, proc.stderr
+    assert proc.stderr == "data error: cannot write to stdout: No space left on device\n"
+
+
+def _parsed(argv):
+    """vars() of the parsed command line argv; "help" for the help; None
+    where the parser refuses argv."""
+    try:
+        args = parse_well_formed(argv)
+    except ConfigError:
+        return None
+    return "help" if isinstance(args, str) else vars(args)
 
 
 def _own_flags(command):
@@ -327,13 +374,14 @@ def _own_flags(command):
 
 
 SWITCHES = {OPTIONS[key][0] for key in ("noiseless", "pooled", "strict")}
-# values argparse reads after a space, and values it takes for a flag
+HELP_TOKENS = ["-h", "--help"]
+# values the parser reads after a space, and values that start with '-'
 PLAIN_VALUES = ["0.5", "0,1", "1e5", "7", "csv", "", "a b", "x=y", "-"]
-DASH_VALUES = ["-1", "-inf", "--out", "--", "-h", "--help", "-x y"]
+DASH_VALUES = ["-1", "-0.0", "-inf", "--out", "--", "-h", "--help", "-x y"]
 ALL_FLAGS = sorted({flag for command in COMMANDS for flag in _own_flags(command)})
 # abbreviations argparse accepts or finds ambiguous, and what it never takes
 OTHER_FLAGS = ["--ou", "--rec", "--eta", "--eta-", "--conf", "--tr", "--no", "--pool", "--str",
-               "--eps", "--eps-m", "--form", "--c", "-t", "-h", "--help", "--", "--bogus",
+               "--eps", "--eps-m", "--form", "--c", "--he", "-t", "-h", "--help", "--", "--bogus",
                "--objective"]
 NOISE = st.one_of(
     st.sampled_from(ALL_FLAGS + OTHER_FLAGS + PLAIN_VALUES + DASH_VALUES),
@@ -344,12 +392,11 @@ NOISE = st.one_of(
 
 @st.composite
 def _own_flag(draw, command):
-    # one exact flag of the command, written as the fast path takes it
+    # one exact flag of the command, written as the parser takes it
     flag = draw(st.sampled_from(_own_flags(command)))
     if flag in SWITCHES:
         return [flag]
     if draw(st.booleans()):
-        # argparse drops a `--` value, so `--flag=--` is left to it
         values = [value for value in PLAIN_VALUES + DASH_VALUES if value != "--"]
         return [f"{flag}={draw(st.sampled_from(values))}"]
     return [flag, draw(st.sampled_from(PLAIN_VALUES))]
@@ -372,26 +419,67 @@ def _command_lines(draw):
     return argv, head in COMMANDS and not noise
 
 
+def _newly_refused(argv):
+    """Whether argv holds a form that argparse takes and the parser refuses:
+    an abbreviated flag, a value after a space that starts with '-', a
+    `--flag=--` that a later value of the flag overrides, or a help token
+    after a wrong token."""
+    command = argv[0] if argv else None
+    flags = _own_flags(command) + ["--help"]
+    abbreviated = any(len(flag) > 2 and flag.startswith("--") and flag not in flags
+                      and any(own.startswith(flag) for own in flags)
+                      for flag in (token.partition("=")[0] for token in argv))
+    dash_value = any(token in flags and token not in SWITCHES | {"--help"}
+                     and value.startswith("-") and value != "-"
+                     for token, value in zip(argv[1:], argv[2:]))
+    dropped = any(token.startswith("--") and token.partition("=")[2] == "--" for token in argv)
+    helps = [i for i, token in enumerate(argv) if token in HELP_TOKENS]
+    help_after_wrong = bool(helps) and _parsed(argv[:helps[0]]) is None
+    return abbreviated or dash_value or dropped or help_after_wrong
+
+
+def _ambiguous_after_help(argv):
+    """Whether a token after argv's first help token abbreviates two or more
+    flags of its command: argparse refused such a token before it acted on
+    the help token."""
+    flags = _own_flags(argv[0]) + ["--help"]
+    first = next(i for i, token in enumerate(argv) if token in HELP_TOKENS)
+    return any(flag.startswith("--") and flag not in flags
+               and sum(own.startswith(flag) for own in flags) > 1
+               for flag in (token.partition("=")[0] for token in argv[first + 1:]))
+
+
 @settings(max_examples=400, deadline=None)
 @given(_command_lines())
 @example((["simulate", "--noiseless=1"], False))
 @example((["simulate", "--out"], False))
 @example((["simulate", "--ou", "x"], False))
+@example((["analytic", "--ou", "x"], False))
+@example((["robustness", "--t", "-0"], False))
+@example((["simulate", "--bogus", "--help"], False))
+@example((["simulate", "--help", "--eta"], False))
+@example((["analytic", "-h", "--=0.5"], False))
 @example((["robustness", "--eps-max", "-1", "--t", "0"], False))
 @example((["analytic", "--t=--"], False))
+@example((["analytic", "--t=--", "--t", "0.5"], False))
 @example((["calibrate", "--pooled", "--pooled", "--out", "a", "--out=b"], True))
 @example((["robustness", "--eps-max=-inf", "--out", "-"], True))
 @example(([], False))
-def test_fast_path_agrees_with_argparse(case):
-    # the fast path returns argparse's namespace, or None; None whenever
-    # argparse rejects the command line, exits or prints help
+def test_parser_agrees_with_argparse(case):
+    # a command line the parser takes, argparse reads the same, to one
+    # namespace or to the help, but for a help token before an ambiguous
+    # abbreviation; one that argparse alone takes holds a form that only
+    # argparse took
     argv, well_formed = case
-    fast = parse_well_formed(argv)
-    reference = _argparse_vars(argv)
+    parsed, reference = _parsed(argv), argparse_vars(argv)
     if well_formed:
-        assert fast is not None, argv
-    if fast is not None:
-        assert vars(fast) == reference, argv
+        assert parsed not in (None, "help"), argv
+    if parsed == "help" and reference is None:
+        assert _ambiguous_after_help(argv), argv
+    elif parsed is not None:
+        assert parsed == reference, argv
+    elif reference is not None:
+        assert _newly_refused(argv), argv
 
 
 def _lab_session():
@@ -416,7 +504,7 @@ def _lab_session():
     ]
 
 
-def test_benchmark_and_lab_session_take_the_fast_path(monkeypatch):
+def test_benchmark_and_lab_session_parse_as_argparse_reads_them(monkeypatch):
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclasses look it up
@@ -426,9 +514,9 @@ def test_benchmark_and_lab_session_take_the_fast_path(monkeypatch):
     lab = _lab_session()
     assert len(lab) >= 15
     for argv in benchmark + lab:
-        fast = parse_well_formed(argv)
-        assert fast is not None, argv
-        assert vars(fast) == _argparse_vars(argv), argv
+        parsed = _parsed(argv)
+        assert isinstance(parsed, dict), argv
+        assert parsed == argparse_vars(argv), argv
 
 
 # The flags of each command, besides --config (every command but schema).
@@ -444,13 +532,15 @@ COMMAND_FLAGS = {
 def test_option_table(capsys):
     # one entry per RunConfig field, in field order
     assert list(OPTIONS) == list(RunConfig._fields)
-    # each command registers its own flags and no other
-    commands = next(action.choices for action in build_parser()._actions
-                    if isinstance(action, argparse._SubParsersAction))
-    assert list(commands) == list(COMMAND_FLAGS)
+    # the help lists each command, and each command's help its own flags
+    # and no other
+    assert main(["--help"]) == EXIT_OK
+    assert re.findall(r"\n\n(\w+):", capsys.readouterr().out) == list(COMMAND_FLAGS)
     registered = 0
-    for name, parser in commands.items():
-        flags = {flag for action in parser._actions for flag in action.option_strings}
+    for name in COMMAND_FLAGS:
+        assert main([name, "--help"]) == EXIT_OK
+        flags = {word.rstrip(",") for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("  -") for word in line.split()[:2] if word.startswith("-")}
         own = set(COMMAND_FLAGS[name].split()) | ({"--config"} if COMMAND_FLAGS[name] else set())
         assert flags == own | {"-h", "--help"}, name
         assert {OPTIONS[key][0] for key in COMMANDS[name]} == own - {"--config"}, name
@@ -458,8 +548,7 @@ def test_option_table(capsys):
     assert registered == 27
     # every field is read by some command
     assert set().union(*COMMANDS.values()) == set(RunConfig._fields)
-    with pytest.raises(SystemExit):
-        main(["simulate", "--help"])
+    assert main(["simulate", "--help"]) == EXIT_OK
     out = capsys.readouterr().out
     assert not [flag for flag in ("--pooled", "--strict", "--eps-max", "--triple") if flag in out]
 
@@ -487,14 +576,13 @@ def test_config_file_and_flags_build_the_same_config(tmp_path):
     assert [key for key, _, _ in SETTINGS] == list(OPTIONS)
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("".join(f"{key} = {val}  # comment\n" for key, val, _ in SETTINGS))
-    parser = build_parser()
     default = RunConfig()
     for command, fields in COMMANDS.items():
         if not fields:
             continue
-        from_file = build_config(parser.parse_args([command, "--config", str(cfg_file)]))
+        from_file = build_config(parse_well_formed([command, "--config", str(cfg_file)]))
         flags = [arg for key, _, args in SETTINGS if key in fields for arg in args]
-        from_flags = build_config(parser.parse_args([command, *flags]))
+        from_flags = build_config(parse_well_formed([command, *flags]))
         assert from_file == from_flags, command
         # the command's values are off their defaults; the others keep them
         changed = [key for key in OPTIONS if getattr(from_file, key) != getattr(default, key)]
@@ -1429,7 +1517,7 @@ def test_robustness_bytes_equal_the_oracle(tmp_path, capfd, machine, eps_points,
     for out in (str(tmp_path / f"sweep.{fmt}"), "-"):
         argv = ["robustness", *machine, "--eps-points", str(eps_points), "--format", fmt,
                 "--out", out]
-        config = build_config(build_parser().parse_args(argv)).resolved(COMMANDS["robustness"])
+        config = build_config(parse_well_formed(argv)).resolved(COMMANDS["robustness"])
         assert main(argv) == EXIT_OK
         with open(tmp_path / "expected", "w") as fh:
             dump_table(TABLES["robustness"][0], rows, fh, fmt, config)
@@ -1445,7 +1533,8 @@ def test_robustness_bytes_equal_the_oracle(tmp_path, capfd, machine, eps_points,
     ("--eps-max", "-0.1", "eps_max must lie in [0, 1)"),
 ])
 def test_robustness_rejects_bad_sweep_range(tmp_path, capsys, flag, value, message):
-    rc = main(["robustness", "--t", "0", flag, value, "--out", str(tmp_path / "rob.csv")])
+    # a value that starts with '-' is given as --flag=value
+    rc = main(["robustness", "--t", "0", f"{flag}={value}", "--out", str(tmp_path / "rob.csv")])
     assert rc == EXIT_CONFIG
     assert message in capsys.readouterr().err
 
@@ -1520,17 +1609,14 @@ def test_cli_import_loads_no_scipy(tmp_path):
     # imports
     # (`-m qclone.cli` runs the cli as __main__, so qclone.cli is not among
     # the imports); each case names the exact set of qclone modules it loads.
-    # schema and a config error the entry finds compile no command module;
-    # only the argparse fallback loads qclone.fallback, and only a config
-    # file qclone.configfile.  A command compiles its own module, which finds
-    # the config errors of its files and arguments before it loads its work
-    # and the table writer.
-    # Only --help and a rejected command line load argparse, with its
-    # gettext and locale; a well-formed one with a bad value does not
+    # schema, the help and a config error the entry finds compile no command
+    # module, and only a config file loads qclone.configfile.  A command
+    # compiles its own module, which finds the config errors of its files and
+    # arguments before it loads its work and the table writer.  No command
+    # line loads argparse, with its gettext and locale
     env = _subprocess_env()
     records, edge = str(tmp_path / "r.csv"), str(tmp_path / "edge.csv")
     light = {"qclone", "qclone.labels"}
-    fallback = light | {"qclone.fallback"}
 
     def command(name):
         return light | {"qclone.commands", f"qclone.commands.{name}"}
@@ -1545,8 +1631,8 @@ def test_cli_import_loads_no_scipy(tmp_path):
         (["-c", "import qclone"], EXIT_OK, {"qclone"}),
         (["-c", "import qclone.cli"], EXIT_OK, light | {"qclone.cli"}),
         (["-m", "qclone.cli", "schema"], EXIT_OK, light),
-        (["-m", "qclone.cli", "--help"], EXIT_OK, fallback),
-        (["-m", "qclone.cli", "simulate", "--bogus"], EXIT_CONFIG, fallback),
+        (["-m", "qclone.cli", "--help"], EXIT_OK, light),
+        (["-m", "qclone.cli", "simulate", "--bogus"], EXIT_CONFIG, light),
         (["-m", "qclone.cli", "simulate", "--t", "2"], EXIT_CONFIG, light),
         (["-m", "qclone.cli", "simulate", "--eta-a", "abc"], EXIT_CONFIG, light),
         (["-m", "qclone.cli", "analytic", "--config", str(tmp_path / "missing.cfg")], EXIT_CONFIG,
@@ -1592,12 +1678,7 @@ def test_cli_import_loads_no_scipy(tmp_path):
         top = {m.split(".")[0] for m in imported}
         # nor __future__
         assert "__future__" not in top, args
-        if "--help" in args or "--bogus" in args:
-            assert "argparse" in top, args
-            lines = (proc.stdout + proc.stderr).splitlines()
-            assert [line for line in lines if line.startswith("usage: qclone")], args
-        else:
-            assert not top & {"argparse", "gettext", "locale"}, args
+        assert not top & {"argparse", "gettext", "locale"}, args
         if "json" in args:
             out = args[args.index("--out") + 1] if "--out" in args else None
             json.loads(Path(out).read_text() if out else proc.stdout)
@@ -1667,6 +1748,38 @@ def test_module_run_prints_only_its_messages(tmp_path):
         proc = subprocess.run([sys.executable, "-m", "qclone.cli", *args.split()], cwd=tmp_path,
                               env=_subprocess_env(), capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stderr.splitlines()) == (code, stderr), args
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_stderr_that_fails_to_write_changes_no_output(tmp_path):
+    # a diagnostic never stops a table: with stderr a full device or closed,
+    # schema, the lab session and each exit code's command give the stdout,
+    # files and exit code of a run whose stderr works
+    session = [["schema"], ["analytic", "--out", "a.csv"],
+               ["simulate", "--t", "0.5", "--counts", "1e3", "--out", "s.csv", "--records", "r.csv"],
+               ["calibrate", "--records", "r.csv", "--out", "c.csv"], *_lab_session(),
+               ["calibrate", "--strict", "--records", "edge_records.csv", "--out", "edge_cal.csv"],
+               ["simulate", "--eta-a", "abc"],
+               ["calibrate", "--records", "missing.csv", "--out", "m.csv"]]
+    module = [sys.executable, "-m", "qclone.cli"]
+    runs = {}
+    with open("/dev/full", "w") as full:
+        for name, route, stderr in [("working", module, subprocess.PIPE), ("full", module, full),
+                                    ("closed", ["sh", "-c", 'exec "$@" 2>&-', "sh", *module],
+                                     None)]:
+            folder = tmp_path / name
+            folder.mkdir()
+            results = []
+            for args in session:
+                proc = subprocess.run([*route, *args], cwd=folder, env=_subprocess_env(),
+                                      stdout=subprocess.PIPE, stderr=stderr, timeout=120)
+                results.append((args, proc.returncode, proc.stdout))
+            runs[name] = results, {p.name: p.read_bytes() for p in folder.iterdir()}
+    results, files = runs["working"]
+    assert {code for _, code, _ in results} == {EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_BOUNDARY}
+    assert {"a.csv", "c.csv", "c_states.csv"} <= set(files)
+    for name in ("full", "closed"):
+        assert runs[name] == runs["working"], name
 
 
 def test_closed_stdout_is_a_data_error():
